@@ -166,15 +166,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def read_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
-
-
 def write_matrix_csv(path, M) -> None:
     """Write a matrix as row-major CSV with a `rows,cols` header line."""
     M = np.atleast_2d(np.asarray(M, dtype=float))

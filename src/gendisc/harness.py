@@ -10,6 +10,7 @@ small sample counts) are recorded per cell rather than aborting the sweep.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,9 +53,11 @@ DEFAULT_ESTIMATORS = (
 DEFAULT_SNR_GRID = tuple(10.0 ** (k / 2.0) for k in range(-4, 9))
 DEFAULT_NT_GRID = (40, 60, 100, 200, 500, 1000, 5000)
 
-# Estimators that need population moments of the linear model.
-_ASYMPTOTE_SET = frozenset(
-    {Provenance.GENERATIVE_ASYMPTOTE.value, Provenance.DISCRIMINATIVE_ASYMPTOTE.value}
+# Estimators with a closed form only under the linear measurement model.
+_LINEAR_ONLY = (
+    Provenance.ORACLE_LMMSE.value,
+    Provenance.GENERATIVE_ASYMPTOTE.value,
+    Provenance.DISCRIMINATIVE_ASYMPTOTE.value,
 )
 # Seed stream namespaces under the master seed.
 _NS_TRIAL = 0
@@ -100,6 +103,8 @@ class ExperimentConfig:
             problems.append("snr_grid must be nonempty")
         elif any(not (0.0 < s < float("inf")) for s in self.snr_grid):
             problems.append("snr_grid entries must be finite and positive")
+        elif any(1.0 / s == float("inf") for s in self.snr_grid):
+            problems.append("snr_grid entries must be large enough that 1/snr is finite")
         if not self.nt_grid:
             problems.append("nt_grid must be nonempty")
         elif any(n < 1 for n in self.nt_grid):
@@ -123,12 +128,12 @@ class ExperimentConfig:
                 problems.append("estimator_set contains duplicates")
         if not isinstance(self.nonlinearity, Nonlinearity):
             problems.append(f"nonlinearity must be Linear, Tanh or Cubic, got {self.nonlinearity!r}")
-        elif not isinstance(self.nonlinearity, Linear) and _ASYMPTOTE_SET & set(
-            self.estimator_set
-        ):
-            problems.append(
-                "asymptote estimators require the linear model (no closed-form population moments otherwise)"
-            )
+        elif not isinstance(self.nonlinearity, Linear):
+            linear_only = [e for e in self.estimator_set if e in _LINEAR_ONLY]
+            if linear_only:
+                problems.append(
+                    f"{linear_only} require the linear model (no closed form otherwise)"
+                )
         if not (np.isfinite(self.ridge) and self.ridge >= 0.0):
             problems.append(f"ridge must be finite and nonnegative, got {self.ridge}")
         return problems
@@ -267,27 +272,42 @@ def run_single_trial(
     return TrialOutcome(errors=errors, failures=failures, warning_count=len(events))
 
 
-def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_index: int) -> TrialOutcome:
+def sweep_constants(cfg: ExperimentConfig) -> tuple:
+    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_H)``.
+
+    ``prior`` generates the data, ``known_prior`` is the generative side
+    information, and ``fixed_H`` is the frozen measurement matrix under
+    ``h_mode == "fixed_once"`` (``None`` otherwise).
+    """
+    prior = exp_decay_prior(cfg.n_y)
+    if cfg.prior_mode == "identity_mismatch":
+        known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
+    else:
+        known_prior = prior
+    fixed_H = None
+    if cfg.h_mode == "fixed_once":
+        fixed_H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(_NS_FIXED_H))
+    return prior, known_prior, fixed_H
+
+
+def run_trial(
+    cfg: ExperimentConfig, point: SweepPoint, trial_index: int, constants: Optional[tuple] = None
+) -> TrialOutcome:
     """Run one Monte Carlo trial at the given sweep cell.
 
     Deterministic in (cfg, point, trial_index): the trial's randomness comes
     from the child stream (master, 0, cell index, trial index), with the
     frozen measurement matrix (when ``h_mode == "fixed_once"``) drawn once
-    from (master, 1).
+    from (master, 1). ``constants`` is ``sweep_constants(cfg)``, built here
+    when omitted.
     """
+    prior, known_prior, H = constants or sweep_constants(cfg)
     trial_seed = cfg.seed.child(_NS_TRIAL, point.index, trial_index)
-    if cfg.h_mode == "fixed_once":
-        H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(_NS_FIXED_H))
-    else:
+    if H is None:
         H = random_measurement_matrix(cfg.n_x, cfg.n_y, trial_seed.child(2))
-    prior = exp_decay_prior(cfg.n_y)
     model = TrueModel(
         H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity
     )
-    if cfg.prior_mode == "identity_mismatch":
-        known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
-    else:
-        known_prior = prior
     known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
     return run_single_trial(
         prior, model, known, point.n_t, cfg.estimator_set, trial_seed, ridge=cfg.ridge
@@ -310,12 +330,14 @@ def _run_sweep(cfg: ExperimentConfig, sweep_name: str, threads: int) -> MseRepor
     cfg.validate()
     points = _sweep_points(cfg, sweep_name)
     tasks = [(point, trial) for point in points for trial in range(cfg.mc_trials)]
+    constants = sweep_constants(cfg)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda pt: run_trial(cfg, pt[0], pt[1]), tasks))
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda pt: run_trial(cfg, pt[0], pt[1], constants), tasks))
     else:
-        results = [run_trial(cfg, point, trial) for point, trial in tasks]
+        results = [run_trial(cfg, point, trial, constants) for point, trial in tasks]
     outcomes = {(pt.index, trial): out for (pt, trial), out in zip(tasks, results)}
 
     rows: list[MseRow] = []

@@ -13,7 +13,7 @@ disjoint child indices to its work items reproduces draws bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,10 +91,15 @@ Nonlinearity = Linear | Tanh | Cubic
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Known target statistics: y ~ N(mu_y, C_yy) with C_yy strictly PD."""
+    """Known target statistics: y ~ N(mu_y, C_yy) with C_yy strictly PD.
+
+    ``L_yy`` is the lower Cholesky factor of ``C_yy``, kept from validation
+    for drawing samples.
+    """
 
     mu_y: np.ndarray
     C_yy: np.ndarray
+    L_yy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = _as_float_array(self.mu_y, "mu_y", ndim=1)
@@ -104,11 +109,12 @@ class GaussianPrior:
         if np.linalg.norm(C - C.T) > 1e-10 * max(np.linalg.norm(C), 1e-300):
             raise ValueError("C_yy must be symmetric")
         try:
-            np.linalg.cholesky(C)
+            L = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
             raise ValueError("C_yy must be positive definite (Cholesky failed)") from None
         object.__setattr__(self, "mu_y", _frozen(mu))
         object.__setattr__(self, "C_yy", _frozen(C))
+        object.__setattr__(self, "L_yy", _frozen(L))
 
     @property
     def n_y(self) -> int:
@@ -159,9 +165,8 @@ def sample_targets(prior: GaussianPrior, n: int, seed: Seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    L = np.linalg.cholesky(prior.C_yy)
     z = seed.generator().standard_normal((n, prior.n_y))
-    return prior.mu_y + z @ L.T
+    return prior.mu_y + z @ prior.L_yy.T
 
 
 def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> Dataset:
@@ -178,8 +183,7 @@ def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> 
             f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
         )
     rng = seed.generator()
-    L = np.linalg.cholesky(prior.C_yy)
-    ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ L.T
+    ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
     noise = rng.standard_normal((n, model.n_x))
     xs = model.nonlinearity.apply(ys @ model.H.T) + model.mu_w + np.sqrt(model.sigma2) * noise
     return Dataset(xs=xs, ys=ys)

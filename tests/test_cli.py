@@ -121,6 +121,22 @@ class TestValidateCommand:
         assert main(["validate", path]) == 1
         assert "one grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"nonlinearity": {"kind": "tanh"}}, "linear model"),
+            ({"nonlinearity": {"kind": "cubic", "alpha": 0.2}}, "linear model"),
+            ({"snr_grid": [1e-320, 1.0]}, "1/snr"),
+        ],
+    )
+    def test_validate_and_run_agree_on_unrunnable_config(self, tmp_path, capsys, override, message):
+        path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, **override)))
+        assert main(["validate", path]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_valid_config_prints_resolved_json(self, tmp_path, capsys):
         path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
         assert main(["validate", path]) == 0

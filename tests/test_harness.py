@@ -189,6 +189,34 @@ class TestSweeps:
         with pytest.raises(ValueError, match="mc_trials"):
             sweep_snr(cfg)
 
+    @pytest.mark.parametrize(
+        "threads, cpus, expected", [(10_000, 3, 3), (10_000, 64, 4), (2, 64, 2)]
+    )
+    def test_worker_pool_is_capped(self, monkeypatch, threads, cpus, expected):
+        from gendisc import harness
+
+        built = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        cfg = _small_config(mc_trials=2)  # 2 cells x 2 trials = 4 tasks
+        report = sweep_snr(cfg, threads=threads)
+        assert built == [expected]
+        assert report.rows == sweep_snr(cfg, threads=1).rows
+
     def test_all_failed_cell_reports_absent_mean(self):
         # n_t = 5 < N_y guarantees a singular target covariance every trial.
         cfg = _small_config(

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from gendisc import moments
 from gendisc.moments import (
     CONDITION_WARN_THRESHOLD,
     Dataset,
@@ -152,6 +156,48 @@ class TestSpdSolve:
         x = spd_solve(np.eye(3) * 2.0, np.ones(3))
         assert x.shape == (3,)
         assert np.allclose(x, 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("ridge", [0.0, 0.25])
+    def test_bitwise_equal_to_scipy_cholesky(self, n, ridge):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n + 5, n))
+        M = X.T @ X
+        A = 0.5 * (M + M.T) + ridge * np.eye(n)
+        factor = cho_factor(A, lower=True)
+        for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(spd_solve(M, B, ridge=ridge), cho_solve(factor, B))
+
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_warning_fires_exactly_above_spectral_threshold(self, n):
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for target in np.logspace(10, 14, 17):
+            M = (Q * np.logspace(0, np.log10(target), n)) @ Q.T
+            M = 0.5 * (M + M.T)
+            spectral = condition_estimate(M)
+            with warnings.catch_warnings(record=True) as caught, condition_events() as events:
+                warnings.simplefilter("always")
+                spd_solve(M, np.ones(n), name="probe")
+            fired = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+            if spectral > CONDITION_WARN_THRESHOLD:
+                assert len(fired) == 1
+                assert events == [("probe", spectral)]
+            else:
+                assert fired == [] and events == []
+
+    def test_well_conditioned_solve_skips_spectral_estimate(self, monkeypatch):
+        calls = []
+        exact = moments.condition_estimate
+        monkeypatch.setattr(moments, "condition_estimate", lambda M: calls.append(1) or exact(M))
+        rng = np.random.default_rng(3)
+        for n in (1, 4, 30):
+            spd_solve(random_spd(rng, n), np.ones(n))
+            spd_solve(random_spd(rng, n, eig_low=1e-6), np.ones(n), ridge=0.1)
+        assert calls == []
+        with pytest.raises(SingularMatrixError):
+            spd_solve(np.diag([1.0, 0.0]), np.ones(2))
+        assert calls == [1]
 
 
 class TestConditionEstimate:
