@@ -157,6 +157,28 @@ def linear_population_moments(prior: GaussianPrior, model: TrueModel) -> Populat
     )
 
 
+def affine_risk(est: AffineEstimator, prior: GaussianPrior, model: TrueModel) -> float:
+    """Expected squared error E||y - A x - b||^2 of an affine rule under the linear model.
+
+    With x = H y + w, the error splits into three uncorrelated parts:
+    (I - A H)(y - mu_y), -A (w - mu_w) and the bias mu_y - A mu_x - b, where
+    mu_x = H mu_y + mu_w. The risk is therefore
+    ||(I - A H) L_yy||_F^2 + sigma2 ||A||_F^2 + ||mu_y - A mu_x - b||^2 with
+    L_yy the Cholesky factor of C_yy, a sum of squares that cannot cancel.
+    """
+    if not isinstance(model.nonlinearity, Linear):
+        raise ValueError("the closed-form risk exists only for the linear measurement model")
+    if est.A.shape != (model.n_y, model.n_x) or prior.n_y != model.n_y:
+        raise ValueError(
+            f"rule shape {est.A.shape}, prior dimension {prior.n_y} and model shape "
+            f"{model.H.shape} are inconsistent"
+        )
+    A = est.A
+    spread = prior.L_yy - A @ (model.H @ prior.L_yy)
+    bias = prior.mu_y - A @ (model.H @ prior.mu_y + model.mu_w) - est.b
+    return float(np.vdot(spread, spread) + model.sigma2 * np.vdot(A, A) + bias @ bias)
+
+
 def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
     """Maximum likelihood fit of the measurement matrix and noise mean.
 

@@ -291,15 +291,14 @@ def write_json_atomic(path, payload: dict) -> None:
 
 
 PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Render MSE curves from the results.csv sitting next to this script."""
+"""Render MSE curves from the results.csv sitting next to this script.
+
+The CSV-to-curves step, ``load_curves``, needs only the standard library;
+matplotlib is imported when ``main`` renders the figure.
+"""
 
 import csv
 import os
-
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -311,13 +310,15 @@ STYLES = {
 X_LABELS = {"snr": "SNR (1 / noise variance)", "nt": "training samples"}
 
 
-def main():
-    with open(os.path.join(HERE, "results.csv"), newline="") as fh:
+def load_curves(path):
+    """Read results.csv as (sweep_name, {estimator: [(x, mean, std_err), ...]}).
+
+    Points are sorted by x; cells in which every trial failed are dropped.
+    """
+    with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise SystemExit("results.csv holds no rows")
-    sweep_name = rows[0]["sweep_name"]
-
     curves = {}
     for row in rows:
         if row["mean_mse"] == "":
@@ -325,10 +326,20 @@ def main():
         curves.setdefault(row["estimator"], []).append(
             (float(row["sweep_value"]), float(row["mean_mse"]), float(row["std_err"]))
         )
+    for pts in curves.values():
+        pts.sort()
+    return rows[0]["sweep_name"], curves
 
+
+def main():
+    import matplotlib
+
+    matplotlib.use("Agg")
+    import matplotlib.pyplot as plt
+
+    sweep_name, curves = load_curves(os.path.join(HERE, "results.csv"))
     fig, ax = plt.subplots(figsize=(7.0, 4.8))
     for name, pts in curves.items():
-        pts.sort()
         xs = [p[0] for p in pts]
         means = [p[1] for p in pts]
         errs = [p[2] for p in pts]

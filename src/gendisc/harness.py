@@ -1,11 +1,15 @@
 """Seeded Monte Carlo engine for MSE-versus-SNR and MSE-versus-sample-size sweeps.
 
 Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``), a
-fresh training set, fits every requested estimator, and scores each on one
-fresh test pair. Trials are independent work items whose randomness is
-derived from counter-based child seeds, so results are bit-identical under
-any parallel schedule; construction failures (singular sample covariances at
-small sample counts) are recorded per cell rather than aborting the sweep.
+fresh training set, and fits every requested estimator. Under the linear
+measurement model each fitted rule is scored by its exact risk
+(:func:`~gendisc.estimators.affine_risk`), so a cell's standard error covers
+only the training draws and H; under a distorted map, where no closed form
+exists, each rule is scored on one fresh test pair. Trials are independent
+work items whose randomness is derived from counter-based child seeds, so
+results are bit-identical under any parallel schedule; construction failures
+(singular sample covariances at small sample counts) are recorded per cell
+rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from .estimators import (
     KnownStatistics,
     Provenance,
+    affine_risk,
     discriminative_asymptote,
     discriminative_estimator,
     discriminative_highsnr,
@@ -179,7 +184,12 @@ class MseRow:
 
 @dataclass(frozen=True)
 class MseReport:
-    """Sweep results plus run metadata (config echo, per-cell warning counts)."""
+    """Sweep results plus run metadata.
+
+    ``metadata`` holds the sweep name, the scoring method (``"exact_risk"``
+    or ``"test_pair"``), the worker count actually used, and per-cell
+    condition-warning and failure counts.
+    """
 
     rows: tuple[MseRow, ...]
     metadata: dict
@@ -209,13 +219,16 @@ def run_single_trial(
     seed: Seed,
     ridge: float = 0.0,
 ) -> TrialOutcome:
-    """Fit the requested estimators on one fresh training set and score one test pair.
+    """Fit the requested estimators on one fresh training set and score each rule.
 
     ``known`` supplies the generative side information and may be ``None``
     when no estimator needs it. A construction failure (singular sample
     covariance) is recorded under the estimator's name; remaining estimators
-    still run. Training data is drawn from ``seed.child(0)`` and the test
-    pair from ``seed.child(1)``, so the two are independent streams.
+    still run. Training data is drawn from ``seed.child(0)``. Under the
+    linear model a rule's error is its exact risk under ``prior`` and
+    ``model``, the true data distribution, and no test pair is drawn;
+    otherwise it is the squared error on one test pair drawn from
+    ``seed.child(1)``, a stream independent of the training data.
     """
     estimator_names = tuple(estimator_names)
     if Provenance.GENERATIVE.value in estimator_names and known is None:
@@ -234,8 +247,10 @@ def run_single_trial(
         if needs_data & set(estimator_names):
             train = sample_pairs(prior, model, n_t, seed.child(0))
             moments = compute_moments(train)
-        test = sample_pairs(prior, model, 1, seed.child(1))
-        x_star, y_star = test.xs[0], test.ys[0]
+        exact = isinstance(model.nonlinearity, Linear)
+        if not exact:
+            test = sample_pairs(prior, model, 1, seed.child(1))
+            x_star, y_star = test.xs[0], test.ys[0]
 
         fitted = None
         pop = None
@@ -266,8 +281,11 @@ def run_single_trial(
             except (SingularMatrixError, np.linalg.LinAlgError) as exc:
                 failures[name] = str(exc)
                 continue
-            residual = y_star - est.estimate(x_star)
-            errors[name] = float(residual @ residual)
+            if exact:
+                errors[name] = affine_risk(est, prior, model)
+            else:
+                residual = y_star - est.estimate(x_star)
+                errors[name] = float(residual @ residual)
 
     return TrialOutcome(errors=errors, failures=failures, warning_count=len(events))
 
@@ -372,7 +390,12 @@ def _run_sweep(cfg: ExperimentConfig, sweep_name: str, threads: int) -> MseRepor
             }
         )
 
-    metadata = {"sweep": sweep_name, "cells": cells_meta}
+    metadata = {
+        "sweep": sweep_name,
+        "scoring": "exact_risk" if isinstance(cfg.nonlinearity, Linear) else "test_pair",
+        "threads": workers,
+        "cells": cells_meta,
+    }
     return MseReport(rows=tuple(rows), metadata=metadata)
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 
@@ -225,7 +227,63 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 1
         assert "n_x" in capsys.readouterr().err
 
+    def test_manifest_threads_is_the_worker_count_used(self, tmp_path):
+        # 3 tasks: the pool is capped at min(3, cpu_count), whatever --threads asks.
+        config = dict(TINY_CONFIG, snr_grid=[1.0], mc_trials=3)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", cfg_path, "--threads", "50", "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert 1 <= manifest["threads"] <= min(3, os.cpu_count() or 1)
+
+    @pytest.mark.parametrize(
+        "overrides, scoring",
+        [
+            ({}, "exact_risk"),
+            (
+                {
+                    "nonlinearity": {"kind": "tanh", "scale": 1.0},
+                    "estimator_set": ["generative", "discriminative"],
+                },
+                "test_pair",
+            ),
+        ],
+    )
+    def test_manifest_names_the_scoring_method(self, tmp_path, overrides, scoring):
+        config = dict(TINY_CONFIG, mc_trials=2, **overrides)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["scoring"] == scoring
+
+    def test_plot_script_curves_without_matplotlib(self, tmp_path, monkeypatch):
+        # n_t = 3 leaves both sample covariances singular, so the learned
+        # estimators fail in every trial of that cell; the grid is unsorted.
+        config = dict(TINY_CONFIG, snr_grid=[1.0], nt_grid=[50, 3, 20], mc_trials=4)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out_dir)]) == 0
+
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # any import of it fails
+        spec = importlib.util.spec_from_file_location("plot_results", out_dir / "plot_results.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        sweep_name, curves = script.load_curves(str(out_dir / "results.csv"))
+
+        assert sweep_name == "nt"
+        assert sorted(curves) == ["discriminative", "generative", "oracle_lmmse"]
+        assert [p[0] for p in curves["oracle_lmmse"]] == [3.0, 20.0, 50.0]
+        assert [p[0] for p in curves["generative"]] == [20.0, 50.0]
+        assert [p[0] for p in curves["discriminative"]] == [20.0, 50.0]
+        for row in read_results_csv(out_dir / "results.csv"):
+            if row["mean_mse"]:
+                point = (float(row["sweep_value"]), float(row["mean_mse"]), float(row["std_err"]))
+                assert point in curves[row["estimator"]]
+
     def test_plot_script_renders(self, tmp_path):
+        # Rendering needs matplotlib, which is not a package dependency; the
+        # CSV-to-curves step is covered without it above.
+        pytest.importorskip("matplotlib")
         cfg_path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, mc_trials=5)))
         out_dir = tmp_path / "out"
         main(["run", cfg_path, "--out", str(out_dir)])

@@ -9,6 +9,7 @@ from gendisc.estimators import (
     KnownStatistics,
     PopulationMoments,
     Provenance,
+    affine_risk,
     discriminative_asymptote,
     discriminative_estimator,
     discriminative_highsnr,
@@ -21,6 +22,7 @@ from gendisc.estimators import (
 )
 from gendisc.moments import Dataset, SampleMoments, SingularMatrixError, compute_moments
 from gendisc.synth import (
+    Cubic,
     GaussianPrior,
     Seed,
     Tanh,
@@ -380,3 +382,72 @@ class TestAffineEstimator:
         est = AffineEstimator(A=np.eye(2), b=np.zeros(2), provenance=Provenance.GENERATIVE)
         with pytest.raises(ValueError, match="length"):
             est.estimate(np.array([1.0, 2.0, 3.0]))
+
+
+class TestAffineRisk:
+    @staticmethod
+    def _offset_model(sigma2=0.4):
+        """Small linear model with nonzero target and noise means."""
+        rng = np.random.default_rng(61)
+        prior = GaussianPrior(mu_y=np.array([0.5, -1.0, 2.0, 0.0]), C_yy=random_spd(rng, 4))
+        H = random_measurement_matrix(3, 4, Seed(62))
+        model = TrueModel(H=H, mu_w=np.array([1.0, 0.0, -0.5]), sigma2=sigma2)
+        return prior, model
+
+    def test_agrees_with_test_pair_average(self):
+        # An arbitrary fixed rule: the exact risk must lie within 4 SE of the
+        # mean squared error over 200k fresh pairs.
+        prior, model = self._offset_model()
+        rng = np.random.default_rng(63)
+        est = AffineEstimator(
+            A=rng.standard_normal((4, 3)), b=rng.standard_normal(4),
+            provenance=Provenance.DISCRIMINATIVE,
+        )
+        data = sample_pairs(prior, model, 200_000, Seed(64))
+        errs = np.sum((data.ys - data.xs @ est.A.T - est.b) ** 2, axis=1)
+        se = errs.std(ddof=1) / np.sqrt(errs.size)
+        assert abs(affine_risk(est, prior, model) - errs.mean()) <= 4.0 * se
+
+    def test_oracle_risk_is_the_lmmse_error_trace(self):
+        prior, model = self._offset_model()
+        oracle = oracle_lmmse(prior, model)
+        C = prior.C_yy
+        expected = np.trace(C) - np.trace(oracle.A @ model.H @ C)
+        assert affine_risk(oracle, prior, model) == pytest.approx(expected, rel=1e-10)
+        # Criterion 3 as a risk identity: the generative asymptote is the oracle.
+        pop = linear_population_moments(prior, model)
+        asym = generative_asymptote(prior, pop, model.sigma2)
+        assert affine_risk(asym, prior, model) == pytest.approx(expected, rel=1e-10)
+
+    def test_oracle_risk_bounds_learned_rules(self):
+        prior, model = self._offset_model()
+        known = KnownStatistics(prior=prior, sigma2=model.sigma2)
+        oracle_risk = affine_risk(oracle_lmmse(prior, model), prior, model)
+        for t in range(5):
+            moments = compute_moments(sample_pairs(prior, model, 20, Seed(65, (t,))))
+            for est in (
+                generative_estimator(fit_ml(moments), known, moments),
+                discriminative_estimator(moments),
+            ):
+                assert 0.0 <= oracle_risk <= affine_risk(est, prior, model)
+
+    def test_noiseless_exact_rule_has_zero_risk(self):
+        prior = exp_decay_prior(3)
+        model = TrueModel(H=np.eye(3), mu_w=np.zeros(3), sigma2=0.0)
+        est = AffineEstimator(A=np.eye(3), b=np.zeros(3), provenance=Provenance.ORACLE_LMMSE)
+        assert affine_risk(est, prior, model) == 0.0
+
+    @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_rejects_nonlinear_model(self, nonlinearity):
+        prior = exp_decay_prior(2)
+        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0, nonlinearity=nonlinearity)
+        est = AffineEstimator(A=np.eye(2), b=np.zeros(2), provenance=Provenance.GENERATIVE)
+        with pytest.raises(ValueError, match="linear"):
+            affine_risk(est, prior, model)
+
+    def test_rejects_mismatched_rule(self):
+        prior = exp_decay_prior(2)
+        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0)
+        est = AffineEstimator(A=np.eye(3), b=np.zeros(3), provenance=Provenance.GENERATIVE)
+        with pytest.raises(ValueError, match="inconsistent"):
+            affine_risk(est, prior, model)

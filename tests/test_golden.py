@@ -43,7 +43,7 @@ MISSPEC_CONFIG = {
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
-        "975334fcab2bf5330db73fb3c4b7fdd5ec9ecbde27a020a269f2f2879f68148d",
+        "f645d243e61c8e2202977e3198f58a85b37fa1ac2eada68198135cb6377a5e8b",
     ),
     "misspec": (
         MISSPEC_CONFIG,

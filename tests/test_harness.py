@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gendisc.estimators import KnownStatistics, Provenance
+from gendisc import harness
+from gendisc.estimators import (
+    KnownStatistics,
+    Provenance,
+    affine_risk,
+    discriminative_estimator,
+    fit_ml,
+    generative_estimator,
+    oracle_lmmse,
+)
 from gendisc.harness import (
     ExperimentConfig,
     SweepPoint,
@@ -11,12 +20,15 @@ from gendisc.harness import (
     sweep_nt,
     sweep_snr,
 )
+from gendisc.moments import compute_moments
 from gendisc.synth import (
     GaussianPrior,
     Seed,
+    Tanh,
     TrueModel,
     exp_decay_prior,
     random_measurement_matrix,
+    sample_pairs,
 )
 
 
@@ -106,6 +118,63 @@ class TestRunSingleTrial:
         out = run_single_trial(prior, model, known, 100, names, Seed(58))
         assert not out.failures
         assert set(out.errors) == set(names)
+
+
+class TestScoring:
+    @staticmethod
+    def _count_draws(monkeypatch):
+        """Record the seed of every ``sample_pairs`` call the harness makes."""
+        seeds = []
+
+        def counting(prior, model, n, seed):
+            seeds.append(seed)
+            return sample_pairs(prior, model, n, seed)
+
+        monkeypatch.setattr(harness, "sample_pairs", counting)
+        return seeds
+
+    @staticmethod
+    def _rules(prior, model, known, n_t, seed):
+        """The learned rules a trial fits, rebuilt from its training stream."""
+        moments = compute_moments(sample_pairs(prior, model, n_t, seed.child(0)))
+        return {
+            "generative": generative_estimator(fit_ml(moments), known, moments),
+            "discriminative": discriminative_estimator(moments),
+        }
+
+    def test_linear_trial_scores_exact_risk_under_data_prior(self, monkeypatch):
+        # The generative rule gets mismatched side information, but every
+        # rule's risk is taken under the prior that generated the data.
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
+        known = KnownStatistics(prior=GaussianPrior(np.zeros(5), np.eye(5)), sigma2=0.5)
+        seed = Seed(59)
+        seeds = self._count_draws(monkeypatch)
+        out = run_single_trial(
+            prior, model, known, 60, ("generative", "discriminative", "oracle_lmmse"), seed
+        )
+        assert seeds == [seed.child(0)]
+        rules = self._rules(prior, model, known, 60, seed)
+        rules["oracle_lmmse"] = oracle_lmmse(prior, model)
+        assert out.errors == {name: affine_risk(est, prior, model) for name, est in rules.items()}
+
+    def test_tanh_trial_scores_one_test_pair(self, monkeypatch):
+        prior = exp_decay_prior(5)
+        model = TrueModel(
+            H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5,
+            nonlinearity=Tanh(scale=1.0),
+        )
+        known = KnownStatistics(prior=prior, sigma2=0.5)
+        seed = Seed(60)
+        seeds = self._count_draws(monkeypatch)
+        out = run_single_trial(prior, model, known, 60, ("generative", "discriminative"), seed)
+        assert seeds == [seed.child(0), seed.child(1)]
+        test = sample_pairs(prior, model, 1, seed.child(1))
+        expected = {}
+        for name, est in self._rules(prior, model, known, 60, seed).items():
+            residual = test.ys[0] - est.estimate(test.xs[0])
+            expected[name] = float(residual @ residual)
+        assert out.errors == expected
 
 
 class TestRunTrial:
