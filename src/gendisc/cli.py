@@ -135,7 +135,6 @@ def cmd_run(args) -> int:
             "config": config_to_dict(cfg),
             "master_seed": cfg.seed.master,
             "sweep": sweep_name,
-            "scoring": report.metadata["scoring"],
             "threads": report.metadata["threads"],
             "duration_seconds": duration,
             "cells": report.metadata["cells"],

@@ -10,13 +10,18 @@ the true parameters and the closed-form large-sample / vanishing-noise limit
 estimators used as analytical reference points.
 
 All estimators share one output type, :class:`AffineEstimator`, so they can
-be evaluated and compared uniformly.
+be evaluated and compared uniformly, by their exact risk
+(:func:`affine_risk`) under the true measurement map. For the distorted maps
+that risk rests on Gaussian population moments of ``g(H y)``
+(:func:`measurement_moments`): closed forms for the linear and cubic maps, a
+Hermite expansion evaluated by quadrature for tanh.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .moments import (
     gain_lemma,
     spd_solve,
 )
-from .synth import GaussianPrior, Linear, TrueModel
+from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, TrueModel
 
 
 class Provenance(str, enum.Enum):
@@ -157,26 +162,199 @@ def linear_population_moments(prior: GaussianPrior, model: TrueModel) -> Populat
     )
 
 
-def affine_risk(est: AffineEstimator, prior: GaussianPrior, model: TrueModel) -> float:
-    """Expected squared error E||y - A x - b||^2 of an affine rule under the linear model.
+# Trapezoid rule for E f(Z), Z ~ N(0, 1): equispaced nodes on [-_Z_MAX, _Z_MAX].
+# For an integrand analytic in a strip it converges geometrically; the mass
+# beyond 12 standard deviations is below 1e-32.
+_Z_MAX = 12.0
+_QUAD_NODES = 801
+# Pairs correlated beyond this are integrated in two dimensions: their Mehler
+# series would converge too slowly (not at all when |rho| = 1).
+_SERIES_RHO_MAX = 0.9
+# The series stops once its tail bound is below this fraction of max Var g(u_i).
+_SERIES_RTOL = 1e-13
+# 0.9^285 < 1e-13, so the tail bound is met before this order whatever g is.
+_SERIES_MAX_ORDER = 300
+# Orders summed per step of the series.
+_SERIES_BLOCK = 16
 
-    With x = H y + w, the error splits into three uncorrelated parts:
-    (I - A H)(y - mu_y), -A (w - mu_w) and the bias mu_y - A mu_x - b, where
-    mu_x = H mu_y + mu_w. The risk is therefore
-    ||(I - A H) L_yy||_F^2 + sigma2 ||A||_F^2 + ||mu_y - A mu_x - b||^2 with
-    L_yy the Cholesky factor of C_yy, a sum of squares that cannot cancel.
+
+@dataclass(frozen=True)
+class MeasurementMoments:
+    """Population moments of g(u), u = H y ~ N(H mu_y, S), S = H C_yy H^T, free of the noise.
+
+    ``B = diag(d) H L_yy`` with ``d = E g'(u)``, so that Cov(y, g(u)) =
+    L_yy B^T by Stein's lemma; ``mu_g = E g(u)``; and ``Q = Cov(g(u)) - B
+    B^T``, the covariance of the part of g(u) uncorrelated with y, which is
+    positive semidefinite. ``Q`` is ``None`` under the linear map, where it
+    vanishes.
     """
-    if not isinstance(model.nonlinearity, Linear):
-        raise ValueError("the closed-form risk exists only for the linear measurement model")
+
+    B: np.ndarray
+    mu_g: np.ndarray
+    Q: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "B", _frozen(self.B))
+        object.__setattr__(self, "mu_g", _frozen(self.mu_g))
+        if self.Q is not None:
+            object.__setattr__(self, "Q", _frozen(self.Q))
+
+
+def _hermite_moments(g, m, S, nodes: int = _QUAD_NODES):
+    """``(mu_g, d, Q, tail)`` of an elementwise map g at u ~ N(m, S), by quadrature.
+
+    With u_i = m_i + s_i Z and h_k = He_k / sqrt(k!), Mehler's formula gives
+    Cov(g(u_i), g(u_j)) = sum_{k>=1} rho_ij^k b_k(i) b_k(j), where b_k(i) =
+    E[g(u_i) h_k(Z)] and rho is the correlation of u. The k = 1 term is d_i
+    d_j S_ij (Stein: b_1(i) = s_i d_i), so Q_ij sums the orders k >= 2; it
+    stops, pair by pair, once the bound |rho_ij|^(K+1) sqrt(R_i R_j) on the
+    rest, with R_i = Var g(u_i) - sum_{k<=K} b_k(i)^2 the Parseval residual,
+    is below ``_SERIES_RTOL * max Var g``. Pairs with |rho_ij| >
+    ``_SERIES_RHO_MAX`` are integrated over u_j given u_i instead, and Q_ii =
+    Var g(u_i) - b_1(i)^2.
+    ``tail`` is the largest tail bound left on any pair.
+    """
+    s = np.sqrt(np.diag(S))
+    z = np.linspace(-_Z_MAX, _Z_MAX, nodes)
+    w = np.exp(-0.5 * z * z)
+    w /= w.sum()
+    G = g(m[:, None] + s[:, None] * z)
+    mu_g = G @ w
+    G -= mu_g[:, None]
+    var = (G * G) @ w
+    b1 = G @ (w * z)
+    d = np.divide(b1, s, out=np.zeros_like(b1), where=s > 0)
+
+    scale = np.outer(s, s)
+    rho = np.divide(S, scale, out=np.zeros_like(S), where=scale > 0)
+    np.fill_diagonal(rho, 0.0)
+    near = np.abs(rho) > _SERIES_RHO_MAX
+    rho[near] = 0.0
+    Q = np.zeros_like(S)
+    power = rho * rho
+    resid = var - b1 * b1
+    tol = _SERIES_RTOL * var.max()
+    tail = 0.0
+    # Rows w h_k of one block of orders, from h_k = (z h_{k-1} - sqrt(k-1)
+    # h_{k-2}) / sqrt(k); rho^k for the same orders.
+    rows = np.empty((_SERIES_BLOCK, z.size))
+    powers = np.empty((_SERIES_BLOCK,) + S.shape)
+    f_prev, f = w, w * z
+    k = 1
+    while k < _SERIES_MAX_ORDER:
+        for row in rows:
+            k += 1
+            np.multiply(z, f, out=row)
+            row -= np.sqrt(k - 1.0) * f_prev
+            row /= np.sqrt(k)
+            f_prev, f = f, row
+        b = rows @ G.T
+        powers[0] = power
+        powers[1:] = rho
+        np.cumprod(powers, axis=0, out=powers)
+        Q += np.einsum("kij,ki,kj->ij", powers, b, b)
+        power = powers[-1] * rho
+        resid -= np.einsum("ki,ki->i", b, b)
+        r = np.sqrt(np.maximum(resid, 0.0))
+        bound = np.abs(power) * np.outer(r, r)
+        # A pair leaves the series once its own tail bound is met, before its
+        # powers of rho decay into slow subnormal arithmetic.
+        done = bound <= tol
+        tail = max(tail, float(np.max(bound, where=done, initial=0.0)))
+        rho[done] = power[done] = 0.0
+        if not power.any():
+            break
+
+    Q[np.diag_indices_from(Q)] = var - b1 * b1
+    for i, j in zip(*np.nonzero(np.triu(near))):
+        c = S[i, j] / scale[i, j]
+        # E[g(u_j) | u_i = m_i + s_i z] at every node z, then the outer integral.
+        inner = g(m[j] + s[j] * (c * z[:, None] + np.sqrt(max(1.0 - c * c, 0.0)) * z)) @ w
+        Q[i, j] = Q[j, i] = (G[i] * inner) @ w - d[i] * d[j] * S[i, j]
+    return mu_g, d, Q, tail
+
+
+def measurement_moments(prior: GaussianPrior, H, nonlinearity: Nonlinearity) -> MeasurementMoments:
+    """Noise-free population moments of ``g(H y)`` for y drawn from ``prior``.
+
+    Under the linear map they are set directly: ``B = H L_yy``, ``mu_g = H
+    mu_y`` and no ``Q``. Under the cubic map g(u) = u + alpha u^3 Isserlis'
+    theorem gives them in closed form: with v = diag S, d = 1 + 3 alpha (m^2
+    + v), mu_g = m + alpha m (m^2 + 3 v) and, with powers taken elementwise,
+    Q = 6 alpha^2 S^3 + 18 alpha^2 (m m^T) S^2. Under tanh they come from the
+    Hermite series of :func:`_hermite_moments`.
+    """
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[1] != prior.n_y:
+        raise ValueError(f"H shape {H.shape} does not match prior dimension {prior.n_y}")
+    HL = H @ prior.L_yy
+    m = H @ prior.mu_y
+    if isinstance(nonlinearity, Linear):
+        return MeasurementMoments(B=HL, mu_g=m)
+    S = HL @ HL.T
+    if isinstance(nonlinearity, Cubic):
+        a = nonlinearity.alpha
+        v = np.diag(S)
+        mu_g = m + a * m * (m * m + 3.0 * v)
+        d = 1.0 + 3.0 * a * (m * m + v)
+        Q = 6.0 * a * a * S * S * S + 18.0 * a * a * np.outer(m, m) * S * S
+    else:
+        mu_g, d, Q, _ = _hermite_moments(nonlinearity.apply, m, S)
+    return MeasurementMoments(B=d[:, None] * HL, mu_g=mu_g, Q=Q)
+
+
+def population_moments(
+    prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
+) -> PopulationMoments:
+    """Exact population moments of the data under any measurement map.
+
+    mu_x = mu_g + mu_w, C_yx = L_yy B^T and C_xx = B B^T + Q + sigma2 I from
+    ``measurement`` (:func:`measurement_moments` of the model, computed when
+    omitted). The linear map is delegated to :func:`linear_population_moments`.
+    """
+    if isinstance(model.nonlinearity, Linear):
+        return linear_population_moments(prior, model)
+    if measurement is None:
+        measurement = measurement_moments(prior, model.H, model.nonlinearity)
+    B = measurement.B
+    return PopulationMoments(
+        mu_x=measurement.mu_g + model.mu_w,
+        C_yx=prior.L_yy @ B.T,
+        C_xx=B @ B.T + measurement.Q + model.sigma2 * np.eye(model.n_x),
+    )
+
+
+def affine_risk(
+    est: AffineEstimator,
+    prior: GaussianPrior,
+    model: TrueModel,
+    measurement: Optional[MeasurementMoments] = None,
+) -> float:
+    """Expected squared error E||y - A x - b||^2 of an affine rule under the true model.
+
+    With x = g(H y) + w, write g(u) - mu_g = diag(d) H (y - mu_y) + r, where
+    the residual r is uncorrelated with y and has covariance Q. The error
+    then splits into uncorrelated parts, (I - A diag(d) H)(y - mu_y), -A r,
+    -A (w - mu_w) and the bias, so the risk is the sum of squares
+    ||L_yy - A B||_F^2 + <A Q, A> + sigma2 ||A||_F^2 + ||mu_y - A mu_x - b||^2
+    with mu_x = mu_g + mu_w and B, mu_g, Q from ``measurement``
+    (:func:`measurement_moments` of the model, computed when omitted). Under
+    the linear map B = H L_yy, mu_g = H mu_y and the Q term is absent.
+    """
     if est.A.shape != (model.n_y, model.n_x) or prior.n_y != model.n_y:
         raise ValueError(
             f"rule shape {est.A.shape}, prior dimension {prior.n_y} and model shape "
             f"{model.H.shape} are inconsistent"
         )
+    if measurement is None:
+        measurement = measurement_moments(prior, model.H, model.nonlinearity)
     A = est.A
-    spread = prior.L_yy - A @ (model.H @ prior.L_yy)
-    bias = prior.mu_y - A @ (model.H @ prior.mu_y + model.mu_w) - est.b
-    return float(np.vdot(spread, spread) + model.sigma2 * np.vdot(A, A) + bias @ bias)
+    spread = prior.L_yy - A @ measurement.B
+    bias = prior.mu_y - A @ (measurement.mu_g + model.mu_w) - est.b
+    risk = np.vdot(spread, spread) + model.sigma2 * np.vdot(A, A) + bias @ bias
+    if measurement.Q is not None:
+        risk += np.vdot(A @ measurement.Q, A)
+    return float(risk)
 
 
 def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
@@ -276,20 +454,25 @@ def discriminative_estimator(moments: SampleMoments, ridge: float = 0.0) -> Affi
     return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE)
 
 
-def oracle_lmmse(prior: GaussianPrior, model: TrueModel) -> AffineEstimator:
-    """Optimal affine estimator with full knowledge of the linear model.
+def oracle_lmmse(
+    prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
+) -> AffineEstimator:
+    """Optimal affine estimator with full knowledge of the true model.
 
-    A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1} and b = mu_y - A mu_x; for the
-    jointly Gaussian linear model this coincides with the minimum-MSE
-    estimator. Requires the linear measurement map (no closed form exists
-    under the distortions) and, when sigma2 == 0, a nonsingular H C_yy H^T.
+    Under the linear map A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1} and b =
+    mu_y - A mu_x; for the jointly Gaussian linear model this coincides with
+    the minimum-MSE estimator, and with sigma2 == 0 it needs a nonsingular
+    H C_yy H^T. Under a distorted map it is the best affine rule A = C_yx
+    C_xx^{-1}, the discriminative asymptote at :func:`population_moments`
+    (``measurement`` is passed on to it).
     """
-    if not isinstance(model.nonlinearity, Linear):
-        raise ValueError("the oracle closed form exists only for the linear measurement model")
     if prior.n_y != model.n_y:
         raise ValueError(
             f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
         )
+    if not isinstance(model.nonlinearity, Linear):
+        best = discriminative_asymptote(prior, population_moments(prior, model, measurement))
+        return AffineEstimator(A=best.A, b=best.b, provenance=Provenance.ORACLE_LMMSE)
     A = gain_direct(model.H, prior.C_yy, model.sigma2)
     mu_x = model.H @ prior.mu_y + model.mu_w
     b = prior.mu_y - A @ mu_x
@@ -304,8 +487,10 @@ def generative_asymptote(
     The gain is (C_yy^{-1} C_yx C_xy C_yy^{-1} + sigma2 C_yy^{-1})^{-1}
     C_yy^{-1} C_yx and the rule is mu_y + gain (x - mu_x). When the data
     truly follow the linear model this coincides with the optimal affine
-    estimator; under a distorted measurement map it does not, which is the
-    asymptotic cost of the modeling mismatch.
+    estimator; under a distorted measurement map it does not, and the excess
+    of its :func:`affine_risk` over that of :func:`oracle_lmmse` (both at
+    :func:`population_moments`) is the asymptotic cost of the modeling
+    mismatch.
     """
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")

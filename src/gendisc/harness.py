@@ -1,15 +1,17 @@
 """Seeded Monte Carlo engine for MSE-versus-SNR and MSE-versus-sample-size sweeps.
 
 Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``), a
-fresh training set, and fits every requested estimator. Under the linear
-measurement model each fitted rule is scored by its exact risk
-(:func:`~gendisc.estimators.affine_risk`), so a cell's standard error covers
-only the training draws and H; under a distorted map, where no closed form
-exists, each rule is scored on one fresh test pair. Trials are independent
-work items whose randomness is derived from counter-based child seeds, so
-results are bit-identical under any parallel schedule; construction failures
-(singular sample covariances at small sample counts) are recorded per cell
-rather than aborting the sweep.
+fresh training set, and fits every requested estimator. Each fitted rule is
+scored by its exact risk under the true data distribution
+(:func:`~gendisc.estimators.affine_risk`), whatever the measurement map, so
+no test pair is drawn and a cell's standard error covers only the training
+draws and H. The risk rests on the noise-free population moments of the map
+(:func:`~gendisc.estimators.measurement_moments`), computed once per trial,
+or once per sweep when H is frozen. Trials are independent work items whose
+randomness is derived from counter-based child seeds, so results are
+bit-identical under any parallel schedule; construction failures (singular
+sample covariances at small sample counts) are recorded per cell rather than
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .estimators import (
     KnownStatistics,
+    MeasurementMoments,
     Provenance,
     affine_risk,
     discriminative_asymptote,
@@ -32,8 +35,9 @@ from .estimators import (
     generative_asymptote,
     generative_estimator,
     generative_highsnr,
-    linear_population_moments,
+    measurement_moments,
     oracle_lmmse,
+    population_moments,
 )
 from .moments import SingularMatrixError, compute_moments, condition_events
 from .synth import (
@@ -58,12 +62,6 @@ DEFAULT_ESTIMATORS = (
 DEFAULT_SNR_GRID = tuple(10.0 ** (k / 2.0) for k in range(-4, 9))
 DEFAULT_NT_GRID = (40, 60, 100, 200, 500, 1000, 5000)
 
-# Estimators with a closed form only under the linear measurement model.
-_LINEAR_ONLY = (
-    Provenance.ORACLE_LMMSE.value,
-    Provenance.GENERATIVE_ASYMPTOTE.value,
-    Provenance.DISCRIMINATIVE_ASYMPTOTE.value,
-)
 # Seed stream namespaces under the master seed.
 _NS_TRIAL = 0
 _NS_FIXED_H = 1
@@ -133,12 +131,6 @@ class ExperimentConfig:
                 problems.append("estimator_set contains duplicates")
         if not isinstance(self.nonlinearity, Nonlinearity):
             problems.append(f"nonlinearity must be Linear, Tanh or Cubic, got {self.nonlinearity!r}")
-        elif not isinstance(self.nonlinearity, Linear):
-            linear_only = [e for e in self.estimator_set if e in _LINEAR_ONLY]
-            if linear_only:
-                problems.append(
-                    f"{linear_only} require the linear model (no closed form otherwise)"
-                )
         if not (np.isfinite(self.ridge) and self.ridge >= 0.0):
             problems.append(f"ridge must be finite and nonnegative, got {self.ridge}")
         return problems
@@ -186,9 +178,8 @@ class MseRow:
 class MseReport:
     """Sweep results plus run metadata.
 
-    ``metadata`` holds the sweep name, the scoring method (``"exact_risk"``
-    or ``"test_pair"``), the worker count actually used, and per-cell
-    condition-warning and failure counts.
+    ``metadata`` holds the sweep name, the worker count actually used, and
+    per-cell condition-warning and failure counts.
     """
 
     rows: tuple[MseRow, ...]
@@ -218,17 +209,18 @@ def run_single_trial(
     estimator_names,
     seed: Seed,
     ridge: float = 0.0,
+    measurement: Optional[MeasurementMoments] = None,
 ) -> TrialOutcome:
     """Fit the requested estimators on one fresh training set and score each rule.
 
     ``known`` supplies the generative side information and may be ``None``
     when no estimator needs it. A construction failure (singular sample
     covariance) is recorded under the estimator's name; remaining estimators
-    still run. Training data is drawn from ``seed.child(0)``. Under the
-    linear model a rule's error is its exact risk under ``prior`` and
-    ``model``, the true data distribution, and no test pair is drawn;
-    otherwise it is the squared error on one test pair drawn from
-    ``seed.child(1)``, a stream independent of the training data.
+    still run. Training data is drawn from ``seed.child(0)``, the only draw
+    a trial makes. A rule's error is its exact risk under ``prior`` and
+    ``model``, the true data distribution, from ``measurement``: the
+    :func:`~gendisc.estimators.measurement_moments` of ``model``, computed
+    here when omitted.
     """
     estimator_names = tuple(estimator_names)
     if Provenance.GENERATIVE.value in estimator_names and known is None:
@@ -239,6 +231,8 @@ def run_single_trial(
         Provenance.GENERATIVE_HIGH_SNR.value,
         Provenance.DISCRIMINATIVE_HIGH_SNR.value,
     }
+    if measurement is None:
+        measurement = measurement_moments(prior, model.H, model.nonlinearity)
     errors: dict[str, float] = {}
     failures: dict[str, str] = {}
 
@@ -247,10 +241,6 @@ def run_single_trial(
         if needs_data & set(estimator_names):
             train = sample_pairs(prior, model, n_t, seed.child(0))
             moments = compute_moments(train)
-        exact = isinstance(model.nonlinearity, Linear)
-        if not exact:
-            test = sample_pairs(prior, model, 1, seed.child(1))
-            x_star, y_star = test.xs[0], test.ys[0]
 
         fitted = None
         pop = None
@@ -263,14 +253,14 @@ def run_single_trial(
                 elif name == Provenance.DISCRIMINATIVE.value:
                     est = discriminative_estimator(moments, ridge=ridge)
                 elif name == Provenance.ORACLE_LMMSE.value:
-                    est = oracle_lmmse(prior, model)
+                    est = oracle_lmmse(prior, model, measurement)
                 elif name == Provenance.GENERATIVE_ASYMPTOTE.value:
                     if pop is None:
-                        pop = linear_population_moments(prior, model)
+                        pop = population_moments(prior, model, measurement)
                     est = generative_asymptote(prior, pop, model.sigma2)
                 elif name == Provenance.DISCRIMINATIVE_ASYMPTOTE.value:
                     if pop is None:
-                        pop = linear_population_moments(prior, model)
+                        pop = population_moments(prior, model, measurement)
                     est = discriminative_asymptote(prior, pop)
                 elif name == Provenance.GENERATIVE_HIGH_SNR.value:
                     est = generative_highsnr(known.prior if known else prior, model.H, moments)
@@ -281,31 +271,29 @@ def run_single_trial(
             except (SingularMatrixError, np.linalg.LinAlgError) as exc:
                 failures[name] = str(exc)
                 continue
-            if exact:
-                errors[name] = affine_risk(est, prior, model)
-            else:
-                residual = y_star - est.estimate(x_star)
-                errors[name] = float(residual @ residual)
+            errors[name] = affine_risk(est, prior, model, measurement)
 
     return TrialOutcome(errors=errors, failures=failures, warning_count=len(events))
 
 
 def sweep_constants(cfg: ExperimentConfig) -> tuple:
-    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_H)``.
+    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_H, fixed_moments)``.
 
     ``prior`` generates the data, ``known_prior`` is the generative side
-    information, and ``fixed_H`` is the frozen measurement matrix under
-    ``h_mode == "fixed_once"`` (``None`` otherwise).
+    information, ``fixed_H`` is the frozen measurement matrix under
+    ``h_mode == "fixed_once"`` and ``fixed_moments`` its noise-free
+    :func:`~gendisc.estimators.measurement_moments` (both ``None`` otherwise).
     """
     prior = exp_decay_prior(cfg.n_y)
     if cfg.prior_mode == "identity_mismatch":
         known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
     else:
         known_prior = prior
-    fixed_H = None
+    fixed_H = fixed_moments = None
     if cfg.h_mode == "fixed_once":
         fixed_H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(_NS_FIXED_H))
-    return prior, known_prior, fixed_H
+        fixed_moments = measurement_moments(prior, fixed_H, cfg.nonlinearity)
+    return prior, known_prior, fixed_H, fixed_moments
 
 
 def run_trial(
@@ -319,7 +307,7 @@ def run_trial(
     from (master, 1). ``constants`` is ``sweep_constants(cfg)``, built here
     when omitted.
     """
-    prior, known_prior, H = constants or sweep_constants(cfg)
+    prior, known_prior, H, measurement = constants or sweep_constants(cfg)
     trial_seed = cfg.seed.child(_NS_TRIAL, point.index, trial_index)
     if H is None:
         H = random_measurement_matrix(cfg.n_x, cfg.n_y, trial_seed.child(2))
@@ -328,7 +316,7 @@ def run_trial(
     )
     known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
     return run_single_trial(
-        prior, model, known, point.n_t, cfg.estimator_set, trial_seed, ridge=cfg.ridge
+        prior, model, known, point.n_t, cfg.estimator_set, trial_seed, cfg.ridge, measurement
     )
 
 
@@ -392,7 +380,6 @@ def _run_sweep(cfg: ExperimentConfig, sweep_name: str, threads: int) -> MseRepor
 
     metadata = {
         "sweep": sweep_name,
-        "scoring": "exact_risk" if isinstance(cfg.nonlinearity, Linear) else "test_pair",
         "threads": workers,
         "cells": cells_meta,
     }

@@ -14,6 +14,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 # Condition estimates above this trigger an IllConditionedWarning rather than
@@ -215,10 +216,15 @@ def compute_moments(data: Dataset) -> SampleMoments:
 
 
 def _symmetry_defect(M: np.ndarray) -> float:
-    scale = np.linalg.norm(M)
+    """Relative asymmetry ||M - M^T||_F / ||M||_F.
+
+    BLAS ``dnrm2`` scales as it sums, so the norms stay finite for entries
+    near the float range, where squaring them would overflow.
+    """
+    scale = dnrm2(M.ravel()) if M.size else 0.0
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(M - M.T) / scale)
+    return float(dnrm2((M - M.T).ravel()) / scale)
 
 
 def condition_estimate(M: np.ndarray) -> float:

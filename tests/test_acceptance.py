@@ -243,6 +243,26 @@ def test_criterion_7_misspecification_prefers_discriminative():
         assert time.perf_counter() - start < 120.0
 
 
+def test_criterion_7_exact_risk_prefers_discriminative():
+    # Criterion 7's rules scored by their exact risk under the tanh map, in
+    # place of a finite test set: the generative rule is strictly worse.
+    with criterion(7, "misspecification prefers discriminative, exact risk"):
+        start = time.perf_counter()
+        sigma2 = 0.3**2
+        prior, H, model = _study_setup(sigma2, nonlinearity=g.Tanh(scale=1.0))
+        moments = compute_moments(g.sample_pairs(prior, model, 100_000, SEED.child(3)))
+        known = g.KnownStatistics(prior=prior, sigma2=sigma2)
+        gen = g.generative_estimator(g.fit_ml(moments), known, moments)
+        disc = g.discriminative_estimator(moments)
+        measurement = g.measurement_moments(prior, H, model.nonlinearity)
+        risk_gen = g.affine_risk(gen, prior, model, measurement)
+        risk_disc = g.affine_risk(disc, prior, model, measurement)
+        assert risk_gen > risk_disc
+        oracle = g.affine_risk(g.oracle_lmmse(prior, model, measurement), prior, model, measurement)
+        assert oracle <= risk_disc
+        assert time.perf_counter() - start < 120.0
+
+
 def test_criterion_8_determinism_across_thread_counts(snr_runs):
     with criterion(8, "byte-identical reruns across thread counts"):
         (dir_a, dur_a), (dir_b, dur_b) = snr_runs["a"], snr_runs["b"]

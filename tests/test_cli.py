@@ -126,8 +126,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"nonlinearity": {"kind": "tanh"}}, "linear model"),
-            ({"nonlinearity": {"kind": "cubic", "alpha": 0.2}}, "linear model"),
+            ({"snr_grid": [1.0, 2.0], "nt_grid": [10, 20]}, "one grid"),
+            ({"nt_grid": [0]}, "nt_grid entries"),
             ({"snr_grid": [1e-320, 1.0]}, "1/snr"),
         ],
     )
@@ -138,6 +138,20 @@ class TestValidateCommand:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "nonlinearity", [{"kind": "tanh", "scale": 1.0}, {"kind": "cubic", "alpha": 0.2}]
+    )
+    def test_distorted_config_with_oracle_and_asymptotes_runs(self, tmp_path, nonlinearity):
+        config = dict(
+            TINY_CONFIG, mc_trials=2, nonlinearity=nonlinearity,
+            estimator_set=["oracle_lmmse", "generative_asymptote", "discriminative_asymptote"],
+        )
+        path = _write(tmp_path / "c.json", json.dumps(config))
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        rows = read_results_csv(tmp_path / "out" / "results.csv")
+        assert rows and all(int(row["trials_ok"]) == 2 for row in rows)
 
     def test_valid_config_prints_resolved_json(self, tmp_path, capsys):
         path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
@@ -235,26 +249,6 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--threads", "50", "--out", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert 1 <= manifest["threads"] <= min(3, os.cpu_count() or 1)
-
-    @pytest.mark.parametrize(
-        "overrides, scoring",
-        [
-            ({}, "exact_risk"),
-            (
-                {
-                    "nonlinearity": {"kind": "tanh", "scale": 1.0},
-                    "estimator_set": ["generative", "discriminative"],
-                },
-                "test_pair",
-            ),
-        ],
-    )
-    def test_manifest_names_the_scoring_method(self, tmp_path, overrides, scoring):
-        config = dict(TINY_CONFIG, mc_trials=2, **overrides)
-        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
-        out_dir = tmp_path / "out"
-        assert main(["run", cfg_path, "--out", str(out_dir)]) == 0
-        assert json.loads((out_dir / "manifest.json").read_text())["scoring"] == scoring
 
     def test_plot_script_curves_without_matplotlib(self, tmp_path, monkeypatch):
         # n_t = 3 leaves both sample covariances singular, so the learned

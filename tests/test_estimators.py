@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gendisc import estimators
 from gendisc.estimators import (
     AffineEstimator,
     FittedModel,
@@ -18,7 +19,9 @@ from gendisc.estimators import (
     generative_estimator,
     generative_highsnr,
     linear_population_moments,
+    measurement_moments,
     oracle_lmmse,
+    population_moments,
 )
 from gendisc.moments import Dataset, SampleMoments, SingularMatrixError, compute_moments
 from gendisc.synth import (
@@ -227,11 +230,15 @@ class TestOracleLmmse:
         learned = discriminative_estimator(compute_moments(data))
         assert np.linalg.norm(learned.A - oracle.A) / np.linalg.norm(oracle.A) <= 0.02
 
-    def test_rejects_nonlinear_model(self):
-        prior = exp_decay_prior(2)
-        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0, nonlinearity=Tanh())
-        with pytest.raises(ValueError, match="linear"):
-            oracle_lmmse(prior, model)
+    @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_distorted_oracle_is_the_discriminative_asymptote(self, nonlinearity):
+        prior = exp_decay_prior(5)
+        H = random_measurement_matrix(4, 5, Seed(37))
+        model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.3, nonlinearity=nonlinearity)
+        oracle = oracle_lmmse(prior, model)
+        asym = discriminative_asymptote(prior, population_moments(prior, model))
+        assert oracle.provenance is Provenance.ORACLE_LMMSE
+        assert affine_rel_diff(asym, oracle) <= 1e-10
 
 
 class TestAsymptotes:
@@ -278,6 +285,18 @@ class TestAsymptotes:
         gen = generative_asymptote(prior, pop, model.sigma2)
         disc = discriminative_asymptote(prior, pop)
         assert np.linalg.norm(gen.A - disc.A) > 1e-3
+
+
+    def test_tanh_generative_asymptote_pays_for_the_mismatch(self):
+        # The generative limit fits the linear model to tanh data, so its
+        # exact risk exceeds the best affine rule's.
+        prior = exp_decay_prior(5)
+        H = random_measurement_matrix(6, 5, Seed(45))
+        model = TrueModel(H=H, mu_w=np.zeros(6), sigma2=0.25, nonlinearity=Tanh(scale=1.0))
+        pop = population_moments(prior, model)
+        gen = affine_risk(generative_asymptote(prior, pop, model.sigma2), prior, model)
+        oracle = affine_risk(oracle_lmmse(prior, model), prior, model)
+        assert gen > oracle * (1.0 + 1e-3)
 
 
 class TestHighSnrLimits:
@@ -438,12 +457,37 @@ class TestAffineRisk:
         assert affine_risk(est, prior, model) == 0.0
 
     @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
-    def test_rejects_nonlinear_model(self, nonlinearity):
-        prior = exp_decay_prior(2)
-        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0, nonlinearity=nonlinearity)
-        est = AffineEstimator(A=np.eye(2), b=np.zeros(2), provenance=Provenance.GENERATIVE)
-        with pytest.raises(ValueError, match="linear"):
-            affine_risk(est, prior, model)
+    def test_distorted_risk_agrees_with_a_million_test_pairs(self, nonlinearity):
+        # Nonzero target and noise means exercise every term of the risk.
+        prior, linear = self._offset_model()
+        model = dataclasses.replace(linear, nonlinearity=nonlinearity)
+        rng = np.random.default_rng(66)
+        est = AffineEstimator(
+            A=rng.standard_normal((4, 3)), b=rng.standard_normal(4),
+            provenance=Provenance.DISCRIMINATIVE,
+        )
+        errs = np.concatenate([
+            np.sum((d.ys - d.xs @ est.A.T - est.b) ** 2, axis=1)
+            for d in (sample_pairs(prior, model, 250_000, Seed(67, (c,))) for c in range(4))
+        ])
+        se = errs.std(ddof=1) / np.sqrt(errs.size)
+        assert abs(affine_risk(est, prior, model) - errs.mean()) <= 4.0 * se
+
+    @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_sum_of_squares_is_the_moment_form(self, nonlinearity):
+        # tr C_yy - 2 <A, C_yx> + <A C_xx, A> + ||bias||^2 expands the same risk.
+        prior, linear = self._offset_model()
+        model = dataclasses.replace(linear, nonlinearity=nonlinearity)
+        pop = population_moments(prior, model)
+        rng = np.random.default_rng(68)
+        A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        est = AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE)
+        bias = prior.mu_y - A @ pop.mu_x - b
+        expected = (
+            np.trace(prior.C_yy) - 2.0 * np.vdot(A, pop.C_yx)
+            + np.vdot(A @ pop.C_xx, A) + bias @ bias
+        )
+        assert affine_risk(est, prior, model) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_mismatched_rule(self):
         prior = exp_decay_prior(2)
@@ -451,3 +495,89 @@ class TestAffineRisk:
         est = AffineEstimator(A=np.eye(3), b=np.zeros(3), provenance=Provenance.GENERATIVE)
         with pytest.raises(ValueError, match="inconsistent"):
             affine_risk(est, prior, model)
+
+
+class TestMeasurementMoments:
+    @staticmethod
+    def _bench_geometry(seed=7):
+        """The benchmark's 28 x 30 geometry: the moments of u = H y, y ~ N(0, C_yy)."""
+        prior = exp_decay_prior(30)
+        H = random_measurement_matrix(28, 30, Seed(seed))
+        HL = H @ prior.L_yy
+        return prior, H, H @ prior.mu_y, HL @ HL.T
+
+    def test_linear_moments_reproduce_linear_population_moments(self):
+        rng = np.random.default_rng(70)
+        prior = GaussianPrior(mu_y=rng.standard_normal(5), C_yy=random_spd(rng, 5))
+        H = random_measurement_matrix(4, 5, Seed(71))
+        model = TrueModel(H=H, mu_w=np.full(4, 0.3), sigma2=0.7)
+        m = measurement_moments(prior, H, model.nonlinearity)
+        assert m.Q is None
+        pop = linear_population_moments(prior, model)
+        assert np.allclose(m.mu_g + model.mu_w, pop.mu_x, rtol=0, atol=1e-12)
+        assert np.allclose(prior.L_yy @ m.B.T, pop.C_yx, rtol=0, atol=1e-12)
+        assert np.allclose(m.B @ m.B.T + 0.7 * np.eye(4), pop.C_xx, rtol=0, atol=1e-12)
+
+    def test_cubic_matches_isserlis(self):
+        # Zero mean: d = 1 + 3 alpha S_ii and Q = 6 alpha^2 S∘S∘S.
+        prior, H, _, S = self._bench_geometry()
+        alpha = 0.1
+        m = measurement_moments(prior, H, Cubic(alpha=alpha))
+        d = 1.0 + 3.0 * alpha * np.diag(S)
+        assert np.allclose(m.B, d[:, None] * (H @ prior.L_yy), rtol=1e-12, atol=0)
+        assert np.allclose(m.Q, 6.0 * alpha**2 * S**3, rtol=1e-12, atol=0)
+        assert np.allclose(m.mu_g, 0.0, rtol=0, atol=1e-12)
+
+    def test_quadrature_reproduces_the_cubic_closed_form(self):
+        # A cubic has b_k = 0 beyond k = 3, so the series path must land on
+        # the closed form, mean terms included.
+        rng = np.random.default_rng(72)
+        prior = GaussianPrior(mu_y=rng.standard_normal(5), C_yy=random_spd(rng, 5))
+        H = random_measurement_matrix(4, 5, Seed(73))
+        HL = H @ prior.L_yy
+        cubic = Cubic(alpha=0.2)
+        exact = measurement_moments(prior, H, cubic)
+        mu_g, d, Q, tail = estimators._hermite_moments(cubic.apply, H @ prior.mu_y, HL @ HL.T)
+        assert np.allclose(mu_g, exact.mu_g, rtol=1e-12, atol=1e-12)
+        assert np.allclose(d[:, None] * HL, exact.B, rtol=1e-12, atol=1e-12)
+        assert np.allclose(Q, exact.Q, rtol=1e-10, atol=1e-12 * np.abs(exact.Q).max())
+
+    def test_tanh_series_meets_its_bounds_on_bench_geometry(self, monkeypatch):
+        prior, H, m, S = self._bench_geometry()
+        s = np.sqrt(np.diag(S))
+        rho = S / np.outer(s, s)
+        np.fill_diagonal(rho, 0.0)
+        assert np.abs(rho).max() <= estimators._SERIES_RHO_MAX  # the series covers every pair
+        g = Tanh(scale=1.0).apply
+        mu_g, d, Q, tail = estimators._hermite_moments(g, m, S)
+        var = np.diag(Q) + (d * s) ** 2  # Var g(u_i) = Q_ii + b_1(i)^2
+        tol = estimators._SERIES_RTOL * var.max()
+        assert tail <= tol
+        # The quadrature has converged: three times the nodes agree.
+        fine = estimators._hermite_moments(g, m, S, nodes=3 * estimators._QUAD_NODES - 2)
+        assert np.allclose(fine[2], Q, rtol=0, atol=1e-13)
+        assert np.allclose(fine[1], d, rtol=0, atol=1e-14)
+        # The truncation error obeys the tail bound: the series summed to
+        # the maximal order moves no entry by more than the tolerance.
+        monkeypatch.setattr(estimators, "_SERIES_RTOL", 0.0)
+        full = estimators._hermite_moments(g, m, S)[2]
+        assert np.abs(full - Q).max() <= tol
+        # Parseval: the residual left on the diagonal is the variance the
+        # orders k >= 2 carry, so it is nonnegative and below Var g.
+        assert np.all(np.diag(Q) >= 0.0) and np.all(np.diag(Q) < var)
+
+    def test_collinear_rows_are_integrated_in_two_dimensions(self, monkeypatch):
+        # Rows 1 and 2 repeat and negate row 0 (|rho| = 1, where the series
+        # would not converge); row 3 has |rho| = 0.95 with row 0.
+        prior = GaussianPrior(np.zeros(2), np.eye(2))
+        c = 0.95
+        H = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [c, np.sqrt(1 - c * c)]])
+        tanh = Tanh(scale=0.5)
+        m = measurement_moments(prior, H, tanh)
+        assert m.Q[0, 1] == pytest.approx(m.Q[0, 0], rel=1e-12)
+        assert m.Q[0, 2] == pytest.approx(-m.Q[0, 0], rel=1e-12)
+        # The 0.95 pair against the series alone, carried far enough to converge.
+        monkeypatch.setattr(estimators, "_SERIES_RHO_MAX", 0.99)
+        monkeypatch.setattr(estimators, "_SERIES_MAX_ORDER", 1500)
+        series = estimators._hermite_moments(tanh.apply, np.zeros(4), H @ H.T)[2]
+        assert m.Q[0, 3] == pytest.approx(series[0, 3], rel=1e-10)

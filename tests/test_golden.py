@@ -1,4 +1,4 @@
-"""Golden anchor: SHA-256 of results.csv for two tiny deterministic sweeps.
+"""Golden anchor: SHA-256 of results.csv for three tiny deterministic sweeps.
 
 A change that alters any output bit changes one of these hashes. Such a
 change must be deliberate and logged in CHANGES.md together with the new
@@ -40,6 +40,17 @@ MISSPEC_CONFIG = {
     ],
 }
 
+# The distorted map under the estimators that need its population moments:
+# cubic measurements, a fresh H per trial, and the oracle.
+CUBIC_CONFIG = {
+    "snr_grid": [0.1, 1.0, 10.0],
+    "nt_grid": [100],
+    "mc_trials": 20,
+    "seed": 1729,
+    "h_mode": "per_trial",
+    "nonlinearity": {"kind": "cubic", "alpha": 0.1},
+}
+
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
@@ -47,7 +58,11 @@ GOLDEN = {
     ),
     "misspec": (
         MISSPEC_CONFIG,
-        "0557256924c4d7d62aaa360d6830bdf30e569b66d8dd33d842f18aaa7134e560",
+        "4010ef3bf94d18ae415d9e8fae5e3f5acdb6f98e3ed8cbbe9c8ddd1aad042ba4",
+    ),
+    "cubic": (
+        CUBIC_CONFIG,
+        "b79864ebe36305e6685cce6cf12b9ab083c53c83ff36e5f3cfd4f95782a1034b",
     ),
 }
 

@@ -142,6 +142,17 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="symmetric"):
             spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
 
+    def test_symmetry_guard_is_overflow_free(self):
+        # Entries near the float range: the guard neither overflows nor lets
+        # a large asymmetry through.
+        huge = 1e300 * np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = spd_solve(huge, np.ones(2))
+            assert np.all(np.isfinite(x))
+            with pytest.raises(ValueError, match="symmetric"):
+                spd_solve(1e300 * np.array([[2.0, 1.0], [-1.0, 2.0]]), np.ones(2))
+
     def test_extreme_condition_warns_and_is_recorded(self):
         M = np.diag([1.0, 1e-13])
         with condition_events() as events:
