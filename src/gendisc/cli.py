@@ -31,10 +31,9 @@ from .fileio import (
     write_plot_script,
     write_results_csv,
 )
-from .harness import sweep_nt, sweep_snr
+from .harness import sweep
 from .moments import SingularMatrixError, compute_moments
 
-THREADS_ENV_VAR = "GENDISC_THREADS"
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
@@ -54,27 +53,6 @@ def _load_config_dict(ref: str) -> dict:
         return json.loads(bundled.read_text(encoding="utf-8"))
     with open(ref, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"ignoring non-integer {THREADS_ENV_VAR}={env!r}", file=sys.stderr)
-    return 1
-
-
-def _choose_sweep(cfg) -> str:
-    if len(cfg.snr_grid) > 1 and len(cfg.nt_grid) > 1:
-        raise ConfigError(
-            "snr_grid/nt_grid: exactly one grid may have multiple entries "
-            f"(got {len(cfg.snr_grid)} SNRs and {len(cfg.nt_grid)} sample counts)"
-        )
-    return "nt" if len(cfg.nt_grid) > 1 else "snr"
 
 
 def _print_matrix(name: str, arr) -> None:
@@ -104,13 +82,7 @@ def cmd_run(args) -> int:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        sweep_name = _choose_sweep(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
-    threads = _resolve_threads(args.threads)
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -119,9 +91,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     start = time.perf_counter()
-    report = sweep_snr(cfg, threads=threads) if sweep_name == "snr" else sweep_nt(
-        cfg, threads=threads
-    )
+    report = sweep(cfg)
     duration = time.perf_counter() - start
 
     results_path = os.path.join(out_dir, "results.csv")
@@ -134,8 +104,7 @@ def cmd_run(args) -> int:
             "version": __version__,
             "config": config_to_dict(cfg),
             "master_seed": cfg.seed.master,
-            "sweep": sweep_name,
-            "threads": report.metadata["threads"],
+            "sweep": report.metadata["sweep"],
             "duration_seconds": duration,
             "cells": report.metadata["cells"],
             "outputs": {
@@ -164,11 +133,6 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     problems = cfg.violations()
-    if not problems:
-        try:
-            _choose_sweep(cfg)
-        except ConfigError as exc:
-            problems = [str(exc)]
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -178,8 +142,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.ridge < 0.0:
-        print(f"error: --ridge must be nonnegative, got {args.ridge}", file=sys.stderr)
+    if not 0.0 <= args.ridge < np.inf:
+        print(f"error: --ridge must be finite and nonnegative, got {args.ridge}", file=sys.stderr)
         return EXIT_USAGE
     try:
         data = read_dataset_csv(args.data)
@@ -237,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker threads (default: ${THREADS_ENV_VAR} or 1); results are identical for any value",
+        help="accepted for compatibility and ignored: sweeps run serially",
     )
     run_p.set_defaults(func=cmd_run)
 

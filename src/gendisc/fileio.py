@@ -1,7 +1,7 @@
 """File formats used by the command-line frontend.
 
-Experiment configs and prior files are JSON; datasets, matrices and sweep
-results are CSV. Every CSV carries a one-line header (dimensions for
+Experiment configs and prior files are JSON; datasets and sweep results
+are CSV. Every CSV carries a one-line header (dimensions for
 data files, column names for results), numbers are parsed as decimal
 floating point, and results are written with shortest round-trip float
 formatting so identical runs produce byte-identical files.
@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .estimators import KnownStatistics
-from .harness import DEFAULT_ESTIMATORS, DEFAULT_SNR_GRID, ExperimentConfig, MseReport
+from .harness import ExperimentConfig, MseReport
 from .moments import Dataset
 from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, Seed, Tanh
 
@@ -30,21 +30,6 @@ RESULTS_COLUMNS = (
     "trials_ok",
     "trials_failed",
 )
-
-_CONFIG_DEFAULTS = {
-    "n_x": 28,
-    "n_y": 30,
-    "snr_grid": list(DEFAULT_SNR_GRID),
-    "nt_grid": [100],
-    "mc_trials": 10_000,
-    "seed": 1729,
-    "prior_mode": "true_prior",
-    "h_mode": "per_trial",
-    "nonlinearity": {"kind": "linear"},
-    "estimator_set": list(DEFAULT_ESTIMATORS),
-    "ridge": 0.0,
-}
-
 
 class ConfigError(ValueError):
     """A config field failed validation; the message names the field."""
@@ -166,32 +151,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_matrix_csv(path, M) -> None:
-    """Write a matrix as row-major CSV with a `rows,cols` header line."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{M.shape[0]},{M.shape[1]}\n")
-        for row in M:
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            rows, cols = (int(tok) for tok in header.split(","))
-        except ValueError:
-            raise ValueError(
-                f"{path}: first line must be 'rows,cols', got {header!r}"
-            ) from None
-        data = [line.strip() for line in fh if line.strip()]
-    if len(data) != rows:
-        raise ValueError(f"{path}: header promises {rows} rows, found {len(data)}")
-    M = np.array([[float(tok) for tok in line.split(",")] for line in data])
-    if M.shape != (rows, cols):
-        raise ValueError(f"{path}: header promises shape ({rows}, {cols}), found {M.shape}")
-    return M
+_CONFIG_DEFAULTS = config_to_dict(ExperimentConfig())
 
 
 def write_dataset_csv(path, data: Dataset) -> None:

@@ -7,23 +7,24 @@ scored by its exact risk under the true data distribution
 no test pair is drawn and a cell's standard error covers only the training
 draws and H. The risk rests on the noise-free population moments of the map
 (:func:`~gendisc.estimators.measurement_moments`), computed once per trial,
-or once per sweep when H is frozen. Trials are independent work items whose
-randomness is derived from counter-based child seeds, so results are
-bit-identical under any parallel schedule; construction failures (singular
-sample covariances at small sample counts) are recorded per cell rather than
+or once per sweep when H is frozen. :func:`sweep` runs the cells in grid
+order and each cell's trials in index order, serially. A trial's randomness
+comes from a counter-based child seed of (cell, trial), so results do not
+depend on the order trials run in; construction failures (singular sample
+covariances at small sample counts) are recorded per cell rather than
 aborting the sweep.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .estimators import (
+    AffineEstimator,
     KnownStatistics,
     MeasurementMoments,
     Provenance,
@@ -39,7 +40,7 @@ from .estimators import (
     oracle_lmmse,
     population_moments,
 )
-from .moments import SingularMatrixError, compute_moments, condition_events
+from .moments import SampleMoments, SingularMatrixError, compute_moments, condition_events
 from .synth import (
     GaussianPrior,
     Linear,
@@ -60,22 +61,27 @@ DEFAULT_ESTIMATORS = (
 )
 # 13 half-decade points: SNR = 10^(k/2) for k = -4..8.
 DEFAULT_SNR_GRID = tuple(10.0 ** (k / 2.0) for k in range(-4, 9))
-DEFAULT_NT_GRID = (40, 60, 100, 200, 500, 1000, 5000)
 
 # Seed stream namespaces under the master seed.
 _NS_TRIAL = 0
 _NS_FIXED_H = 1
+
+# Memory budget of one trial: the float64 training draw, n_t x (N_x + N_y),
+# plus the (N_x + N_y)^2-sized sample and population moment matrices.
+# Configs past it are rejected before anything is allocated.
+_TRIAL_BYTE_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one sweep experiment.
 
-    ``snr_grid`` holds signal-to-noise ratios (SNR = 1 / sigma2). Exactly one
-    of ``snr_grid`` / ``nt_grid`` may hold more than one value; the other
-    supplies the fixed parameter. ``prior_mode == "identity_mismatch"``
-    replaces the prior covariance by the identity inside the side information
-    handed to the generative estimator, never in data generation.
+    ``snr_grid`` holds signal-to-noise ratios (SNR = 1 / sigma2). At most one
+    of ``snr_grid`` / ``nt_grid`` may hold more than one value; that grid is
+    swept (``snr_grid`` when both hold one) and the other supplies the fixed
+    parameter. ``prior_mode == "identity_mismatch"`` replaces the prior
+    covariance by the identity inside the side information handed to the
+    generative estimator, never in data generation.
     """
 
     n_x: int = 28
@@ -112,6 +118,20 @@ class ExperimentConfig:
             problems.append("nt_grid must be nonempty")
         elif any(n < 1 for n in self.nt_grid):
             problems.append("nt_grid entries must be >= 1")
+        elif self.n_x >= 1 and self.n_y >= 1:
+            d = self.n_x + self.n_y
+            need = 8 * d * (max(self.nt_grid) + d)
+            if need > _TRIAL_BYTE_BUDGET:
+                problems.append(
+                    f"a trial needs about {need:.3g} bytes for its n_t x (n_x + n_y) "
+                    "training draw and (n_x + n_y)^2 moment matrices, over the "
+                    f"{_TRIAL_BYTE_BUDGET:.3g} budget"
+                )
+        if len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
+            problems.append(
+                "snr_grid/nt_grid: exactly one grid may have multiple entries "
+                f"(got {len(self.snr_grid)} SNRs and {len(self.nt_grid)} sample counts)"
+            )
         if self.mc_trials < 1:
             problems.append(f"mc_trials must be >= 1, got {self.mc_trials}")
         if not isinstance(self.seed, Seed):
@@ -178,8 +198,8 @@ class MseRow:
 class MseReport:
     """Sweep results plus run metadata.
 
-    ``metadata`` holds the sweep name, the worker count actually used, and
-    per-cell condition-warning and failure counts.
+    ``metadata`` holds the sweep name (``"snr"`` or ``"nt"``) and per-cell
+    condition-warning and failure counts.
     """
 
     rows: tuple[MseRow, ...]
@@ -201,6 +221,54 @@ def compute_mse(errors) -> Optional[tuple[float, float]]:
     return mean, se
 
 
+@dataclass
+class _TrialInputs:
+    """What a rule builder may read in one trial.
+
+    ``moments`` is ``None`` when no requested rule is trained.
+    """
+
+    prior: GaussianPrior
+    model: TrueModel
+    known: Optional[KnownStatistics]
+    moments: Optional[SampleMoments]
+    ridge: float
+    measurement: MeasurementMoments
+
+    @cached_property
+    def population(self):
+        return population_moments(self.prior, self.model, self.measurement)
+
+
+class _Rule(NamedTuple):
+    trained: bool  # fitted on the trial's training set
+    build: Callable[[_TrialInputs], AffineEstimator]
+
+
+_RULES = {
+    Provenance.GENERATIVE: _Rule(
+        True, lambda t: generative_estimator(fit_ml(t.moments, ridge=t.ridge), t.known, t.moments)
+    ),
+    Provenance.DISCRIMINATIVE: _Rule(
+        True, lambda t: discriminative_estimator(t.moments, ridge=t.ridge)
+    ),
+    Provenance.ORACLE_LMMSE: _Rule(False, lambda t: oracle_lmmse(t.prior, t.model, t.measurement)),
+    Provenance.GENERATIVE_ASYMPTOTE: _Rule(
+        False, lambda t: generative_asymptote(t.prior, t.population, t.model.sigma2)
+    ),
+    Provenance.DISCRIMINATIVE_ASYMPTOTE: _Rule(
+        False, lambda t: discriminative_asymptote(t.prior, t.population)
+    ),
+    Provenance.GENERATIVE_HIGH_SNR: _Rule(
+        True,
+        lambda t: generative_highsnr(t.known.prior if t.known else t.prior, t.model.H, t.moments),
+    ),
+    Provenance.DISCRIMINATIVE_HIGH_SNR: _Rule(
+        True, lambda t: discriminative_highsnr(t.model.H, t.moments)
+    ),
+}
+
+
 def run_single_trial(
     prior: GaussianPrior,
     model: TrueModel,
@@ -217,20 +285,15 @@ def run_single_trial(
     when no estimator needs it. A construction failure (singular sample
     covariance) is recorded under the estimator's name; remaining estimators
     still run. Training data is drawn from ``seed.child(0)``, the only draw
-    a trial makes. A rule's error is its exact risk under ``prior`` and
-    ``model``, the true data distribution, from ``measurement``: the
+    a trial makes, and only when a requested rule is trained. A rule's error
+    is its exact risk under ``prior`` and ``model``, the true data
+    distribution, from ``measurement``: the
     :func:`~gendisc.estimators.measurement_moments` of ``model``, computed
     here when omitted.
     """
-    estimator_names = tuple(estimator_names)
-    if Provenance.GENERATIVE.value in estimator_names and known is None:
+    rules = [(name, _RULES[Provenance(name)]) for name in estimator_names]
+    if known is None and any(name == Provenance.GENERATIVE.value for name, _ in rules):
         raise ValueError("the generative estimator needs KnownStatistics")
-    needs_data = {
-        Provenance.GENERATIVE.value,
-        Provenance.DISCRIMINATIVE.value,
-        Provenance.GENERATIVE_HIGH_SNR.value,
-        Provenance.DISCRIMINATIVE_HIGH_SNR.value,
-    }
     if measurement is None:
         measurement = measurement_moments(prior, model.H, model.nonlinearity)
     errors: dict[str, float] = {}
@@ -238,36 +301,12 @@ def run_single_trial(
 
     with condition_events() as events:
         moments = None
-        if needs_data & set(estimator_names):
-            train = sample_pairs(prior, model, n_t, seed.child(0))
-            moments = compute_moments(train)
-
-        fitted = None
-        pop = None
-        for name in estimator_names:
+        if any(rule.trained for _, rule in rules):
+            moments = compute_moments(sample_pairs(prior, model, n_t, seed.child(0)))
+        inputs = _TrialInputs(prior, model, known, moments, ridge, measurement)
+        for name, rule in rules:
             try:
-                if name == Provenance.GENERATIVE.value:
-                    if fitted is None:
-                        fitted = fit_ml(moments, ridge=ridge)
-                    est = generative_estimator(fitted, known, moments)
-                elif name == Provenance.DISCRIMINATIVE.value:
-                    est = discriminative_estimator(moments, ridge=ridge)
-                elif name == Provenance.ORACLE_LMMSE.value:
-                    est = oracle_lmmse(prior, model, measurement)
-                elif name == Provenance.GENERATIVE_ASYMPTOTE.value:
-                    if pop is None:
-                        pop = population_moments(prior, model, measurement)
-                    est = generative_asymptote(prior, pop, model.sigma2)
-                elif name == Provenance.DISCRIMINATIVE_ASYMPTOTE.value:
-                    if pop is None:
-                        pop = population_moments(prior, model, measurement)
-                    est = discriminative_asymptote(prior, pop)
-                elif name == Provenance.GENERATIVE_HIGH_SNR.value:
-                    est = generative_highsnr(known.prior if known else prior, model.H, moments)
-                elif name == Provenance.DISCRIMINATIVE_HIGH_SNR.value:
-                    est = discriminative_highsnr(model.H, moments)
-                else:
-                    raise ValueError(f"unknown estimator name {name!r}")
+                est = rule.build(inputs)
             except (SingularMatrixError, np.linalg.LinAlgError) as exc:
                 failures[name] = str(exc)
                 continue
@@ -320,37 +359,25 @@ def run_trial(
     )
 
 
-def _sweep_points(cfg: ExperimentConfig, sweep_name: str) -> list[SweepPoint]:
-    if sweep_name == "snr":
-        n_t = cfg.nt_grid[0]
-        return [SweepPoint(index=i, snr=s, n_t=n_t) for i, s in enumerate(cfg.snr_grid)]
-    snr = cfg.snr_grid[0]
-    return [SweepPoint(index=i, snr=snr, n_t=n) for i, n in enumerate(cfg.nt_grid)]
+def sweep(cfg: ExperimentConfig) -> MseReport:
+    """MSE of every requested estimator across the config's swept grid.
 
-
-def _sweep_value(point: SweepPoint, sweep_name: str) -> float:
-    return point.snr if sweep_name == "snr" else point.n_t
-
-
-def _run_sweep(cfg: ExperimentConfig, sweep_name: str, threads: int) -> MseReport:
+    ``nt_grid`` is swept at the single SNR when it has several entries,
+    otherwise ``snr_grid`` at the single sample count. Raises ``ValueError``
+    listing every violation when the config is not runnable.
+    """
     cfg.validate()
-    points = _sweep_points(cfg, sweep_name)
-    tasks = [(point, trial) for point in points for trial in range(cfg.mc_trials)]
-    constants = sweep_constants(cfg)
-
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pt: run_trial(cfg, pt[0], pt[1], constants), tasks))
+    if len(cfg.nt_grid) > 1:
+        sweep_name, values = "nt", cfg.nt_grid
+        points = [SweepPoint(index=i, snr=cfg.snr_grid[0], n_t=n) for i, n in enumerate(values)]
     else:
-        results = [run_trial(cfg, point, trial, constants) for point, trial in tasks]
-    outcomes = {(pt.index, trial): out for (pt, trial), out in zip(tasks, results)}
-
+        sweep_name, values = "snr", cfg.snr_grid
+        points = [SweepPoint(index=i, snr=s, n_t=cfg.nt_grid[0]) for i, s in enumerate(values)]
+    constants = sweep_constants(cfg)
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
-    for point in points:
-        cell = [outcomes[(point.index, trial)] for trial in range(cfg.mc_trials)]
-        value = _sweep_value(point, sweep_name)
+    for value, point in zip(values, points):
+        cell = [run_trial(cfg, point, trial, constants) for trial in range(cfg.mc_trials)]
         fail_counts: dict[str, int] = {}
         for name in cfg.estimator_set:
             errs = [out.errors[name] for out in cell if name in out.errors]
@@ -377,24 +404,4 @@ def _run_sweep(cfg: ExperimentConfig, sweep_name: str, threads: int) -> MseRepor
                 "failures": fail_counts,
             }
         )
-
-    metadata = {
-        "sweep": sweep_name,
-        "threads": workers,
-        "cells": cells_meta,
-    }
-    return MseReport(rows=tuple(rows), metadata=metadata)
-
-
-def sweep_snr(cfg: ExperimentConfig, threads: int = 1) -> MseReport:
-    """MSE of every requested estimator across the SNR grid at fixed n_t."""
-    if len(cfg.nt_grid) != 1:
-        raise ValueError(f"an SNR sweep needs exactly one nt_grid entry, got {len(cfg.nt_grid)}")
-    return _run_sweep(cfg, "snr", threads)
-
-
-def sweep_nt(cfg: ExperimentConfig, threads: int = 1) -> MseReport:
-    """MSE of every requested estimator across the sample-count grid at fixed SNR."""
-    if len(cfg.snr_grid) != 1:
-        raise ValueError(f"a sample-size sweep needs exactly one snr_grid entry, got {len(cfg.snr_grid)}")
-    return _run_sweep(cfg, "nt", threads)
+    return MseReport(rows=tuple(rows), metadata={"sweep": sweep_name, "cells": cells_meta})

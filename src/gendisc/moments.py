@@ -55,9 +55,9 @@ class IllConditionedWarning(UserWarning):
     """Emitted when a matrix factorizes but its condition estimate is extreme."""
 
 
-# Optional per-context sink for ill-conditioning events. Unlike the warnings
-# module this is safe to use from worker threads, so the Monte Carlo harness
-# can attribute events to trials without racing on global warning filters.
+# Optional per-context sink for ill-conditioning events. The Monte Carlo
+# harness counts them per trial through it; recording warnings instead would
+# mean changing the process-wide warning filters.
 _condition_sink: ContextVar[list | None] = ContextVar("gendisc_condition_sink", default=None)
 
 
@@ -260,7 +260,7 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
     B : (n,) or (n, k) array_like
         Right-hand side.
     ridge : float, optional
-        Nonnegative diagonal loading added before factorization.
+        Finite, nonnegative diagonal loading added before factorization.
     name : str, optional
         Name used in error and warning messages.
 
@@ -277,8 +277,8 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
         raise ValueError(
             f"right-hand side shape {B.shape} does not match {name} of shape {M.shape}"
         )
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     if _symmetry_defect(M) > _SYMMETRY_RTOL:
         raise ValueError(f"{name} is not symmetric (relative asymmetry exceeds {_SYMMETRY_RTOL:g})")
 

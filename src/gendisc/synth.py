@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import Dataset, _as_float_array, _frozen
+from .moments import _SYMMETRY_RTOL, Dataset, _as_float_array, _frozen, _symmetry_defect
 
 _MASTER_MAX = 2**64
 
@@ -106,7 +106,7 @@ class GaussianPrior:
         C = _as_float_array(self.C_yy, "C_yy", ndim=2)
         if C.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError(f"C_yy shape {C.shape} does not match mu_y length {mu.shape[0]}")
-        if np.linalg.norm(C - C.T) > 1e-10 * max(np.linalg.norm(C), 1e-300):
+        if _symmetry_defect(C) > _SYMMETRY_RTOL:
             raise ValueError("C_yy must be symmetric")
         try:
             L = np.linalg.cholesky(C)

@@ -89,7 +89,7 @@ def nt_reports():
             seed=SEED,
             prior_mode=mode,
         )
-        reports[mode] = g.sweep_nt(cfg, threads=4)
+        reports[mode] = g.sweep(cfg)
     return reports, time.perf_counter() - start
 
 

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 
@@ -13,11 +12,10 @@ from gendisc.fileio import (
     config_from_dict,
     config_to_dict,
     read_dataset_csv,
-    read_matrix_csv,
     read_results_csv,
     write_dataset_csv,
-    write_matrix_csv,
 )
+from gendisc.harness import ExperimentConfig
 from gendisc.moments import Dataset
 
 TINY_CONFIG = {
@@ -56,6 +54,7 @@ class TestConfigIO:
         assert cfg.n_x == 28 and cfg.n_y == 30
         assert len(cfg.snr_grid) == 13
         assert cfg.mc_trials == 10_000
+        assert cfg == ExperimentConfig()
 
     def test_round_trip(self):
         cfg = config_from_dict(TINY_CONFIG)
@@ -78,17 +77,6 @@ class TestConfigIO:
 
 
 class TestMatrixAndDatasetFiles:
-    def test_matrix_round_trip(self, tmp_path):
-        M = np.array([[1.5, -2.0, 3.0], [0.0, 0.25, -1.0]])
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, M)
-        assert np.array_equal(read_matrix_csv(path), M)
-
-    def test_matrix_header_mismatch_rejected(self, tmp_path):
-        path = _write(tmp_path / "bad.csv", "2,2\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="promises 2 rows"):
-            read_matrix_csv(path)
-
     def test_dataset_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         data = Dataset(xs=rng.standard_normal((6, 2)), ys=rng.standard_normal((6, 3)))
@@ -129,6 +117,8 @@ class TestValidateCommand:
             ({"snr_grid": [1.0, 2.0], "nt_grid": [10, 20]}, "one grid"),
             ({"nt_grid": [0]}, "nt_grid entries"),
             ({"snr_grid": [1e-320, 1.0]}, "1/snr"),
+            ({"nt_grid": [10**12]}, "budget"),
+            ({"n_x": 10**8}, "budget"),
         ],
     )
     def test_validate_and_run_agree_on_unrunnable_config(self, tmp_path, capsys, override, message):
@@ -213,6 +203,9 @@ class TestRunCommand:
             main(["run", cfg_path, "--threads", threads, "--out", str(tmp_path / f"r{i}")])
         blobs = [(tmp_path / f"r{i}" / "results.csv").read_bytes() for i in range(3)]
         assert blobs[0] == blobs[1] == blobs[2]
+        # --threads is accepted and ignored: the manifest records no thread count.
+        manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
+        assert "threads" not in manifest
 
     def test_manifest_config_reproduces_csv(self, tmp_path):
         # The manifest's config echo, fed back as a config file, must
@@ -240,15 +233,6 @@ class TestRunCommand:
         cfg_path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, n_x=0)))
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 1
         assert "n_x" in capsys.readouterr().err
-
-    def test_manifest_threads_is_the_worker_count_used(self, tmp_path):
-        # 3 tasks: the pool is capped at min(3, cpu_count), whatever --threads asks.
-        config = dict(TINY_CONFIG, snr_grid=[1.0], mc_trials=3)
-        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
-        out_dir = tmp_path / "out"
-        assert main(["run", cfg_path, "--threads", "50", "--out", str(out_dir)]) == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert 1 <= manifest["threads"] <= min(3, os.cpu_count() or 1)
 
     def test_plot_script_curves_without_matplotlib(self, tmp_path, monkeypatch):
         # n_t = 3 leaves both sample covariances singular, so the learned
@@ -290,28 +274,6 @@ class TestRunCommand:
         assert (out_dir / "mse_curves.png").stat().st_size > 0
 
 
-class TestThreadResolution:
-    def test_flag_beats_env(self, monkeypatch):
-        from gendisc.cli import THREADS_ENV_VAR, _resolve_threads
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "8")
-        assert _resolve_threads(3) == 3
-        assert _resolve_threads(None) == 8
-
-    def test_default_is_single_thread(self, monkeypatch):
-        from gendisc.cli import THREADS_ENV_VAR, _resolve_threads
-
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert _resolve_threads(None) == 1
-
-    def test_garbage_env_ignored(self, monkeypatch, capsys):
-        from gendisc.cli import THREADS_ENV_VAR, _resolve_threads
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "lots")
-        assert _resolve_threads(None) == 1
-        assert THREADS_ENV_VAR in capsys.readouterr().err
-
-
 class TestEstimateCommand:
     def test_discriminative_worked_example(self, tmp_path, capsys):
         data = _write(tmp_path / "d.csv", WORKED_CSV)
@@ -332,6 +294,13 @@ class TestEstimateCommand:
         # Gain under the unit prior: 2 / (4 + 1); offset -G (x_bar - H y_bar).
         assert _parse_printed("A", out)[0, 0] == pytest.approx(0.4, abs=1e-12)
         assert _parse_printed("b", out)[0, 0] == pytest.approx(-0.4, abs=1e-12)
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_non_finite_ridge_is_usage_error(self, tmp_path, capsys, ridge):
+        data = _write(tmp_path / "d.csv", WORKED_CSV)
+        argv = ["estimate", "--data", data, "--method", "discriminative", "--ridge", ridge]
+        assert main(argv) == 2
+        assert "--ridge must be finite" in capsys.readouterr().err
 
     def test_generative_requires_prior(self, tmp_path, capsys):
         data = _write(tmp_path / "d.csv", WORKED_CSV)

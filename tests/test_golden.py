@@ -1,4 +1,4 @@
-"""Golden anchor: SHA-256 of results.csv for three tiny deterministic sweeps.
+"""Golden anchor: SHA-256 of results.csv for four tiny deterministic sweeps.
 
 A change that alters any output bit changes one of these hashes. Such a
 change must be deliberate and logged in CHANGES.md together with the new
@@ -51,6 +51,16 @@ CUBIC_CONFIG = {
     "nonlinearity": {"kind": "cubic", "alpha": 0.1},
 }
 
+# The sample-count sweep on the linear model. At n_t = 20 <= N_x every
+# learned rule fails on every trial, which pins the integer sweep_value and
+# the empty mean/SE fields of an all-failed cell.
+NT_CONFIG = {
+    "snr_grid": [10.0],
+    "nt_grid": [20, 40, 100],
+    "mc_trials": 20,
+    "seed": 1729,
+}
+
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
@@ -63,6 +73,10 @@ GOLDEN = {
     "cubic": (
         CUBIC_CONFIG,
         "b79864ebe36305e6685cce6cf12b9ab083c53c83ff36e5f3cfd4f95782a1034b",
+    ),
+    "nt": (
+        NT_CONFIG,
+        "cf8a54d52737cac5ea02025d68f06d5de567b255a43cad8feaf1a3a9cb458f1d",
     ),
 }
 

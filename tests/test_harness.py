@@ -19,8 +19,7 @@ from gendisc.harness import (
     compute_mse,
     run_single_trial,
     run_trial,
-    sweep_nt,
-    sweep_snr,
+    sweep,
 )
 from gendisc.moments import compute_moments
 from gendisc.synth import (
@@ -108,6 +107,12 @@ class TestRunSingleTrial:
         assert set(out.failures) == {"generative"}
         assert "target sample covariance" in out.failures["generative"]
         assert set(out.errors) == {"discriminative", "oracle_lmmse"}
+
+    def test_unknown_estimator_name_rejected(self):
+        prior = exp_decay_prior(2)
+        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0)
+        with pytest.raises(ValueError, match="bogus"):
+            run_single_trial(prior, model, None, 10, ("oracle_lmmse", "bogus"), Seed(63))
 
     def test_all_provenances_constructible(self):
         prior = exp_decay_prior(4)
@@ -260,12 +265,21 @@ class TestRunTrial:
 
 class TestSweeps:
     def test_schedule_independence(self):
-        cfg = _small_config()
-        assert sweep_snr(cfg, threads=1).rows == sweep_snr(cfg, threads=3).rows
+        # A trial depends only on its (cell, trial) coordinates, so the sweep's
+        # rows equal those aggregated from trials run in reverse order.
+        cfg = _small_config(mc_trials=6)
+        report = sweep(cfg)
+        points = [SweepPoint(index=i, snr=s, n_t=60) for i, s in enumerate(cfg.snr_grid)]
+        tasks = [(point, t) for point in points for t in range(cfg.mc_trials)]
+        outcomes = {(p.index, t): run_trial(cfg, p, t) for p, t in reversed(tasks)}
+        for row in report.rows:
+            i = cfg.snr_grid.index(row.sweep_value)
+            errs = [outcomes[(i, t)].errors[row.estimator] for t in range(cfg.mc_trials)]
+            assert (row.mean_mse, row.std_err) == compute_mse(errs)
 
     def test_row_layout_and_counts(self):
         cfg = _small_config(mc_trials=10)
-        report = sweep_snr(cfg)
+        report = sweep(cfg)
         assert len(report.rows) == len(cfg.snr_grid) * len(cfg.estimator_set)
         for row in report.rows:
             assert row.sweep_name == "snr"
@@ -276,46 +290,25 @@ class TestSweeps:
 
     def test_snr_sweep_requires_single_nt(self):
         cfg = _small_config(nt_grid=(40, 80))
-        with pytest.raises(ValueError, match="exactly one nt_grid"):
-            sweep_snr(cfg)
+        with pytest.raises(ValueError, match="exactly one grid may have multiple entries"):
+            sweep(cfg)
 
     def test_nt_sweep_requires_single_snr(self):
-        cfg = _small_config()
-        with pytest.raises(ValueError, match="exactly one snr_grid"):
-            sweep_nt(cfg)
+        # A multi-entry nt_grid is swept at the single SNR.
+        cfg = _small_config(snr_grid=(10.0,), nt_grid=(40, 80), mc_trials=3)
+        report = sweep(cfg)
+        assert report.metadata["sweep"] == "nt"
+        assert {row.sweep_name for row in report.rows} == {"nt"}
+        for row in report.rows:
+            index = cfg.nt_grid.index(row.sweep_value)
+            point = SweepPoint(index=index, snr=10.0, n_t=row.sweep_value)
+            errs = [run_trial(cfg, point, t).errors[row.estimator] for t in range(3)]
+            assert (row.mean_mse, row.std_err) == compute_mse(errs)
 
     def test_invalid_config_rejected(self):
         cfg = _small_config(mc_trials=0)
         with pytest.raises(ValueError, match="mc_trials"):
-            sweep_snr(cfg)
-
-    @pytest.mark.parametrize(
-        "threads, cpus, expected", [(10_000, 3, 3), (10_000, 64, 4), (2, 64, 2)]
-    )
-    def test_worker_pool_is_capped(self, monkeypatch, threads, cpus, expected):
-        from gendisc import harness
-
-        built = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        cfg = _small_config(mc_trials=2)  # 2 cells x 2 trials = 4 tasks
-        report = sweep_snr(cfg, threads=threads)
-        assert built == [expected]
-        assert report.rows == sweep_snr(cfg, threads=1).rows
+            sweep(cfg)
 
     def test_all_failed_cell_reports_absent_mean(self):
         # n_t = 5 < N_y guarantees a singular target covariance every trial.
@@ -323,7 +316,7 @@ class TestSweeps:
             n_x=3, n_y=8, nt_grid=(5,), snr_grid=(1.0,), mc_trials=8,
             estimator_set=("generative",),
         )
-        report = sweep_nt(cfg)
+        report = sweep(cfg)
         (row,) = report.rows
         assert row.mean_mse is None
         assert row.std_err is None
@@ -333,7 +326,7 @@ class TestSweeps:
 
     def test_oracle_dominates_learned_estimators(self):
         cfg = _small_config(mc_trials=300, snr_grid=(0.5, 5.0), seed=Seed(202))
-        report = sweep_snr(cfg)
+        report = sweep(cfg)
         by_cell = {}
         for row in report.rows:
             by_cell.setdefault(row.sweep_value, {})[row.estimator] = row
@@ -349,7 +342,7 @@ class TestSweeps:
             snr_grid=(5.0,), nt_grid=(30, 100, 300, 1000), mc_trials=300, seed=Seed(203),
             estimator_set=("discriminative",),
         )
-        rows = sweep_nt(cfg).rows
+        rows = sweep(cfg).rows
         for prev, nxt in zip(rows, rows[1:]):
             slack = 2.0 * np.hypot(prev.std_err, nxt.std_err)
             assert nxt.mean_mse <= prev.mean_mse + slack
@@ -357,8 +350,8 @@ class TestSweeps:
     def test_doubling_trials_keeps_means_within_three_se(self):
         cfg_a = _small_config(mc_trials=200, snr_grid=(2.0,))
         cfg_b = _small_config(mc_trials=400, snr_grid=(2.0,))
-        rows_a = {r.estimator: r for r in sweep_snr(cfg_a).rows}
-        rows_b = {r.estimator: r for r in sweep_snr(cfg_b).rows}
+        rows_a = {r.estimator: r for r in sweep(cfg_a).rows}
+        rows_b = {r.estimator: r for r in sweep(cfg_b).rows}
         for name, row_a in rows_a.items():
             row_b = rows_b[name]
             slack = 3.0 * np.hypot(row_a.std_err, row_b.std_err)
@@ -371,7 +364,7 @@ class TestSweeps:
         cfg = _small_config(
             n_x=10, n_y=10, snr_grid=(1e6,), mc_trials=400, nt_grid=(100,), seed=Seed(77)
         )
-        rows = {r.estimator: r for r in sweep_snr(cfg, threads=2).rows}
+        rows = {r.estimator: r for r in sweep(cfg).rows}
         oracle = rows["oracle_lmmse"].mean_mse
         for name in ("generative", "discriminative"):
             assert rows[name].mean_mse <= 1.5 * oracle + 2.0 * rows[name].std_err
@@ -382,7 +375,7 @@ class TestSweeps:
         cfg = _small_config(snr_grid=(1e-300,), nt_grid=(20,), mc_trials=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = sweep_snr(cfg)
+            report = sweep(cfg)
         for row in report.rows:
             assert row.trials_ok == 2
             assert np.isfinite(row.mean_mse)
@@ -394,7 +387,7 @@ class TestSweeps:
             mc_trials=10, snr_grid=(2.0,), nonlinearity=Tanh(scale=1.0),
             estimator_set=("generative", "discriminative"),
         )
-        report = sweep_snr(cfg)
+        report = sweep(cfg)
         assert all(row.trials_ok == 10 for row in report.rows)
 
 

@@ -138,6 +138,11 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="ridge"):
             spd_solve(np.eye(2), np.eye(2), ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="finite"):
+            spd_solve(np.eye(2), np.eye(2), ridge=ridge)
+
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))

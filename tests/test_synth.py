@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,13 @@ class TestGaussianPrior:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianPrior(mu_y=np.zeros(2), C_yy=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_asymmetric_covariance_near_float_range(self):
+        # At 1e200 the squared entries overflow; the check must still see the asymmetry.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="symmetric"):
+                GaussianPrior(mu_y=np.zeros(2), C_yy=1e200 * np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
