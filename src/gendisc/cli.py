@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from importlib import resources
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .estimators import discriminative_estimator, fit_ml, generative_estimator
@@ -37,6 +39,9 @@ from .moments import SingularMatrixError, compute_moments
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+
+# Thread-count variables of the common BLAS builds; byte identity depends on the BLAS.
+_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _bundled_config_path(name: str):
@@ -60,6 +65,22 @@ def _print_matrix(name: str, arr) -> None:
     print(f"{name} =")
     for row in rows:
         print("  " + ", ".join(repr(float(v)) for v in row))
+
+
+def _environment() -> dict:
+    """The interpreter, library versions, BLAS build and CPU resources of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 cannot report its build as a dict
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
+    }
 
 
 def cmd_run(args) -> int:
@@ -106,6 +127,7 @@ def cmd_run(args) -> int:
             "master_seed": cfg.seed.master,
             "sweep": report.metadata["sweep"],
             "duration_seconds": duration,
+            "environment": _environment(),
             "cells": report.metadata["cells"],
             "outputs": {
                 "results": os.path.abspath(results_path),

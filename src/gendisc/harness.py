@@ -1,8 +1,11 @@
 """Seeded Monte Carlo engine for MSE-versus-SNR and MSE-versus-sample-size sweeps.
 
 Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``), a
-fresh training set, and fits every requested estimator. Each fitted rule is
-scored by its exact risk under the true data distribution
+fresh training set, and fits every requested estimator. The training set is
+drawn as its sample moments (:func:`~gendisc.synth.sample_moments`): from
+their joint Gaussian-Wishart law under the linear map, at a cost that does
+not grow with ``n_t``, and from ``n_t`` drawn pairs under tanh and cubic.
+Each fitted rule is scored by its exact risk under the true data distribution
 (:func:`~gendisc.estimators.affine_risk`), whatever the measurement map, so
 no test pair is drawn and a cell's standard error covers only the training
 draws and H. The risk rests on the noise-free population moments of the map
@@ -12,7 +15,9 @@ order and each cell's trials in index order, serially. A trial's randomness
 comes from a counter-based child seed of (cell, trial), so results do not
 depend on the order trials run in; construction failures (singular sample
 covariances at small sample counts) are recorded per cell rather than
-aborting the sweep.
+aborting the sweep. Memory per cell is one float64 score per trial and
+estimator, plus failure counts grouped by the failing matrix, each with the
+first trial it struck so that it can be replayed with :func:`run_trial`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .estimators import (
     oracle_lmmse,
     population_moments,
 )
-from .moments import SampleMoments, SingularMatrixError, compute_moments, condition_events
+from .moments import SampleMoments, SingularMatrixError, condition_events
 from .synth import (
     GaussianPrior,
     Linear,
@@ -49,7 +54,7 @@ from .synth import (
     TrueModel,
     exp_decay_prior,
     random_measurement_matrix,
-    sample_pairs,
+    sample_moments,
 )
 
 PRIOR_MODES = ("true_prior", "identity_mismatch")
@@ -66,10 +71,11 @@ DEFAULT_SNR_GRID = tuple(10.0 ** (k / 2.0) for k in range(-4, 9))
 _NS_TRIAL = 0
 _NS_FIXED_H = 1
 
-# Memory budget of one trial: the float64 training draw, n_t x (N_x + N_y),
-# plus the (N_x + N_y)^2-sized sample and population moment matrices.
-# Configs past it are rejected before anything is allocated.
-_TRIAL_BYTE_BUDGET = 2**30
+# Memory budget of a sweep: one trial's float64 training draw, n_t x (N_x + N_y)
+# (drawn as pairs under tanh and cubic), its (N_x + N_y)^2-sized sample and
+# population moment matrices, and a cell's float64 scores, one per trial and
+# estimator. Configs past it are rejected before anything is allocated.
+_BYTE_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,14 @@ class ExperimentConfig:
             problems.append("nt_grid entries must be >= 1")
         elif self.n_x >= 1 and self.n_y >= 1:
             d = self.n_x + self.n_y
-            need = 8 * d * (max(self.nt_grid) + d)
-            if need > _TRIAL_BYTE_BUDGET:
+            need = 8 * d * (max(self.nt_grid) + d) + 8 * max(self.mc_trials, 0) * len(
+                self.estimator_set
+            )
+            if need > _BYTE_BUDGET:
                 problems.append(
-                    f"a trial needs about {need:.3g} bytes for its n_t x (n_x + n_y) "
-                    "training draw and (n_x + n_y)^2 moment matrices, over the "
-                    f"{_TRIAL_BYTE_BUDGET:.3g} budget"
+                    f"a sweep needs about {need:.3g} bytes for a trial's n_t x (n_x + n_y) "
+                    "training draw and (n_x + n_y)^2 moment matrices and a cell's "
+                    f"mc_trials x len(estimator_set) scores, over the {_BYTE_BUDGET:.3g} budget"
                 )
         if len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
             problems.append(
@@ -176,7 +184,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Per-trial record: squared error or failure reason per estimator."""
+    """Per-trial record: squared error or failure reason per estimator.
+
+    A failure reason is the name of the matrix that failed to factorize
+    (:attr:`~gendisc.moments.SingularMatrixError.name`), or the message of
+    any other linear-algebra error.
+    """
 
     errors: dict[str, float]
     failures: dict[str, str]
@@ -198,8 +211,10 @@ class MseRow:
 class MseReport:
     """Sweep results plus run metadata.
 
-    ``metadata`` holds the sweep name (``"snr"`` or ``"nt"``) and per-cell
-    condition-warning and failure counts.
+    ``metadata`` holds the sweep name (``"snr"`` or ``"nt"``) and, per cell,
+    the condition-warning count, the failure count per estimator and
+    ``failure_reasons``: per estimator and reason (see :class:`TrialOutcome`),
+    the ``count`` of trials it failed and the ``first_trial`` index among them.
     """
 
     rows: tuple[MseRow, ...]
@@ -207,13 +222,13 @@ class MseReport:
 
 
 def compute_mse(errors) -> Optional[tuple[float, float]]:
-    """Mean and standard error of a list of squared errors.
+    """Mean and standard error of a sequence of squared errors.
 
-    Returns ``None`` for an empty list; the standard error is the sample
+    Returns ``None`` when it is empty; the standard error is the sample
     standard deviation (n-1 normalization) over sqrt(n), defined as 0.0 for
     a single observation.
     """
-    errs = np.asarray(list(errors), dtype=float)
+    errs = np.asarray(errors, dtype=float)
     if errs.size == 0:
         return None
     mean = float(errs.mean())
@@ -284,7 +299,8 @@ def run_single_trial(
     ``known`` supplies the generative side information and may be ``None``
     when no estimator needs it. A construction failure (singular sample
     covariance) is recorded under the estimator's name; remaining estimators
-    still run. Training data is drawn from ``seed.child(0)``, the only draw
+    still run. The training set's sample moments are drawn from
+    ``seed.child(0)`` by :func:`~gendisc.synth.sample_moments`, the only draw
     a trial makes, and only when a requested rule is trained. A rule's error
     is its exact risk under ``prior`` and ``model``, the true data
     distribution, from ``measurement``: the
@@ -302,13 +318,13 @@ def run_single_trial(
     with condition_events() as events:
         moments = None
         if any(rule.trained for _, rule in rules):
-            moments = compute_moments(sample_pairs(prior, model, n_t, seed.child(0)))
+            moments = sample_moments(prior, model, n_t, seed.child(0))
         inputs = _TrialInputs(prior, model, known, moments, ridge, measurement)
         for name, rule in rules:
             try:
                 est = rule.build(inputs)
-            except (SingularMatrixError, np.linalg.LinAlgError) as exc:
-                failures[name] = str(exc)
+            except np.linalg.LinAlgError as exc:
+                failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
                 continue
             errors[name] = affine_risk(est, prior, model, measurement)
 
@@ -377,14 +393,26 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
     for value, point in zip(values, points):
-        cell = [run_trial(cfg, point, trial, constants) for trial in range(cfg.mc_trials)]
-        fail_counts: dict[str, int] = {}
-        for name in cfg.estimator_set:
-            errs = [out.errors[name] for out in cell if name in out.errors]
-            n_failed = cfg.mc_trials - len(errs)
-            if n_failed:
-                fail_counts[name] = n_failed
-            stat = compute_mse(errs)
+        names = cfg.estimator_set
+        # Scores stream into one preallocated row per estimator, in trial order.
+        scores = np.empty((len(names), cfg.mc_trials))
+        n_ok = [0] * len(names)
+        reasons: dict[str, dict[str, dict]] = {}
+        warning_count = 0
+        for trial in range(cfg.mc_trials):
+            out = run_trial(cfg, point, trial, constants)
+            warning_count += out.warning_count
+            for k, name in enumerate(names):
+                if name in out.errors:
+                    scores[k, n_ok[k]] = out.errors[name]
+                    n_ok[k] += 1
+                else:
+                    reason = reasons.setdefault(name, {}).setdefault(
+                        out.failures[name], {"count": 0, "first_trial": trial}
+                    )
+                    reason["count"] += 1
+        for k, name in enumerate(names):
+            stat = compute_mse(scores[k, : n_ok[k]])
             mean, se = stat if stat is not None else (None, None)
             rows.append(
                 MseRow(
@@ -393,15 +421,20 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
                     estimator=name,
                     mean_mse=mean,
                     std_err=se,
-                    trials_ok=len(errs),
-                    trials_failed=n_failed,
+                    trials_ok=n_ok[k],
+                    trials_failed=cfg.mc_trials - n_ok[k],
                 )
             )
         cells_meta.append(
             {
                 "sweep_value": value,
-                "condition_warnings": sum(out.warning_count for out in cell),
-                "failures": fail_counts,
+                "condition_warnings": warning_count,
+                "failures": {
+                    name: cfg.mc_trials - n_ok[k]
+                    for k, name in enumerate(names)
+                    if n_ok[k] < cfg.mc_trials
+                },
+                "failure_reasons": reasons,
             }
         )
     return MseReport(rows=tuple(rows), metadata={"sweep": sweep_name, "cells": cells_meta})

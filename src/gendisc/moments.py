@@ -27,6 +27,12 @@ CONDITION_WARN_THRESHOLD = 1e12
 # estimate of the latter is almost always within a factor of 3 of it.
 _SCREEN_MARGIN = 10.0
 
+# A factor whose reciprocal 1-norm condition estimate is below machine epsilon
+# marks its matrix singular to working precision, as LAPACK's xPOSVX reports.
+# Rank-deficient sample covariances (n_t <= N_x) factorize in some draws by
+# rounding alone, with such estimates.
+_SINGULAR_RCOND = np.finfo(float).eps
+
 _SYMMETRY_RTOL = 1e-10
 
 
@@ -249,9 +255,10 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
     screened with the LAPACK 1-norm estimate from the factor, and the exact
     spectral :func:`condition_estimate` is computed only when the screen
     cannot rule out ``CONDITION_WARN_THRESHOLD``. Spectral values above the
-    threshold emit an :class:`IllConditionedWarning`, and a failed
-    factorization raises :class:`SingularMatrixError` carrying the spectral
-    estimate.
+    threshold emit an :class:`IllConditionedWarning`. A failed
+    factorization, or one whose 1-norm estimate marks the matrix singular to
+    working precision (reciprocal condition below machine epsilon), raises
+    :class:`SingularMatrixError` carrying the spectral estimate.
 
     Parameters
     ----------
@@ -293,6 +300,10 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
             name, condition_estimate(A), hint="increase the ridge or supply more samples"
         )
     rcond, info = dpocon(factor, np.abs(A).sum(axis=0).max(), uplo="L")
+    if info == 0 and rcond < _SINGULAR_RCOND:
+        raise SingularMatrixError(
+            name, condition_estimate(A), hint="increase the ridge or supply more samples"
+        )
     if not (info == 0 and rcond * CONDITION_WARN_THRESHOLD > _SCREEN_MARGIN):
         cond = condition_estimate(A)
         if cond > CONDITION_WARN_THRESHOLD:

@@ -6,6 +6,15 @@ linear by default; tanh saturation and cubic distortion variants are
 provided to generate data that a linear model misspecifies, each reducing
 to the linear map in a parameter limit.
 
+Estimators read a training set only through its sample means and scatter,
+:class:`~gendisc.moments.SampleMoments`. :func:`sample_moments` draws those
+directly. Under the linear map ``(y, x)`` is jointly Gaussian, so the sample
+means and the scatter are independent, with laws ``N(mu, Sigma/n)`` and
+``Wishart(n - 1, Sigma)``; they are drawn from those laws at a cost that does
+not grow with ``n`` (Bartlett's decomposition, Smith & Hocking, *Applied
+Statistics* AS 53, 1972). Under tanh and cubic maps ``x`` is not Gaussian, so
+the moments are computed from ``n`` drawn pairs.
+
 Randomness is counter-based: a :class:`Seed` names a stream by its master
 value plus a tuple of child indices, so any parallel schedule that assigns
 disjoint child indices to its work items reproduces draws bit-for-bit.
@@ -14,10 +23,19 @@ disjoint child indices to its work items reproduces draws bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .moments import _SYMMETRY_RTOL, Dataset, _as_float_array, _frozen, _symmetry_defect
+from .moments import (
+    _SYMMETRY_RTOL,
+    Dataset,
+    SampleMoments,
+    _as_float_array,
+    _frozen,
+    _symmetry_defect,
+    compute_moments,
+)
 
 _MASTER_MAX = 2**64
 
@@ -169,6 +187,15 @@ def sample_targets(prior: GaussianPrior, n: int, seed: Seed) -> np.ndarray:
     return prior.mu_y + z @ prior.L_yy.T
 
 
+def _check_draw(prior: GaussianPrior, model: TrueModel, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if prior.n_y != model.n_y:
+        raise ValueError(
+            f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
+        )
+
+
 def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> Dataset:
     """Draw ``n`` i.i.d. (x, y) pairs: y from the prior, x = g(H y) + w.
 
@@ -176,17 +203,76 @@ def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> 
     normal, so datasets drawn under the same seed but different sigma2 share
     the same underlying randomness (the noise is merely rescaled).
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if prior.n_y != model.n_y:
-        raise ValueError(
-            f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
-        )
+    _check_draw(prior, model, n)
     rng = seed.generator()
     ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
     noise = rng.standard_normal((n, model.n_x))
     xs = model.nonlinearity.apply(ys @ model.H.T) + model.mu_w + np.sqrt(model.sigma2) * noise
     return Dataset(xs=xs, ys=ys)
+
+
+def _standard_scatter_root(rng: np.random.Generator, dof: int, d: int) -> np.ndarray:
+    """A square root ``G`` of a ``Wishart(dof, I_d)`` scatter: ``G @ G.T ~ W(dof, I_d)``.
+
+    When ``dof >= d``, ``G`` is Bartlett's lower triangle, drawn as the ``d``
+    diagonal entries ``sqrt(chi2(dof - i))`` for ``i = 0..d-1``, then the
+    standard normals below the diagonal in row-major order. Otherwise ``G``
+    is ``Z.T`` for a ``(dof, d)`` standard-normal ``Z``, the scatter of
+    ``dof`` centred draws, which is singular.
+    """
+    if dof < d:
+        return rng.standard_normal((dof, d)).T
+    G = np.diag(np.sqrt(rng.chisquare(dof - np.arange(d))))
+    np.put(G, _strict_lower(d), rng.standard_normal(d * (d - 1) // 2))
+    return G
+
+
+@lru_cache(maxsize=8)
+def _strict_lower(d: int) -> np.ndarray:
+    """Flat row-major indices of the entries below the diagonal of a ``d x d`` matrix."""
+    idx = np.flatnonzero(np.tri(d, k=-1, dtype=bool))
+    idx.flags.writeable = False
+    return idx
+
+
+def sample_moments(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> SampleMoments:
+    """The sample moments of ``n`` i.i.d. (x, y) pairs drawn as by :func:`sample_pairs`.
+
+    Under a :class:`Linear` map they are drawn from their joint law, with no
+    pair materialized. From ``seed.generator()`` come, in this order, the
+    standard-normal mean ``z ~ N(0, I_d)`` with ``d = N_y + N_x`` (target
+    coordinates first, then noise) and the scatter root ``G`` of
+    :func:`_standard_scatter_root` with ``n - 1`` degrees of freedom. Both
+    pass through the map of :func:`sample_pairs`: ``F_y = L_yy G[:N_y]``,
+    ``F_x = H F_y + sigma G[N_y:]``, ``C_** = F_* F_*^T / n`` (the blocks of
+    one product ``F F^T / n`` with ``F = [F_y; F_x]``),
+    ``y_bar = mu_y + L_yy z_y / sqrt(n)`` and
+    ``x_bar = H y_bar + mu_w + sigma z_w / sqrt(n)``. The cost is O(d^3)
+    whatever ``n`` is. Under tanh and cubic maps this is
+    ``compute_moments(sample_pairs(prior, model, n, seed))``.
+    """
+    if not isinstance(model.nonlinearity, Linear):
+        return compute_moments(sample_pairs(prior, model, n, seed))
+    _check_draw(prior, model, n)
+    n_y = prior.n_y
+    sigma = np.sqrt(model.sigma2)
+    rng = seed.generator()
+    z = rng.standard_normal(n_y + model.n_x)
+    G = _standard_scatter_root(rng, n - 1, n_y + model.n_x)
+    F = np.empty(G.shape)  # [F_y; F_x]
+    F[:n_y] = prior.L_yy @ G[:n_y]
+    F[n_y:] = model.H @ F[:n_y] + sigma * G[n_y:]
+    C = F @ F.T / n
+    y_bar = prior.mu_y + prior.L_yy @ z[:n_y] / np.sqrt(n)
+    x_bar = model.H @ y_bar + model.mu_w + sigma * z[n_y:] / np.sqrt(n)
+    return SampleMoments(
+        x_bar=x_bar,
+        y_bar=y_bar,
+        C_yx=C[:n_y, n_y:],
+        C_yy=C[:n_y, :n_y],
+        C_xx=C[n_y:, n_y:],
+        n_t=n,
+    )
 
 
 def exp_decay_prior(n_y: int, length_scale: float = 5.0) -> GaussianPrior:

@@ -119,6 +119,7 @@ class TestValidateCommand:
             ({"snr_grid": [1e-320, 1.0]}, "1/snr"),
             ({"nt_grid": [10**12]}, "budget"),
             ({"n_x": 10**8}, "budget"),
+            ({"mc_trials": 10**8}, "budget"),
         ],
     )
     def test_validate_and_run_agree_on_unrunnable_config(self, tmp_path, capsys, override, message):
@@ -187,6 +188,18 @@ class TestRunCommand:
         assert manifest["duration_seconds"] > 0.0
         assert len(manifest["cells"]) == 2
         assert (out_dir / "plot_results.py").exists()
+
+    def test_manifest_records_environment(self, tmp_path):
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "thread_env"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] >= 1
+        assert set(env["thread_env"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+        }
 
     def test_trials_override_keeps_schema(self, tmp_path):
         cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))

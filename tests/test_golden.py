@@ -64,7 +64,7 @@ NT_CONFIG = {
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
-        "f645d243e61c8e2202977e3198f58a85b37fa1ac2eada68198135cb6377a5e8b",
+        "e4c9c97fae15c58bc05ef076a7bab3ab17348c34978c9fc804c612d505613a9e",
     ),
     "misspec": (
         MISSPEC_CONFIG,
@@ -76,7 +76,7 @@ GOLDEN = {
     ),
     "nt": (
         NT_CONFIG,
-        "cf8a54d52737cac5ea02025d68f06d5de567b255a43cad8feaf1a3a9cb458f1d",
+        "8fb2d0d0ede68159898ba0ea6992113c9a152e2c4111cb2a2dfe55208cb69c14",
     ),
 }
 
@@ -90,3 +90,20 @@ def test_results_csv_hash(name, tmp_path):
     assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
     digest = hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
     assert digest == expected
+
+
+def test_nt_small_cell_failure_reasons(tmp_path):
+    # At n_t = 20 <= N_x both sample covariances are singular on every trial;
+    # the manifest names the failing matrix and the first trial to replay.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(NT_CONFIG), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+    cells = json.loads((out_dir / "manifest.json").read_text())["cells"]
+    assert cells[0]["sweep_value"] == 20
+    assert cells[0]["failures"] == {"generative": 20, "discriminative": 20}
+    assert cells[0]["failure_reasons"] == {
+        "generative": {"target sample covariance": {"count": 20, "first_trial": 0}},
+        "discriminative": {"input sample covariance": {"count": 20, "first_trial": 0}},
+    }
+    assert all(cell["failure_reasons"] == {} for cell in cells[1:])

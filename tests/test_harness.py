@@ -21,7 +21,6 @@ from gendisc.harness import (
     run_trial,
     sweep,
 )
-from gendisc.moments import compute_moments
 from gendisc.synth import (
     Cubic,
     GaussianPrior,
@@ -30,7 +29,7 @@ from gendisc.synth import (
     TrueModel,
     exp_decay_prior,
     random_measurement_matrix,
-    sample_pairs,
+    sample_moments,
 )
 
 
@@ -127,20 +126,20 @@ class TestRunSingleTrial:
 class TestScoring:
     @staticmethod
     def _count_draws(monkeypatch):
-        """Record the seed of every ``sample_pairs`` call the harness makes."""
+        """Record the seed of every ``sample_moments`` call the harness makes."""
         seeds = []
 
         def counting(prior, model, n, seed):
             seeds.append(seed)
-            return sample_pairs(prior, model, n, seed)
+            return sample_moments(prior, model, n, seed)
 
-        monkeypatch.setattr(harness, "sample_pairs", counting)
+        monkeypatch.setattr(harness, "sample_moments", counting)
         return seeds
 
     @staticmethod
     def _rules(prior, model, known, n_t, seed):
         """The learned rules a trial fits, rebuilt from its training stream."""
-        moments = compute_moments(sample_pairs(prior, model, n_t, seed.child(0)))
+        moments = sample_moments(prior, model, n_t, seed.child(0))
         return {
             "generative": generative_estimator(fit_ml(moments), known, moments),
             "discriminative": discriminative_estimator(moments),
@@ -323,6 +322,9 @@ class TestSweeps:
         assert row.trials_ok == 0
         assert row.trials_failed == 8
         assert report.metadata["cells"][0]["failures"] == {"generative": 8}
+        assert report.metadata["cells"][0]["failure_reasons"] == {
+            "generative": {"target sample covariance": {"count": 8, "first_trial": 0}}
+        }
 
     def test_oracle_dominates_learned_estimators(self):
         cfg = _small_config(mc_trials=300, snr_grid=(0.5, 5.0), seed=Seed(202))
@@ -406,6 +408,15 @@ class TestConfigValidation:
     def test_unknown_estimator_flagged(self):
         cfg = ExperimentConfig(estimator_set=("generative", "nope"))
         assert any("nope" in p for p in cfg.violations())
+
+    def test_budget_counts_the_training_draw_and_the_cell_scores(self):
+        # Each term alone fits in the 1 GiB budget; together they do not.
+        draw = dict(n_x=28, n_y=30, nt_grid=(1_000_000,))  # 8 * 58 * (1e6 + 58) B = 0.46 GiB
+        scores = dict(mc_trials=30_000_000)  # 8 * 30e6 * 3 B = 0.67 GiB
+        assert ExperimentConfig(**draw).violations() == []
+        assert ExperimentConfig(**scores).violations() == []
+        (problem,) = ExperimentConfig(**draw, **scores).violations()
+        assert "budget" in problem
 
     def test_nonlinear_maps_accept_every_estimator(self):
         cfg = ExperimentConfig(

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from gendisc import moments
 from gendisc.moments import (
@@ -157,6 +158,22 @@ class TestSpdSolve:
             assert np.all(np.isfinite(x))
             with pytest.raises(ValueError, match="symmetric"):
                 spd_solve(1e300 * np.array([[2.0, 1.0], [-1.0, 2.0]]), np.ones(2))
+
+    def test_singular_to_working_precision_raises(self):
+        # A rank-2 scatter of order 4 factorizes in some draws by rounding
+        # alone; its reciprocal condition estimate is then below epsilon.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            F = rng.standard_normal((4, 2))
+            M = F @ F.T
+            if dpotrf(M, lower=1)[1] == 0:
+                break
+        else:
+            pytest.fail("no rank-deficient draw factorized")
+        with pytest.raises(SingularMatrixError, match="singular") as excinfo:
+            spd_solve(M, np.eye(4), name="rank-2 scatter")
+        assert excinfo.value.name == "rank-2 scatter"
+        assert excinfo.value.condition > 1.0 / np.finfo(float).eps
 
     def test_extreme_condition_warns_and_is_recorded(self):
         M = np.diag([1.0, 1e-13])

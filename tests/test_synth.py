@@ -3,14 +3,18 @@ import warnings
 import numpy as np
 import pytest
 
+from gendisc.estimators import affine_risk, discriminative_estimator, oracle_lmmse
+from gendisc.moments import compute_moments
 from gendisc.synth import (
     Cubic,
     GaussianPrior,
     Seed,
     Tanh,
     TrueModel,
+    _standard_scatter_root,
     exp_decay_prior,
     random_measurement_matrix,
+    sample_moments,
     sample_pairs,
     sample_targets,
 )
@@ -163,6 +167,93 @@ class TestSamplePairs:
         yc = data.ys - data.ys.mean(axis=0)
         cross = wc.T @ yc / data.n_t
         assert np.linalg.norm(cross) <= 0.05 * np.sqrt(5 * 6)
+
+
+class TestSampleMoments:
+    @pytest.mark.parametrize("dof", [3, 12])
+    def test_standard_scatter_moments(self, dof):
+        # W = G G^T ~ Wishart(dof, I_d): E W = dof I and Var W_ij = dof (1 + delta_ij).
+        # dof < d takes the Z^T root and dof >= d the Bartlett triangle.
+        d, draws = 4, 20_000
+        rng = np.random.default_rng(20)
+        W = np.empty((draws, d, d))
+        for k in range(draws):
+            G = _standard_scatter_root(rng, dof, d)
+            W[k] = G @ G.T
+        eye = np.eye(d)
+        mean = W.mean(axis=0)
+        assert np.all(np.abs(mean - dof * eye) <= 4 * W.std(axis=0, ddof=1) / np.sqrt(draws))
+        dev2 = (W - mean) ** 2
+        var = dev2.sum(axis=0) / (draws - 1)
+        var_se = dev2.std(axis=0, ddof=1) / np.sqrt(draws)
+        assert np.all(np.abs(var - dof * (1 + eye)) <= 4 * var_se)
+
+    def test_bartlett_root_is_lower_triangular(self):
+        G = _standard_scatter_root(np.random.default_rng(21), 10, 5)
+        assert np.array_equal(G, np.tril(G))
+        assert np.all(np.diag(G) > 0)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_discriminative_risk_law(self, n):
+        # The least-squares rule with intercept, fitted on n Gaussian pairs, has
+        # mean risk R (1 + 1/n)(n - 2)/(n - N_x - 2), R the oracle risk. On the
+        # paper's 28 x 30 geometry n = 40 takes the Z^T branch (n - 1 < 58)
+        # and n = 100 the Bartlett one.
+        prior = exp_decay_prior(30)
+        model = TrueModel(
+            H=random_measurement_matrix(28, 30, Seed(22)), mu_w=np.zeros(28), sigma2=0.09
+        )
+        risks = np.array([
+            affine_risk(
+                discriminative_estimator(sample_moments(prior, model, n, Seed(23, (n, k)))),
+                prior, model,
+            )
+            for k in range(3000)
+        ])
+        law = affine_risk(oracle_lmmse(prior, model), prior, model)
+        law *= (1 + 1 / n) * (n - 2) / (n - 28 - 2)
+        assert abs(risks.mean() - law) <= 4 * risks.std(ddof=1) / np.sqrt(risks.size)
+
+    @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_distorted_maps_draw_pairs(self, nonlinearity):
+        prior = exp_decay_prior(5)
+        model = TrueModel(
+            H=random_measurement_matrix(4, 5, Seed(24)), mu_w=np.ones(4), sigma2=0.5,
+            nonlinearity=nonlinearity,
+        )
+        got = sample_moments(prior, model, 50, Seed(25))
+        want = compute_moments(sample_pairs(prior, model, 50, Seed(25)))
+        for field in ("x_bar", "y_bar", "C_yx", "C_yy", "C_xx"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.n_t == want.n_t
+
+    def test_single_pair_has_zero_scatter(self):
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(26)), mu_w=np.zeros(4), sigma2=1.0)
+        m = sample_moments(prior, model, 1, Seed(27))
+        assert m.n_t == 1
+        for C in (m.C_yx, m.C_yy, m.C_xx):
+            assert not C.any()
+
+    def test_noiseless_means_follow_the_map(self):
+        prior = GaussianPrior(mu_y=np.array([3.0, -1.0]), C_yy=np.eye(2))
+        H = np.array([[2.0, 0.0], [1.0, 1.0]])
+        model = TrueModel(H=H, mu_w=np.array([1.0, 0.5]), sigma2=0.0)
+        m = sample_moments(prior, model, 200, Seed(28))
+        assert np.allclose(m.x_bar, H @ m.y_bar + model.mu_w, atol=1e-12)
+        assert np.allclose(m.C_yx, m.C_yy @ H.T, atol=1e-12)
+        assert np.allclose(m.C_xx, H @ m.C_yy @ H.T, atol=1e-12)
+
+    def test_determinism_and_input_checks(self):
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(29)), mu_w=np.zeros(4), sigma2=1.0)
+        a = sample_moments(prior, model, 100, Seed(30))
+        b = sample_moments(prior, model, 100, Seed(30))
+        assert np.array_equal(a.C_xx, b.C_xx) and np.array_equal(a.x_bar, b.x_bar)
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_moments(prior, model, 0, Seed(30))
+        with pytest.raises(ValueError, match="dimension"):
+            sample_moments(exp_decay_prior(3), model, 10, Seed(30))
 
 
 class TestNonlinearities:
