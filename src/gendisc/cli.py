@@ -3,8 +3,10 @@
 `gendisc run CONFIG` executes the sweep described by a JSON config and
 writes results.csv, manifest.json and a standalone plot script into the
 output directory. `gendisc validate CONFIG` checks a config and prints the
-fully-resolved version. `gendisc estimate` fits an estimator on a dataset
-file and prints its coefficients. Two configs ship with the package
+fully-resolved version. `gendisc replay CONFIG --cell i --trial k` re-runs
+one trial of the sweep and prints its per-estimator risks and failure
+reasons as JSON. `gendisc estimate` fits an estimator on a dataset file and
+prints its coefficients. Two configs ship with the package
 (`mse_vs_snr`, `mse_vs_nt`) and can be named in place of a path.
 """
 
@@ -33,7 +35,7 @@ from .fileio import (
     write_plot_script,
     write_results_csv,
 )
-from .harness import sweep
+from .harness import run_trial, sweep, sweep_points
 from .moments import SingularMatrixError, compute_moments
 
 EXIT_OK = 0
@@ -83,26 +85,33 @@ def _environment() -> dict:
     }
 
 
-def cmd_run(args) -> int:
+def _resolved_config(args):
+    """``(config, None)`` for the config named on the command line, overrides applied,
+    or ``(None, exit code)`` after printing why it cannot be run."""
     try:
         raw = _load_config_dict(args.config)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.trials is not None:
+        return None, EXIT_USAGE
+    if getattr(args, "trials", None) is not None:
         raw["mc_trials"] = args.trials
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     try:
         cfg = config_from_dict(raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return None, EXIT_INVALID
     problems = cfg.violations()
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INVALID
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return (None, EXIT_INVALID) if problems else (cfg, None)
+
+
+def cmd_run(args) -> int:
+    cfg, code = _resolved_config(args)
+    if cfg is None:
+        return code
 
     out_dir = args.out
     try:
@@ -144,22 +153,36 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        raw = _load_config_dict(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = config_from_dict(raw)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    problems = cfg.violations()
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INVALID
+    cfg, code = _resolved_config(args)
+    if cfg is None:
+        return code
     print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
+    return EXIT_OK
+
+
+def cmd_replay(args) -> int:
+    cfg, code = _resolved_config(args)
+    if cfg is None:
+        return code
+    sweep_name, points = sweep_points(cfg)
+    if not 0 <= args.cell < len(points):
+        print(f"error: --cell must be in [0, {len(points)}), got {args.cell}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0 <= args.trial < cfg.mc_trials:
+        print(f"error: --trial must be in [0, {cfg.mc_trials}), got {args.trial}", file=sys.stderr)
+        return EXIT_USAGE
+    point = points[args.cell]
+    outcome = run_trial(cfg, point, args.trial)
+    record = {
+        "sweep": sweep_name,
+        "cell": args.cell,
+        "sweep_value": point.n_t if sweep_name == "nt" else point.snr,
+        "trial": args.trial,
+        "errors": outcome.errors,
+        "failures": outcome.failures,
+        "condition_warnings": outcome.warning_count,
+    }
+    print(json.dumps(record, indent=2))
     return EXIT_OK
 
 
@@ -230,6 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="check a config and print it fully resolved")
     val_p.add_argument("config", help="config file path or bundled name")
     val_p.set_defaults(func=cmd_validate)
+
+    rep_p = sub.add_parser("replay", help="re-run one trial of a sweep and print its scores")
+    rep_p.add_argument("config", help="config file path or bundled name")
+    rep_p.add_argument("--cell", type=int, required=True, help="cell index in the swept grid")
+    rep_p.add_argument("--trial", type=int, required=True, help="trial index within the cell")
+    rep_p.add_argument("--trials", type=int, default=None, help="override mc_trials, as for run")
+    rep_p.add_argument("--seed", type=int, default=None, help="override the master seed, as for run")
+    rep_p.set_defaults(func=cmd_replay)
 
     est_p = sub.add_parser("estimate", help="fit an estimator on a dataset file")
     est_p.add_argument("--data", required=True, help="dataset CSV (header n_t,n_x,n_y)")

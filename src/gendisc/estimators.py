@@ -28,11 +28,13 @@ import numpy as np
 from .moments import (
     Dataset,
     SampleMoments,
+    SpdFactor,
     _as_float_array,
     _frozen,
     compute_moments,
     gain_direct,
     gain_lemma,
+    spd_factor,
     spd_solve,
 )
 from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, TrueModel
@@ -357,7 +359,17 @@ def affine_risk(
     return float(risk)
 
 
-def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
+def target_factor(moments: SampleMoments, ridge: float = 0.0) -> SpdFactor:
+    """The :func:`~gendisc.moments.spd_factor` of the target sample covariance.
+
+    :func:`fit_ml` solves with it.
+    """
+    return spd_factor(moments.C_yy, ridge, name="target sample covariance")
+
+
+def fit_ml(
+    data: Dataset | SampleMoments, ridge: float = 0.0, factor: Optional[SpdFactor] = None
+) -> FittedModel:
     """Maximum likelihood fit of the measurement matrix and noise mean.
 
     The estimates are H_hat = C_xy C_yy^{-1} and mu_hat = x_bar - H_hat y_bar,
@@ -370,6 +382,10 @@ def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
         Training pairs, or their precomputed moments.
     ridge : float, optional
         Diagonal loading on the target sample covariance before inversion.
+    factor : SpdFactor, optional
+        ``target_factor(moments, ridge)``, made once by a caller that fits
+        several moments sharing one ``C_yy``; made here when omitted, and
+        ``ridge`` is then not read.
 
     Raises
     ------
@@ -378,8 +394,10 @@ def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
         ridge (e.g. constant targets, or n_t <= N_y).
     """
     m = data if isinstance(data, SampleMoments) else compute_moments(data)
+    if factor is None:
+        factor = target_factor(m, ridge)
     # H_hat^T = C_yy^{-1} C_yx, using C_yy symmetry.
-    H_hat = spd_solve(m.C_yy, m.C_yx, ridge=ridge, name="target sample covariance").T
+    H_hat = factor.solve(m.C_yx).T
     mu_hat = m.x_bar - H_hat @ m.y_bar
     return FittedModel(H_hat=H_hat, mu_hat=mu_hat)
 
@@ -524,13 +542,16 @@ def discriminative_asymptote(prior: GaussianPrior, pop: PopulationMoments) -> Af
 
 
 def generative_highsnr(
-    prior: GaussianPrior, H, moments: SampleMoments
+    prior: GaussianPrior, H, moments: SampleMoments, gain: Optional[np.ndarray] = None
 ) -> AffineEstimator:
     """Vanishing-noise limit of the generative estimator.
 
     mu_y + C_yy H^T (H C_yy H^T)^{-1} (x - x_bar - H (mu_y - y_bar)), using
     the true measurement matrix (which the ML fit recovers in this limit).
     Requires H C_yy H^T nonsingular, for which N_y >= N_x is necessary.
+    ``gain`` is ``gain_direct(H, prior.C_yy, 0.0)``, free of the training
+    set, made once by a caller that builds many rules on one H; made here
+    when omitted.
     """
     H = _as_float_array(H, "H", ndim=2)
     if H.shape != (moments.n_x, moments.n_y) or prior.n_y != moments.n_y:
@@ -538,18 +559,23 @@ def generative_highsnr(
             f"H shape {H.shape}, prior dimension {prior.n_y} and moments dimensions "
             f"({moments.n_x}, {moments.n_y}) are inconsistent"
         )
-    G = gain_direct(H, prior.C_yy, 0.0)
+    G = gain_direct(H, prior.C_yy, 0.0) if gain is None else gain
     return _generative_from_gain(
         G, prior.mu_y, moments.x_bar, moments.y_bar, H, Provenance.GENERATIVE_HIGH_SNR
     )
 
 
-def discriminative_highsnr(H, moments: SampleMoments) -> AffineEstimator:
+def discriminative_highsnr(
+    H, moments: SampleMoments, gain: Optional[np.ndarray] = None
+) -> AffineEstimator:
     """Vanishing-noise limit of the discriminative estimator.
 
     y_bar + C_yy_hat H^T (H C_yy_hat H^T)^{-1} (x - x_bar): the same
     transformation as the generative limit with the true target mean and
-    covariance replaced by their sample counterparts.
+    covariance replaced by their sample counterparts. ``gain`` is
+    ``gain_direct(H, moments.C_yy, 0.0)``, which does not involve the noise,
+    made once by a caller that builds rules for many moments sharing one
+    ``C_yy``; made here when omitted.
     """
     H = _as_float_array(H, "H", ndim=2)
     if H.shape != (moments.n_x, moments.n_y):
@@ -557,6 +583,6 @@ def discriminative_highsnr(H, moments: SampleMoments) -> AffineEstimator:
             f"H shape {H.shape} does not match moments dimensions "
             f"({moments.n_x}, {moments.n_y})"
         )
-    G = gain_direct(H, moments.C_yy, 0.0)
+    G = gain_direct(H, moments.C_yy, 0.0) if gain is None else gain
     b = moments.y_bar - G @ moments.x_bar
     return AffineEstimator(A=G, b=b, provenance=Provenance.DISCRIMINATIVE_HIGH_SNR)

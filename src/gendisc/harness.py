@@ -1,23 +1,31 @@
 """Seeded Monte Carlo engine for MSE-versus-SNR and MSE-versus-sample-size sweeps.
 
 Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``), a
-fresh training set, and fits every requested estimator. The training set is
-drawn as its sample moments (:func:`~gendisc.synth.sample_moments`): from
-their joint Gaussian-Wishart law under the linear map, at a cost that does
-not grow with ``n_t``, and from ``n_t`` drawn pairs under tanh and cubic.
-Each fitted rule is scored by its exact risk under the true data distribution
+fresh training set, and fits every requested estimator at every SNR of the
+grid. The training set is drawn as its sample moments
+(:func:`~gendisc.synth.draw_training`): from their joint Gaussian-Wishart
+law under the linear map, at a cost that does not grow with ``n_t``, and
+from ``n_t`` drawn pairs under tanh and cubic. The draw does not depend on
+the noise level, so the SNR cells of a trial share it (common random
+numbers) and each assembles its moments from it; what else does not depend
+on the noise (the target sample covariance's factor, the vanishing-noise
+gains) is computed once and shared too, its failures and condition warnings
+counted in every cell that uses it. Each fitted rule is scored by its exact
+risk under the true data distribution
 (:func:`~gendisc.estimators.affine_risk`), whatever the measurement map, so
 no test pair is drawn and a cell's standard error covers only the training
 draws and H. The risk rests on the noise-free population moments of the map
 (:func:`~gendisc.estimators.measurement_moments`), computed once per trial,
-or once per sweep when H is frozen. :func:`sweep` runs the cells in grid
-order and each cell's trials in index order, serially. A trial's randomness
-comes from a counter-based child seed of (cell, trial), so results do not
-depend on the order trials run in; construction failures (singular sample
-covariances at small sample counts) are recorded per cell rather than
-aborting the sweep. Memory per cell is one float64 score per trial and
-estimator, plus failure counts grouped by the failing matrix, each with the
-first trial it struck so that it can be replayed with :func:`run_trial`.
+or once per sweep when H is frozen. :func:`sweep` runs the sample-count
+cells in grid order, each cell's trials in index order and each trial at
+every SNR, serially. A trial's randomness comes from a counter-based child
+seed of (sample-count cell, trial), so results do not depend on the order
+trials run in, nor on which other SNRs share the grid; construction failures
+(singular sample covariances at small sample counts) are recorded per cell
+rather than aborting the sweep. Memory is one float64 score per trial,
+estimator and SNR cell, plus failure counts grouped by the failing matrix,
+each with the first trial it struck so that it can be replayed with
+:func:`run_trial`, the one-SNR case of the same code.
 """
 
 from __future__ import annotations
@@ -44,17 +52,24 @@ from .estimators import (
     measurement_moments,
     oracle_lmmse,
     population_moments,
+    target_factor,
 )
-from .moments import SampleMoments, SingularMatrixError, condition_events
+from .moments import (
+    SampleMoments,
+    SingularMatrixError,
+    condition_events,
+    gain_direct,
+    report_condition,
+)
 from .synth import (
     GaussianPrior,
     Linear,
     Nonlinearity,
     Seed,
     TrueModel,
+    draw_training,
     exp_decay_prior,
     random_measurement_matrix,
-    sample_moments,
 )
 
 PRIOR_MODES = ("true_prior", "identity_mismatch")
@@ -73,8 +88,9 @@ _NS_FIXED_H = 1
 
 # Memory budget of a sweep: one trial's float64 training draw, n_t x (N_x + N_y)
 # (drawn as pairs under tanh and cubic), its (N_x + N_y)^2-sized sample and
-# population moment matrices, and a cell's float64 scores, one per trial and
-# estimator. Configs past it are rejected before anything is allocated.
+# population moment matrices, and the float64 scores of every SNR cell, one
+# per trial and estimator, held together because each trial is scored at
+# every SNR. Configs past it are rejected before anything is allocated.
 _BYTE_BUDGET = 2**30
 
 
@@ -126,14 +142,14 @@ class ExperimentConfig:
             problems.append("nt_grid entries must be >= 1")
         elif self.n_x >= 1 and self.n_y >= 1:
             d = self.n_x + self.n_y
-            need = 8 * d * (max(self.nt_grid) + d) + 8 * max(self.mc_trials, 0) * len(
-                self.estimator_set
-            )
+            scores = max(self.mc_trials, 0) * len(self.estimator_set) * len(self.snr_grid)
+            need = 8 * d * (max(self.nt_grid) + d) + 8 * scores
             if need > _BYTE_BUDGET:
                 problems.append(
                     f"a sweep needs about {need:.3g} bytes for a trial's n_t x (n_x + n_y) "
-                    "training draw and (n_x + n_y)^2 moment matrices and a cell's "
-                    f"mc_trials x len(estimator_set) scores, over the {_BYTE_BUDGET:.3g} budget"
+                    "training draw and (n_x + n_y)^2 moment matrices and the "
+                    "mc_trials x len(estimator_set) x len(snr_grid) scores of the SNR cells "
+                    f"scored together, over the {_BYTE_BUDGET:.3g} budget"
                 )
         if len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
             problems.append(
@@ -236,23 +252,88 @@ def compute_mse(errors) -> Optional[tuple[float, float]]:
     return mean, se
 
 
+class _Shared:
+    """Results that several sweep cells compute from the same inputs, made once.
+
+    ``get(slot, inputs, compute)`` returns ``compute()``, or the linear-algebra
+    error it raised, from the last time ``slot`` was computed, if ``inputs``
+    equal that time's bit for bit; otherwise it computes anew. The result is
+    then exactly what the cell would have computed itself, and so is the
+    count: the condition events the computation recorded are recorded again,
+    with their warnings, at each later use, and its error is raised again.
+    A sweep keeps one for its whole run; ``slot`` names what is computed, and
+    ``inputs`` hold every array it reads that can change within the sweep.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, tuple] = {}
+
+    def get(self, slot: str, inputs: tuple, compute: Callable):
+        entry = self._slots.get(slot)
+        if entry is not None and all(
+            a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
+            for a, b in zip(entry[0], inputs)
+        ):
+            _, value, error, events = entry
+            for name, cond in events:
+                report_condition(name, cond)
+        else:
+            value = error = None
+            with condition_events() as events:
+                try:
+                    value = compute()
+                except np.linalg.LinAlgError as exc:
+                    error = exc
+            self._slots[slot] = (inputs, value, error, events)
+        if error is not None:
+            raise error.with_traceback(None)
+        return value
+
+
 @dataclass
 class _TrialInputs:
-    """What a rule builder may read in one trial.
+    """What a rule builder may read in one sweep cell of a trial.
 
-    ``moments`` is ``None`` when no requested rule is trained.
+    ``H`` is the trial's measurement matrix, shared by the models of all its
+    cells. ``moments`` is ``None`` when no requested rule is trained.
     """
 
     prior: GaussianPrior
+    H: np.ndarray
     model: TrueModel
     known: Optional[KnownStatistics]
     moments: Optional[SampleMoments]
     ridge: float
     measurement: MeasurementMoments
+    shared: _Shared
 
     @cached_property
     def population(self):
         return population_moments(self.prior, self.model, self.measurement)
+
+
+def _generative(t: _TrialInputs) -> AffineEstimator:
+    factor = t.shared.get(
+        "target factor", (t.moments.C_yy,), lambda: target_factor(t.moments, t.ridge)
+    )
+    return generative_estimator(fit_ml(t.moments, factor=factor), t.known, t.moments)
+
+
+def _generative_high_snr(t: _TrialInputs) -> AffineEstimator:
+    prior = t.known.prior if t.known else t.prior
+    gain = t.shared.get(
+        "generative high-SNR gain", (t.H, prior.C_yy), lambda: gain_direct(t.H, prior.C_yy, 0.0)
+    )
+    return generative_highsnr(prior, t.H, t.moments, gain=gain)
+
+
+def _discriminative_high_snr(t: _TrialInputs) -> AffineEstimator:
+    gain = t.shared.get(
+        "discriminative high-SNR gain",
+        (t.H, t.moments.C_yy),
+        lambda: gain_direct(t.H, t.moments.C_yy, 0.0),
+    )
+    return discriminative_highsnr(t.H, t.moments, gain=gain)
 
 
 class _Rule(NamedTuple):
@@ -261,9 +342,7 @@ class _Rule(NamedTuple):
 
 
 _RULES = {
-    Provenance.GENERATIVE: _Rule(
-        True, lambda t: generative_estimator(fit_ml(t.moments, ridge=t.ridge), t.known, t.moments)
-    ),
+    Provenance.GENERATIVE: _Rule(True, _generative),
     Provenance.DISCRIMINATIVE: _Rule(
         True, lambda t: discriminative_estimator(t.moments, ridge=t.ridge)
     ),
@@ -274,14 +353,50 @@ _RULES = {
     Provenance.DISCRIMINATIVE_ASYMPTOTE: _Rule(
         False, lambda t: discriminative_asymptote(t.prior, t.population)
     ),
-    Provenance.GENERATIVE_HIGH_SNR: _Rule(
-        True,
-        lambda t: generative_highsnr(t.known.prior if t.known else t.prior, t.model.H, t.moments),
-    ),
-    Provenance.DISCRIMINATIVE_HIGH_SNR: _Rule(
-        True, lambda t: discriminative_highsnr(t.model.H, t.moments)
-    ),
+    Provenance.GENERATIVE_HIGH_SNR: _Rule(True, _generative_high_snr),
+    Provenance.DISCRIMINATIVE_HIGH_SNR: _Rule(True, _discriminative_high_snr),
 }
+
+
+def _score_cells(
+    prior: GaussianPrior,
+    models: list[TrueModel],
+    knowns: list[Optional[KnownStatistics]],
+    n_t: int,
+    estimator_names,
+    seed: Seed,
+    ridge: float,
+    measurement: MeasurementMoments,
+    shared: _Shared,
+) -> list[TrialOutcome]:
+    """One trial's outcome in each of its cells, which differ only in the noise level.
+
+    ``models[k]`` and ``knowns[k]`` are cell k's true model and side
+    information; the models share ``H``, ``mu_w`` and the measurement map.
+    The training randomness is drawn once, from ``seed.child(0)``, and each
+    cell's sample moments are assembled from it at the cell's noise level.
+    """
+    rules = [(name, _RULES[Provenance(name)]) for name in estimator_names]
+    draw = None
+    if any(rule.trained for _, rule in rules):
+        draw = draw_training(prior, models[0], n_t, seed.child(0))
+    H = models[0].H
+    outcomes = []
+    for model, known in zip(models, knowns):
+        errors: dict[str, float] = {}
+        failures: dict[str, str] = {}
+        with condition_events() as events:
+            moments = draw.moments(model.sigma2) if draw is not None else None
+            inputs = _TrialInputs(prior, H, model, known, moments, ridge, measurement, shared)
+            for name, rule in rules:
+                try:
+                    est = rule.build(inputs)
+                except np.linalg.LinAlgError as exc:
+                    failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
+                    continue
+                errors[name] = affine_risk(est, prior, model, measurement)
+        outcomes.append(TrialOutcome(errors=errors, failures=failures, warning_count=len(events)))
+    return outcomes
 
 
 def run_single_trial(
@@ -300,35 +415,22 @@ def run_single_trial(
     when no estimator needs it. A construction failure (singular sample
     covariance) is recorded under the estimator's name; remaining estimators
     still run. The training set's sample moments are drawn from
-    ``seed.child(0)`` by :func:`~gendisc.synth.sample_moments`, the only draw
+    ``seed.child(0)`` by :func:`~gendisc.synth.draw_training`, the only draw
     a trial makes, and only when a requested rule is trained. A rule's error
     is its exact risk under ``prior`` and ``model``, the true data
     distribution, from ``measurement``: the
     :func:`~gendisc.estimators.measurement_moments` of ``model``, computed
-    here when omitted.
+    here when omitted. A sweep scores its trials with the same code, at
+    every noise level of the trial at once.
     """
-    rules = [(name, _RULES[Provenance(name)]) for name in estimator_names]
-    if known is None and any(name == Provenance.GENERATIVE.value for name, _ in rules):
+    names = tuple(estimator_names)
+    if known is None and Provenance.GENERATIVE.value in names:
         raise ValueError("the generative estimator needs KnownStatistics")
     if measurement is None:
         measurement = measurement_moments(prior, model.H, model.nonlinearity)
-    errors: dict[str, float] = {}
-    failures: dict[str, str] = {}
-
-    with condition_events() as events:
-        moments = None
-        if any(rule.trained for _, rule in rules):
-            moments = sample_moments(prior, model, n_t, seed.child(0))
-        inputs = _TrialInputs(prior, model, known, moments, ridge, measurement)
-        for name, rule in rules:
-            try:
-                est = rule.build(inputs)
-            except np.linalg.LinAlgError as exc:
-                failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
-                continue
-            errors[name] = affine_risk(est, prior, model, measurement)
-
-    return TrialOutcome(errors=errors, failures=failures, warning_count=len(events))
+    return _score_cells(
+        prior, [model], [known], n_t, names, seed, ridge, measurement, _Shared()
+    )[0]
 
 
 def sweep_constants(cfg: ExperimentConfig) -> tuple:
@@ -351,90 +453,127 @@ def sweep_constants(cfg: ExperimentConfig) -> tuple:
     return prior, known_prior, fixed_H, fixed_moments
 
 
+def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
+    """The swept grid's name (``"snr"`` or ``"nt"``) and its cells, in grid order.
+
+    ``nt_grid`` is swept at the single SNR when it has several entries,
+    otherwise ``snr_grid`` at the single sample count.
+    """
+    if len(cfg.nt_grid) > 1:
+        snr = cfg.snr_grid[0]
+        return "nt", [SweepPoint(index=i, snr=snr, n_t=n) for i, n in enumerate(cfg.nt_grid)]
+    n_t = cfg.nt_grid[0]
+    return "snr", [SweepPoint(index=i, snr=s, n_t=n_t) for i, s in enumerate(cfg.snr_grid)]
+
+
+def _run_trial_cells(
+    cfg: ExperimentConfig,
+    nt_index: int,
+    n_t: int,
+    trial_index: int,
+    snrs,
+    constants: tuple,
+    shared: _Shared,
+) -> list[TrialOutcome]:
+    """Trial ``trial_index`` of sample-count cell ``nt_index``, at each SNR in ``snrs``."""
+    prior, known_prior, H, measurement = constants
+    trial_seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
+    if H is None:
+        H = random_measurement_matrix(cfg.n_x, cfg.n_y, trial_seed.child(2))
+        measurement = measurement_moments(prior, H, cfg.nonlinearity)
+    mu_w = np.zeros(cfg.n_x)
+    models = [TrueModel(H, mu_w, 1.0 / snr, cfg.nonlinearity) for snr in snrs]
+    knowns = [KnownStatistics(prior=known_prior, sigma2=model.sigma2) for model in models]
+    return _score_cells(
+        prior, models, knowns, n_t, cfg.estimator_set, trial_seed, cfg.ridge, measurement, shared
+    )
+
+
 def run_trial(
     cfg: ExperimentConfig, point: SweepPoint, trial_index: int, constants: Optional[tuple] = None
 ) -> TrialOutcome:
     """Run one Monte Carlo trial at the given sweep cell.
 
-    Deterministic in (cfg, point, trial_index): the trial's randomness comes
-    from the child stream (master, 0, cell index, trial index), with the
-    frozen measurement matrix (when ``h_mode == "fixed_once"``) drawn once
-    from (master, 1). ``constants`` is ``sweep_constants(cfg)``, built here
-    when omitted.
+    Deterministic in (cfg, point, trial_index), and bitwise equal to the
+    outcome :func:`sweep` scored for that cell and trial. The trial's
+    randomness comes from the child stream (master, 0, sample-count cell
+    index, trial index), the sample-count cell index being ``point.index``
+    in a sweep of ``nt_grid`` and 0 in a sweep of ``snr_grid``: every SNR
+    cell shares the trial's draws. The frozen measurement matrix (when
+    ``h_mode == "fixed_once"``) is drawn once from (master, 1).
+    ``constants`` is ``sweep_constants(cfg)``, built here when omitted.
     """
-    prior, known_prior, H, measurement = constants or sweep_constants(cfg)
-    trial_seed = cfg.seed.child(_NS_TRIAL, point.index, trial_index)
-    if H is None:
-        H = random_measurement_matrix(cfg.n_x, cfg.n_y, trial_seed.child(2))
-    model = TrueModel(
-        H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity
-    )
-    known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
-    return run_single_trial(
-        prior, model, known, point.n_t, cfg.estimator_set, trial_seed, cfg.ridge, measurement
-    )
+    sweep_name, _ = sweep_points(cfg)
+    nt_index = point.index if sweep_name == "nt" else 0
+    return _run_trial_cells(
+        cfg, nt_index, point.n_t, trial_index, [point.snr],
+        constants or sweep_constants(cfg), _Shared(),
+    )[0]
 
 
 def sweep(cfg: ExperimentConfig) -> MseReport:
     """MSE of every requested estimator across the config's swept grid.
 
     ``nt_grid`` is swept at the single SNR when it has several entries,
-    otherwise ``snr_grid`` at the single sample count. Raises ``ValueError``
-    listing every violation when the config is not runnable.
+    otherwise ``snr_grid`` at the single sample count. Each trial of a
+    sample-count cell is drawn once and scored at every SNR, so the SNR
+    cells of a trial share its H and training randomness. Raises
+    ``ValueError`` listing every violation when the config is not runnable.
     """
     cfg.validate()
-    if len(cfg.nt_grid) > 1:
-        sweep_name, values = "nt", cfg.nt_grid
-        points = [SweepPoint(index=i, snr=cfg.snr_grid[0], n_t=n) for i, n in enumerate(values)]
-    else:
-        sweep_name, values = "snr", cfg.snr_grid
-        points = [SweepPoint(index=i, snr=s, n_t=cfg.nt_grid[0]) for i, s in enumerate(values)]
+    sweep_name, points = sweep_points(cfg)
     constants = sweep_constants(cfg)
+    shared = _Shared()
+    names = cfg.estimator_set
+    n_snr = len(cfg.snr_grid)
+    # Scores stream into one preallocated row per SNR cell and estimator, in trial order.
+    scores = np.empty((n_snr, len(names), cfg.mc_trials))
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
-    for value, point in zip(values, points):
-        names = cfg.estimator_set
-        # Scores stream into one preallocated row per estimator, in trial order.
-        scores = np.empty((len(names), cfg.mc_trials))
-        n_ok = [0] * len(names)
-        reasons: dict[str, dict[str, dict]] = {}
-        warning_count = 0
+    for j, n_t in enumerate(cfg.nt_grid):
+        n_ok = [[0] * len(names) for _ in range(n_snr)]
+        reasons: list[dict[str, dict[str, dict]]] = [{} for _ in range(n_snr)]
+        warning_counts = [0] * n_snr
         for trial in range(cfg.mc_trials):
-            out = run_trial(cfg, point, trial, constants)
-            warning_count += out.warning_count
-            for k, name in enumerate(names):
-                if name in out.errors:
-                    scores[k, n_ok[k]] = out.errors[name]
-                    n_ok[k] += 1
-                else:
-                    reason = reasons.setdefault(name, {}).setdefault(
-                        out.failures[name], {"count": 0, "first_trial": trial}
+            outs = _run_trial_cells(cfg, j, n_t, trial, cfg.snr_grid, constants, shared)
+            for k, out in enumerate(outs):
+                warning_counts[k] += out.warning_count
+                for e, name in enumerate(names):
+                    if name in out.errors:
+                        scores[k, e, n_ok[k][e]] = out.errors[name]
+                        n_ok[k][e] += 1
+                    else:
+                        reason = reasons[k].setdefault(name, {}).setdefault(
+                            out.failures[name], {"count": 0, "first_trial": trial}
+                        )
+                        reason["count"] += 1
+        for k in range(n_snr):
+            point = points[j + k]  # one of the grids has a single entry, so j or k is 0
+            value = point.n_t if sweep_name == "nt" else point.snr
+            for e, name in enumerate(names):
+                stat = compute_mse(scores[k, e, : n_ok[k][e]])
+                mean, se = stat if stat is not None else (None, None)
+                rows.append(
+                    MseRow(
+                        sweep_name=sweep_name,
+                        sweep_value=value,
+                        estimator=name,
+                        mean_mse=mean,
+                        std_err=se,
+                        trials_ok=n_ok[k][e],
+                        trials_failed=cfg.mc_trials - n_ok[k][e],
                     )
-                    reason["count"] += 1
-        for k, name in enumerate(names):
-            stat = compute_mse(scores[k, : n_ok[k]])
-            mean, se = stat if stat is not None else (None, None)
-            rows.append(
-                MseRow(
-                    sweep_name=sweep_name,
-                    sweep_value=value,
-                    estimator=name,
-                    mean_mse=mean,
-                    std_err=se,
-                    trials_ok=n_ok[k],
-                    trials_failed=cfg.mc_trials - n_ok[k],
                 )
+            cells_meta.append(
+                {
+                    "sweep_value": value,
+                    "condition_warnings": warning_counts[k],
+                    "failures": {
+                        name: cfg.mc_trials - n_ok[k][e]
+                        for e, name in enumerate(names)
+                        if n_ok[k][e] < cfg.mc_trials
+                    },
+                    "failure_reasons": reasons[k],
+                }
             )
-        cells_meta.append(
-            {
-                "sweep_value": value,
-                "condition_warnings": warning_count,
-                "failures": {
-                    name: cfg.mc_trials - n_ok[k]
-                    for k, name in enumerate(names)
-                    if n_ok[k] < cfg.mc_trials
-                },
-                "failure_reasons": reasons,
-            }
-        )
     return MseReport(rows=tuple(rows), metadata={"sweep": sweep_name, "cells": cells_meta})

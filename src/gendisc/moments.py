@@ -1,15 +1,16 @@
 """Sample moments and numerically safe symmetric-positive-definite linear algebra.
 
 Every matrix inverse in the estimator formulas is routed through
-:func:`spd_solve`, which factorizes via Cholesky, screens the condition
-number from the factor, and fails loudly (no silent pseudo-inverses) when
-the matrix is not positive definite after optional ridge regularization.
+:func:`spd_factor` (or :func:`spd_solve`, which factors and solves once),
+which factorizes via Cholesky, screens the condition number from the factor,
+and fails loudly (no silent pseudo-inverses) when the matrix is not positive
+definite after optional ridge regularization. A factor can be kept and
+solved against many right-hand sides.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -67,20 +68,45 @@ class IllConditionedWarning(UserWarning):
 _condition_sink: ContextVar[list | None] = ContextVar("gendisc_condition_sink", default=None)
 
 
-@contextmanager
-def condition_events():
+class condition_events:
     """Collect (name, condition estimate) pairs for ill-conditioned solves.
 
-    Events are recorded for every :func:`spd_solve` call in the enclosing
-    context whose condition estimate exceeds ``CONDITION_WARN_THRESHOLD``;
-    the matching :class:`IllConditionedWarning` is still emitted.
+    ``with condition_events() as events:`` records in the list ``events``
+    every :func:`spd_factor` call in the block whose condition estimate
+    exceeds ``CONDITION_WARN_THRESHOLD``; the matching
+    :class:`IllConditionedWarning` is still emitted. A nested block's events
+    are also added to the enclosing block's list when it exits.
     """
-    sink: list[tuple[str, float]] = []
-    token = _condition_sink.set(sink)
-    try:
-        yield sink
-    finally:
-        _condition_sink.reset(token)
+
+    def __enter__(self) -> list[tuple[str, float]]:
+        self._events: list[tuple[str, float]] = []
+        self._token = _condition_sink.set(self._events)
+        return self._events
+
+    def __exit__(self, *exc_info) -> None:
+        _condition_sink.reset(self._token)
+        outer = _condition_sink.get()
+        if outer is not None:
+            outer.extend(self._events)
+
+
+def report_condition(name: str, cond: float) -> None:
+    """Record an ill-conditioning event and emit its :class:`IllConditionedWarning`.
+
+    :func:`spd_factor` calls it for a matrix whose spectral condition
+    estimate ``cond`` exceeds ``CONDITION_WARN_THRESHOLD``; a caller that
+    reuses a factor, or a result solved with one, calls it again for each
+    use that should count as a solve of its own.
+    """
+    sink = _condition_sink.get()
+    if sink is not None:
+        sink.append((name, cond))
+    warnings.warn(
+        f"{name} condition estimate {cond:.3e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
+        "results may be inaccurate",
+        IllConditionedWarning,
+        stacklevel=3,
+    )
 
 
 def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
@@ -247,49 +273,64 @@ def condition_estimate(M: np.ndarray) -> float:
     return float(hi / lo)
 
 
-def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
-    """Solve ``(M + ridge*I) X = B`` for symmetric positive definite ``M``.
+class SpdFactor:
+    """Lower Cholesky factor of a symmetric positive definite ``M + ridge*I``.
 
-    Uses a Cholesky factorization; the input is symmetrized after a
-    relative-asymmetry guard of 1e-10. The condition of ``M + ridge*I`` is
+    Made by :func:`spd_factor`, which has already screened the matrix;
+    :meth:`solve` is one LAPACK ``dpotrs`` per call.
+    """
+
+    def __init__(self, lower: np.ndarray, name: str):
+        self.lower = lower
+        self.name = name
+
+    def solve(self, B) -> np.ndarray:
+        """Solve ``(M + ridge*I) X = B``; ``B`` is ``(n,)`` or ``(n, k)``, as is the result."""
+        B = _as_float_array(B, "right-hand side")
+        n = self.lower.shape[0]
+        if B.ndim not in (1, 2) or B.shape[0] != n:
+            raise ValueError(
+                f"right-hand side shape {B.shape} does not match {self.name} of shape {(n, n)}"
+            )
+        return dpotrs(self.lower, B, lower=1)[0]
+
+
+def spd_factor(M, ridge: float = 0.0, name: str = "matrix") -> SpdFactor:
+    """Cholesky factor of ``M + ridge*I`` for symmetric positive definite ``M``.
+
+    A matrix equal to its transpose bit for bit (every ``F @ F.T`` product)
+    is factored as given; any other is checked against a relative-asymmetry
+    guard of 1e-10 and symmetrized. The condition of ``M + ridge*I`` is
     screened with the LAPACK 1-norm estimate from the factor, and the exact
     spectral :func:`condition_estimate` is computed only when the screen
     cannot rule out ``CONDITION_WARN_THRESHOLD``. Spectral values above the
-    threshold emit an :class:`IllConditionedWarning`. A failed
-    factorization, or one whose 1-norm estimate marks the matrix singular to
-    working precision (reciprocal condition below machine epsilon), raises
-    :class:`SingularMatrixError` carrying the spectral estimate.
+    threshold emit an :class:`IllConditionedWarning` (see
+    :func:`report_condition`). A failed factorization, or one whose 1-norm
+    estimate marks the matrix singular to working precision (reciprocal
+    condition below machine epsilon), raises :class:`SingularMatrixError`
+    carrying the spectral estimate. Every check runs once per factor,
+    however many right-hand sides it then solves.
 
     Parameters
     ----------
     M : (n, n) array_like
         Symmetric matrix.
-    B : (n,) or (n, k) array_like
-        Right-hand side.
     ridge : float, optional
         Finite, nonnegative diagonal loading added before factorization.
     name : str, optional
         Name used in error and warning messages.
-
-    Returns
-    -------
-    ndarray
-        Solution with the same shape as ``B``.
     """
     M = _as_float_array(M, name, ndim=2)
-    B = _as_float_array(B, "right-hand side")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if B.ndim not in (1, 2) or B.shape[0] != M.shape[0]:
-        raise ValueError(
-            f"right-hand side shape {B.shape} does not match {name} of shape {M.shape}"
-        )
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
-    if _symmetry_defect(M) > _SYMMETRY_RTOL:
+    if M.tobytes() == M.T.tobytes():
+        A = M
+    elif _symmetry_defect(M) > _SYMMETRY_RTOL:
         raise ValueError(f"{name} is not symmetric (relative asymmetry exceeds {_SYMMETRY_RTOL:g})")
-
-    A = 0.5 * (M + M.T)
+    else:
+        A = 0.5 * (M + M.T)
     if ridge:
         A = A + ridge * np.eye(A.shape[0])
 
@@ -307,16 +348,18 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
     if not (info == 0 and rcond * CONDITION_WARN_THRESHOLD > _SCREEN_MARGIN):
         cond = condition_estimate(A)
         if cond > CONDITION_WARN_THRESHOLD:
-            sink = _condition_sink.get()
-            if sink is not None:
-                sink.append((name, cond))
-            warnings.warn(
-                f"{name} condition estimate {cond:.3e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
-                "results may be inaccurate",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
-    return dpotrs(factor, B, lower=1)[0]
+            report_condition(name, cond)
+    return SpdFactor(factor, name)
+
+
+def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
+    """Solve ``(M + ridge*I) X = B`` for symmetric positive definite ``M``.
+
+    ``spd_factor(M, ridge, name).solve(B)``: see :func:`spd_factor` for the
+    checks, warnings and errors. ``B`` is ``(n,)`` or ``(n, k)``, and the
+    solution has the same shape.
+    """
+    return spd_factor(M, ridge, name).solve(B)
 
 
 def woodbury_invert(H, C, sigma2: float, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ disjoint child indices to its work items reproduces draws bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .moments import (
     _as_float_array,
     _frozen,
     _symmetry_defect,
-    compute_moments,
 )
 
 _MASTER_MAX = 2**64
@@ -203,12 +202,8 @@ def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> 
     normal, so datasets drawn under the same seed but different sigma2 share
     the same underlying randomness (the noise is merely rescaled).
     """
-    _check_draw(prior, model, n)
-    rng = seed.generator()
-    ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
-    noise = rng.standard_normal((n, model.n_x))
-    xs = model.nonlinearity.apply(ys @ model.H.T) + model.mu_w + np.sqrt(model.sigma2) * noise
-    return Dataset(xs=xs, ys=ys)
+    draw = _PairDraw(prior, model, n, seed)
+    return Dataset(xs=draw.xs(model.sigma2), ys=draw.ys)
 
 
 def _standard_scatter_root(rng: np.random.Generator, dof: int, d: int) -> np.ndarray:
@@ -235,44 +230,126 @@ def _strict_lower(d: int) -> np.ndarray:
     return idx
 
 
+def _check_sigma2(sigma2: float) -> None:
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+
+
+class _PairDraw:
+    """``n`` pairs of :func:`sample_pairs` with the noise left unscaled.
+
+    From ``seed.generator()`` come, in this order, the standard normals of
+    the targets ``ys`` and of the noise. ``x = (g(H y) + mu_w) + sqrt(sigma2)
+    * noise`` for any ``sigma2``; the target moments are computed once, on
+    first use.
+    """
+
+    def __init__(self, prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
+        _check_draw(prior, model, n)
+        rng = seed.generator()
+        self.ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
+        self.noise = rng.standard_normal((n, model.n_x))
+        self.signal = model.nonlinearity.apply(self.ys @ model.H.T) + model.mu_w
+
+    @cached_property
+    def _targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The target mean, the centred targets and their 1/n scatter."""
+        y_bar = self.ys.mean(axis=0)
+        yc = self.ys - y_bar
+        return y_bar, yc, yc.T @ yc / self.ys.shape[0]
+
+    def xs(self, sigma2: float) -> np.ndarray:
+        _check_sigma2(sigma2)
+        return self.signal + np.sqrt(sigma2) * self.noise
+
+    def moments(self, sigma2: float) -> SampleMoments:
+        """``compute_moments(Dataset(xs=self.xs(sigma2), ys=self.ys))``, bit for bit."""
+        y_bar, yc, C_yy = self._targets
+        xs = self.xs(sigma2)
+        n = xs.shape[0]
+        x_bar = xs.mean(axis=0)
+        xc = xs - x_bar
+        return SampleMoments(
+            x_bar=x_bar,
+            y_bar=y_bar,
+            C_yx=yc.T @ xc / n,
+            C_yy=C_yy,
+            C_xx=xc.T @ xc / n,
+            n_t=n,
+        )
+
+
+class _MomentDraw:
+    """The noise-free part of a linear-model training set's moments, drawn from their law.
+
+    From ``seed.generator()`` come, in this order, the standard-normal mean
+    ``z ~ N(0, I_d)`` with ``d = N_y + N_x`` (target coordinates first, then
+    noise) and the scatter root ``G`` of :func:`_standard_scatter_root` with
+    ``n - 1`` degrees of freedom. What does not involve the noise level is
+    computed here: ``F_y = L_yy G[:N_y]``, ``H F_y``,
+    ``y_bar = mu_y + L_yy z_y / sqrt(n)`` and ``H y_bar + mu_w``.
+    """
+
+    def __init__(self, prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
+        _check_draw(prior, model, n)
+        self.n, self.n_y = n, prior.n_y
+        rng = seed.generator()
+        self.z = rng.standard_normal(prior.n_y + model.n_x)
+        self.G = _standard_scatter_root(rng, n - 1, prior.n_y + model.n_x)
+        self.F_y = prior.L_yy @ self.G[: self.n_y]
+        self.HF_y = model.H @ self.F_y
+        self.y_bar = prior.mu_y + prior.L_yy @ self.z[: self.n_y] / np.sqrt(n)
+        self.signal_bar = model.H @ self.y_bar + model.mu_w
+
+    def moments(self, sigma2: float) -> SampleMoments:
+        """``F_x = H F_y + sigma G[N_y:]``, ``C = F F^T / n`` for ``F = [F_y; F_x]``
+        split into its blocks, and ``x_bar = (H y_bar + mu_w) + sigma z_w / sqrt(n)``."""
+        _check_sigma2(sigma2)
+        n, n_y = self.n, self.n_y
+        sigma = np.sqrt(sigma2)
+        F = np.empty(self.G.shape)
+        F[:n_y] = self.F_y
+        F[n_y:] = self.HF_y + sigma * self.G[n_y:]
+        C = F @ F.T / n
+        return SampleMoments(
+            x_bar=self.signal_bar + sigma * self.z[n_y:] / np.sqrt(n),
+            y_bar=self.y_bar,
+            C_yx=C[:n_y, n_y:],
+            C_yy=C[:n_y, :n_y],
+            C_xx=C[n_y:, n_y:],
+            n_t=n,
+        )
+
+
+def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
+    """The randomness of a training set of ``n`` pairs, free of the noise level.
+
+    Its ``moments(sigma2)`` method gives the sample moments of the set at
+    noise variance ``sigma2``, with ``H``, ``mu_w`` and the measurement map
+    taken from ``model`` (whose own ``sigma2`` is not read). The draws do
+    not depend on ``sigma2``: sets at several noise levels share them and
+    differ only in how far the noise is scaled. Under a :class:`Linear` map
+    the moments are drawn from their joint law and no pair is materialized;
+    under tanh and cubic maps the ``n`` pairs of :func:`sample_pairs` are
+    drawn and reduced as by :func:`~gendisc.moments.compute_moments`.
+    """
+    if isinstance(model.nonlinearity, Linear):
+        return _MomentDraw(prior, model, n, seed)
+    return _PairDraw(prior, model, n, seed)
+
+
 def sample_moments(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> SampleMoments:
     """The sample moments of ``n`` i.i.d. (x, y) pairs drawn as by :func:`sample_pairs`.
 
-    Under a :class:`Linear` map they are drawn from their joint law, with no
-    pair materialized. From ``seed.generator()`` come, in this order, the
-    standard-normal mean ``z ~ N(0, I_d)`` with ``d = N_y + N_x`` (target
-    coordinates first, then noise) and the scatter root ``G`` of
-    :func:`_standard_scatter_root` with ``n - 1`` degrees of freedom. Both
-    pass through the map of :func:`sample_pairs`: ``F_y = L_yy G[:N_y]``,
-    ``F_x = H F_y + sigma G[N_y:]``, ``C_** = F_* F_*^T / n`` (the blocks of
-    one product ``F F^T / n`` with ``F = [F_y; F_x]``),
-    ``y_bar = mu_y + L_yy z_y / sqrt(n)`` and
-    ``x_bar = H y_bar + mu_w + sigma z_w / sqrt(n)``. The cost is O(d^3)
-    whatever ``n`` is. Under tanh and cubic maps this is
-    ``compute_moments(sample_pairs(prior, model, n, seed))``.
+    ``draw_training(prior, model, n, seed).moments(model.sigma2)``. Under a
+    :class:`Linear` map they are drawn from their joint law, with no pair
+    materialized: the mean from ``N(0, I_d)`` and the scatter from
+    ``Wishart(n - 1, I_d)``, ``d = N_y + N_x``, both mapped through
+    ``[[L_yy, 0], [H L_yy, sigma I]]`` (see :class:`_MomentDraw`). The cost is
+    O(d^3) whatever ``n`` is. Under tanh and cubic maps this is
+    ``compute_moments(sample_pairs(prior, model, n, seed))``, bit for bit.
     """
-    if not isinstance(model.nonlinearity, Linear):
-        return compute_moments(sample_pairs(prior, model, n, seed))
-    _check_draw(prior, model, n)
-    n_y = prior.n_y
-    sigma = np.sqrt(model.sigma2)
-    rng = seed.generator()
-    z = rng.standard_normal(n_y + model.n_x)
-    G = _standard_scatter_root(rng, n - 1, n_y + model.n_x)
-    F = np.empty(G.shape)  # [F_y; F_x]
-    F[:n_y] = prior.L_yy @ G[:n_y]
-    F[n_y:] = model.H @ F[:n_y] + sigma * G[n_y:]
-    C = F @ F.T / n
-    y_bar = prior.mu_y + prior.L_yy @ z[:n_y] / np.sqrt(n)
-    x_bar = model.H @ y_bar + model.mu_w + sigma * z[n_y:] / np.sqrt(n)
-    return SampleMoments(
-        x_bar=x_bar,
-        y_bar=y_bar,
-        C_yx=C[:n_y, n_y:],
-        C_yy=C[:n_y, :n_y],
-        C_xx=C[n_y:, n_y:],
-        n_t=n,
-    )
+    return draw_training(prior, model, n, seed).moments(model.sigma2)
 
 
 def exp_decay_prior(n_y: int, length_scale: float = 5.0) -> GaussianPrior:

@@ -15,7 +15,7 @@ from gendisc.fileio import (
     read_results_csv,
     write_dataset_csv,
 )
-from gendisc.harness import ExperimentConfig
+from gendisc.harness import ExperimentConfig, compute_mse
 from gendisc.moments import Dataset
 
 TINY_CONFIG = {
@@ -120,6 +120,8 @@ class TestValidateCommand:
             ({"nt_grid": [10**12]}, "budget"),
             ({"n_x": 10**8}, "budget"),
             ({"mc_trials": 10**8}, "budget"),
+            # 0.72 GB of scores per SNR cell fits the 1 GiB budget; two cells held together do not.
+            ({"mc_trials": 30_000_000, "snr_grid": [1.0, 10.0]}, "budget"),
         ],
     )
     def test_validate_and_run_agree_on_unrunnable_config(self, tmp_path, capsys, override, message):
@@ -285,6 +287,63 @@ class TestRunCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out_dir / "mse_curves.png").stat().st_size > 0
+
+
+class TestReplayCommand:
+    def test_replayed_trials_give_the_sweep_rows_and_failure_reasons(self, tmp_path, capsys):
+        # At n_t = 5 the 5 x 5 target sample covariance has rank 4, so the
+        # generative rule fails in every trial of every cell.
+        config = dict(TINY_CONFIG, snr_grid=[0.5, 5.0, 50.0], nt_grid=[5], mc_trials=4)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        rows = read_results_csv(out_dir / "results.csv")
+        cells = json.loads((out_dir / "manifest.json").read_text())["cells"]
+        assert cells[0]["failures"] == {"generative": 4}
+
+        for i, cell in enumerate(cells):
+            replays = []
+            for k in range(4):
+                assert main(["replay", cfg_path, "--cell", str(i), "--trial", str(k)]) == 0
+                replays.append(json.loads(capsys.readouterr().out))
+            assert {(r["sweep"], r["cell"], r["sweep_value"]) for r in replays} == {
+                ("snr", i, cell["sweep_value"])
+            }
+            assert [r["trial"] for r in replays] == [0, 1, 2, 3]
+            reasons: dict = {}
+            for k, r in enumerate(replays):
+                for name, reason in r["failures"].items():
+                    entry = reasons.setdefault(name, {}).setdefault(
+                        reason, {"count": 0, "first_trial": k}
+                    )
+                    entry["count"] += 1
+            assert reasons == cell["failure_reasons"]
+            assert sum(r["condition_warnings"] for r in replays) == cell["condition_warnings"]
+            cell_rows = [row for row in rows if float(row["sweep_value"]) == cell["sweep_value"]]
+            assert [row["estimator"] for row in cell_rows] == [
+                "generative", "discriminative", "oracle_lmmse"
+            ]
+            for row in cell_rows:
+                name = row["estimator"]
+                errs = [r["errors"][name] for r in replays if name in r["errors"]]
+                stat = compute_mse(errs)
+                assert int(row["trials_ok"]) == len(errs)
+                assert (row["mean_mse"], row["std_err"]) == (
+                    ("", "") if stat is None else (repr(stat[0]), repr(stat[1]))
+                )
+
+    def test_out_of_range_cell_or_trial_is_usage_error(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        assert main(["replay", cfg_path, "--cell", "2", "--trial", "0"]) == 2
+        assert "--cell" in capsys.readouterr().err
+        assert main(["replay", cfg_path, "--cell", "0", "--trial", "15"]) == 2
+        assert "--trial" in capsys.readouterr().err
+
+    def test_invalid_config_is_rejected_as_by_run(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, mc_trials=0)))
+        assert main(["replay", cfg_path, "--cell", "0", "--trial", "0"]) == 1
+        assert "mc_trials must be >= 1" in capsys.readouterr().err
 
 
 class TestEstimateCommand:

@@ -1,4 +1,4 @@
-"""Golden anchor: SHA-256 of results.csv for four tiny deterministic sweeps.
+"""Golden anchor: SHA-256 of results.csv for five tiny deterministic sweeps.
 
 A change that alters any output bit changes one of these hashes. Such a
 change must be deliberate and logged in CHANGES.md together with the new
@@ -21,6 +21,10 @@ LINEAR_CONFIG = {
     "mc_trials": 20,
     "seed": 1729,
 }
+
+# The first cell of LINEAR_CONFIG swept alone. Its rows do not depend on
+# the other SNRs of a grid, which share each trial's draws.
+LINEAR_ONE_SNR_CONFIG = dict(LINEAR_CONFIG, snr_grid=[0.1])
 
 # The misspecified path: mismatched side information, tanh measurements, one
 # frozen H, and the vanishing-noise estimators.
@@ -64,15 +68,19 @@ NT_CONFIG = {
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
-        "e4c9c97fae15c58bc05ef076a7bab3ab17348c34978c9fc804c612d505613a9e",
+        "16fb3b409bf6eabdc77dfe824e8c28e4b3f5357ce204bf4ea11ec0042e7bc08d",
+    ),
+    "linear_one_snr": (
+        LINEAR_ONE_SNR_CONFIG,
+        "16ebb6628e53c317ec640441435421eb90309b0ee45e99d0b6a43287714ea073",
     ),
     "misspec": (
         MISSPEC_CONFIG,
-        "4010ef3bf94d18ae415d9e8fae5e3f5acdb6f98e3ed8cbbe9c8ddd1aad042ba4",
+        "b3f914dcce3f2700d66fa2a311d3386edd1c54036a87ec377d092805c2917cf7",
     ),
     "cubic": (
         CUBIC_CONFIG,
-        "b79864ebe36305e6685cce6cf12b9ab083c53c83ff36e5f3cfd4f95782a1034b",
+        "f2e22d9b589a8bf2996b81177deea858559d3b862284e896966084ad195a6e8c",
     ),
     "nt": (
         NT_CONFIG,
@@ -81,15 +89,37 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_results_csv_hash(name, tmp_path):
-    config, expected = GOLDEN[name]
+def _results_csv(config, tmp_path) -> bytes:
+    tmp_path.mkdir(parents=True, exist_ok=True)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
-    digest = hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
+    return (out_dir / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_results_csv_hash(name, tmp_path):
+    config, expected = GOLDEN[name]
+    digest = hashlib.sha256(_results_csv(config, tmp_path)).hexdigest()
     assert digest == expected
+
+
+def test_snr_rows_do_not_depend_on_the_grid_around_them(tmp_path):
+    # Every SNR cell of a trial is scored on the same draws, so an SNR's rows
+    # are the same bytes whether it is swept alone, in a grid, or in a
+    # reversed grid.
+    grid = LINEAR_CONFIG["snr_grid"]
+    grids = [grid, grid[::-1]] + [[snr] for snr in grid]
+    rows_by_snr: dict[str, set] = {}
+    for i, snr_grid in enumerate(grids):
+        csv = _results_csv(dict(LINEAR_CONFIG, snr_grid=snr_grid), tmp_path / str(i))
+        header, *lines = csv.decode().splitlines()
+        for line in lines:
+            rows_by_snr.setdefault(line.split(",")[1], set()).add(line)
+    assert len(rows_by_snr) == len(grid)
+    # Each SNR has one row per estimator, identical across the five sweeps.
+    assert all(len(rows) == 3 for rows in rows_by_snr.values())
 
 
 def test_nt_small_cell_failure_reasons(tmp_path):

@@ -20,6 +20,13 @@ from gendisc.harness import (
     run_single_trial,
     run_trial,
     sweep,
+    sweep_points,
+)
+from gendisc.moments import (
+    IllConditionedWarning,
+    SingularMatrixError,
+    condition_events,
+    spd_factor,
 )
 from gendisc.synth import (
     Cubic,
@@ -27,6 +34,7 @@ from gendisc.synth import (
     Seed,
     Tanh,
     TrueModel,
+    draw_training,
     exp_decay_prior,
     random_measurement_matrix,
     sample_moments,
@@ -126,14 +134,14 @@ class TestRunSingleTrial:
 class TestScoring:
     @staticmethod
     def _count_draws(monkeypatch):
-        """Record the seed of every ``sample_moments`` call the harness makes."""
+        """Record the seed of every ``draw_training`` call the harness makes."""
         seeds = []
 
         def counting(prior, model, n, seed):
             seeds.append(seed)
-            return sample_moments(prior, model, n, seed)
+            return draw_training(prior, model, n, seed)
 
-        monkeypatch.setattr(harness, "sample_moments", counting)
+        monkeypatch.setattr(harness, "draw_training", counting)
         return seeds
 
     @staticmethod
@@ -393,6 +401,113 @@ class TestSweeps:
         assert all(row.trials_ok == 10 for row in report.rows)
 
 
+# Configs whose cells record failures and condition warnings, some of them in
+# results shared by the SNR cells of a trial or by the whole sweep.
+SHARED_RESULT_CONFIGS = {
+    # N_x > N_y: both high-SNR gains are singular (the generative one is
+    # shared by the whole sweep under a frozen H); the finite-SNR rules warn
+    # at high SNR, and the input sample covariance fails at the highest.
+    "singular high-SNR gains": dict(
+        n_x=6, n_y=3, snr_grid=(1.0, 1e10, 1e12, 3e13), nt_grid=(12,), mc_trials=5,
+        seed=Seed(11), h_mode="fixed_once", estimator_set=tuple(p.value for p in Provenance),
+    ),
+    # n_t - 1 < N_y: a tiny ridge leaves the target sample covariance
+    # factorizable but ill-conditioned, so its shared factor warns in each cell.
+    "ill-conditioned target factor": dict(
+        n_x=3, n_y=5, snr_grid=(0.5, 5.0, 50.0), nt_grid=(4,), mc_trials=4, seed=Seed(12),
+        ridge=1e-13, estimator_set=("generative", "discriminative", "discriminative_high_snr"),
+    ),
+}
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("name", sorted(SHARED_RESULT_CONFIGS))
+    def test_each_cell_equals_its_replayed_trials(self, name):
+        # Every (cell, trial) that the sweep scored together with the other
+        # SNR cells is scored bit for bit alike by run_trial, alone; so are
+        # the per-cell failure and condition-warning counts.
+        cfg = ExperimentConfig(**SHARED_RESULT_CONFIGS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = sweep(cfg)
+            _, points = sweep_points(cfg)
+            outcomes = [[run_trial(cfg, p, t) for t in range(cfg.mc_trials)] for p in points]
+        cells = report.metadata["cells"]
+        assert all(c["condition_warnings"] > 0 for c in cells[1:])
+        assert all(c["failures"] for c in cells) == name.startswith("singular")
+        names = cfg.estimator_set
+        for i, (cell, outs) in enumerate(zip(cells, outcomes)):
+            assert cell["condition_warnings"] == sum(o.warning_count for o in outs)
+            reasons: dict = {}
+            for t, out in enumerate(outs):
+                for est, reason in out.failures.items():
+                    entry = reasons.setdefault(est, {}).setdefault(
+                        reason, {"count": 0, "first_trial": t}
+                    )
+                    entry["count"] += 1
+            assert cell["failure_reasons"] == reasons
+            assert cell["failures"] == {
+                est: sum(r["count"] for r in by.values()) for est, by in reasons.items()
+            }
+            for row in report.rows[i * len(names) : (i + 1) * len(names)]:
+                errs = [o.errors[row.estimator] for o in outs if row.estimator in o.errors]
+                stat = compute_mse(errs)
+                assert (row.mean_mse, row.std_err) == (stat if stat else (None, None))
+                assert row.trials_ok == len(errs)
+
+    def test_sigma_free_results_are_computed_once(self, monkeypatch):
+        # One draw, one target factor and one high-SNR discriminative gain per
+        # trial, whatever the number of SNR cells; under a frozen H one
+        # high-SNR generative gain per sweep.
+        calls = {"draw": 0, "factor": 0, "gain": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "draw_training", counted("draw", harness.draw_training))
+        monkeypatch.setattr(harness, "target_factor", counted("factor", harness.target_factor))
+        monkeypatch.setattr(harness, "gain_direct", counted("gain", harness.gain_direct))
+        cfg = _small_config(
+            snr_grid=(0.5, 5.0, 50.0), mc_trials=6, h_mode="fixed_once",
+            estimator_set=("generative", "generative_high_snr", "discriminative_high_snr"),
+        )
+        report = sweep(cfg)
+        assert all(row.trials_ok == 6 for row in report.rows)
+        assert calls == {"draw": 6, "factor": 6, "gain": 1 + 6}
+
+    def test_shared_warning_counts_in_every_use(self):
+        shared = harness._Shared()
+        M = np.diag([1.0, 1e-13])
+        for _ in range(3):
+            with condition_events() as events:
+                with pytest.warns(IllConditionedWarning):
+                    factor = shared.get("probe", (M,), lambda: spd_factor(M, name="probe"))
+            assert [name for name, _ in events] == ["probe"]
+        assert np.allclose(factor.solve(np.ones(2)), [1.0, 1e13], rtol=1e-12)
+
+    def test_shared_failure_is_raised_in_every_use(self):
+        shared = harness._Shared()
+        M = np.diag([1.0, 0.0])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError) as excinfo:
+                shared.get("probe", (M,), lambda: spd_factor(M, name="probe"))
+            errors.append(excinfo.value)
+        assert errors[0] is errors[1]
+        assert errors[0].name == "probe"
+
+    def test_changed_inputs_are_computed_anew(self):
+        shared = harness._Shared()
+        computed = []
+        for M in (np.eye(2), np.eye(2), 2.0 * np.eye(2), np.eye(2)):
+            shared.get("probe", (M,), lambda: computed.append(M[0, 0]))
+        assert computed == [1.0, 2.0, 1.0]
+
+
 class TestConfigValidation:
     def test_default_config_is_valid(self):
         assert ExperimentConfig().violations() == []
@@ -412,11 +527,18 @@ class TestConfigValidation:
     def test_budget_counts_the_training_draw_and_the_cell_scores(self):
         # Each term alone fits in the 1 GiB budget; together they do not.
         draw = dict(n_x=28, n_y=30, nt_grid=(1_000_000,))  # 8 * 58 * (1e6 + 58) B = 0.46 GiB
-        scores = dict(mc_trials=30_000_000)  # 8 * 30e6 * 3 B = 0.67 GiB
+        scores = dict(mc_trials=2_300_000)  # 8 * 2.3e6 * 3 * 13 B = 0.67 GiB
         assert ExperimentConfig(**draw).violations() == []
         assert ExperimentConfig(**scores).violations() == []
         (problem,) = ExperimentConfig(**draw, **scores).violations()
         assert "budget" in problem
+
+    def test_budget_counts_the_scores_of_every_snr_cell(self):
+        # 10^7 trials of three estimators: 0.24 GB of scores per SNR cell, and
+        # every SNR cell of a trial is held at once.
+        assert ExperimentConfig(mc_trials=10**7, snr_grid=(1.0,)).violations() == []
+        (problem,) = ExperimentConfig(mc_trials=10**7).violations()
+        assert "len(snr_grid)" in problem
 
     def test_nonlinear_maps_accept_every_estimator(self):
         cfg = ExperimentConfig(

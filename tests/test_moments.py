@@ -14,6 +14,7 @@ from gendisc.moments import (
     compute_moments,
     condition_estimate,
     condition_events,
+    spd_factor,
     spd_solve,
     woodbury_invert,
 )
@@ -231,6 +232,66 @@ class TestSpdSolve:
         with pytest.raises(SingularMatrixError):
             spd_solve(np.diag([1.0, 0.0]), np.ones(2))
         assert calls == [1]
+
+
+class TestSpdFactor:
+    def test_exactly_symmetric_input_skips_the_symmetry_guard(self, monkeypatch):
+        calls = []
+        guard = moments._symmetry_defect
+        monkeypatch.setattr(moments, "_symmetry_defect", lambda M: calls.append(1) or guard(M))
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((12, 5))
+        M = X.T @ X  # one syrk: equal to its transpose bit for bit
+        B = rng.standard_normal((5, 2))
+        assert np.array_equal(spd_solve(M, B), cho_solve(cho_factor(M, lower=True), B))
+        assert calls == []
+        # One ulp of asymmetry takes the guard, and is symmetrized as before.
+        M_ulp = M.copy()
+        M_ulp[0, 1] = np.nextafter(M_ulp[0, 1], np.inf)
+        A = 0.5 * (M_ulp + M_ulp.T)
+        assert np.array_equal(spd_solve(M_ulp, B), cho_solve(cho_factor(A, lower=True), B))
+        assert calls == [1]
+        M_far = M.copy()
+        M_far[0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            spd_factor(M_far)
+
+    def test_solves_as_spd_solve_with_checks_once(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        M = (Q * np.logspace(0, 13, 4)) @ Q.T
+        M = 0.5 * (M + M.T)
+        rhs = (np.ones(4), rng.standard_normal((4, 3)))
+        with pytest.warns(IllConditionedWarning):
+            expected = [spd_solve(M, B, name="probe") for B in rhs]
+        with condition_events() as events, pytest.warns(IllConditionedWarning):
+            factor = spd_factor(M, name="probe")
+        assert [name for name, _ in events] == ["probe"]
+        # Solving runs none of the checks again and emits nothing.
+        calls = []
+        monkeypatch.setattr(moments, "condition_estimate", lambda A: calls.append(1))
+        with warnings.catch_warnings(), condition_events() as events:
+            warnings.simplefilter("error")
+            for B, x in zip(rhs, expected):
+                assert np.array_equal(factor.solve(B), x)
+        assert calls == [] and events == []
+
+    def test_right_hand_side_shape_checked(self):
+        factor = spd_factor(np.eye(3), name="probe")
+        with pytest.raises(ValueError, match="right-hand side shape"):
+            factor.solve(np.ones(2))
+        with pytest.raises(ValueError, match="right-hand side shape"):
+            factor.solve(np.ones((3, 2, 1)))
+
+    def test_nested_condition_events_reach_the_enclosing_context(self):
+        M = np.diag([1.0, 1e-13])
+        with condition_events() as outer:
+            with condition_events() as inner, pytest.warns(IllConditionedWarning):
+                spd_factor(M, name="inner")
+            with pytest.warns(IllConditionedWarning):
+                spd_factor(M, name="outer")
+        assert [name for name, _ in inner] == ["inner"]
+        assert [name for name, _ in outer] == ["inner", "outer"]
 
 
 class TestConditionEstimate:

@@ -8,10 +8,12 @@ from gendisc.moments import compute_moments
 from gendisc.synth import (
     Cubic,
     GaussianPrior,
+    Linear,
     Seed,
     Tanh,
     TrueModel,
     _standard_scatter_root,
+    draw_training,
     exp_decay_prior,
     random_measurement_matrix,
     sample_moments,
@@ -254,6 +256,57 @@ class TestSampleMoments:
             sample_moments(prior, model, 0, Seed(30))
         with pytest.raises(ValueError, match="dimension"):
             sample_moments(exp_decay_prior(3), model, 10, Seed(30))
+
+
+class TestDrawTraining:
+    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
+    @pytest.mark.parametrize("n", [4, 100])
+    def test_moments_at_each_noise_level_are_the_sample_moments(self, nonlinearity, n):
+        # One draw assembled at any noise level gives, bit for bit, what
+        # sample_moments draws for a model at that level. n = 4 takes the
+        # Z^T scatter root under the linear map and n = 100 Bartlett's.
+        prior = exp_decay_prior(5)
+        H = random_measurement_matrix(4, 5, Seed(31))
+        mu_w = np.linspace(-1.0, 1.0, 4)
+        # The draw does not read the model's own noise level.
+        draw = draw_training(
+            prior, TrueModel(H=H, mu_w=mu_w, sigma2=7.0, nonlinearity=nonlinearity), n, Seed(32)
+        )
+        for sigma2 in (0.0, 0.01, 1.0, 100.0):
+            model = TrueModel(H=H, mu_w=mu_w, sigma2=sigma2, nonlinearity=nonlinearity)
+            want = sample_moments(prior, model, n, Seed(32))
+            got = draw.moments(sigma2)
+            for field in ("x_bar", "y_bar", "C_yx", "C_yy", "C_xx"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert got.n_t == n
+
+    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0)])
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_target_moments_are_the_same_bits_at_every_noise_level(self, nonlinearity, n):
+        # The target block of F F^T / n does not involve the noise rows, so a
+        # sweep's SNR cells share one target sample covariance and its factor.
+        prior = exp_decay_prior(30)
+        model = TrueModel(
+            H=random_measurement_matrix(28, 30, Seed(33)), mu_w=np.zeros(28), sigma2=1.0,
+            nonlinearity=nonlinearity,
+        )
+        draw = draw_training(prior, model, n, Seed(34))
+        first = draw.moments(1e-4)
+        for k in range(-4, 9):
+            m = draw.moments(10.0 ** (-k / 2.0))
+            assert m.C_yy.tobytes() == first.C_yy.tobytes()
+            assert m.y_bar.tobytes() == first.y_bar.tobytes()
+
+    @pytest.mark.parametrize("sigma2", [-1.0, np.inf, np.nan])
+    def test_invalid_noise_level_rejected(self, sigma2):
+        prior = exp_decay_prior(3)
+        model = TrueModel(H=np.eye(3), mu_w=np.zeros(3), sigma2=1.0)
+        for draw in (
+            draw_training(prior, model, 10, Seed(35)),
+            draw_training(prior, TrueModel(np.eye(3), np.zeros(3), 1.0, Tanh()), 10, Seed(35)),
+        ):
+            with pytest.raises(ValueError, match="sigma2"):
+                draw.moments(sigma2)
 
 
 class TestNonlinearities:
