@@ -321,7 +321,9 @@ class _MomentDraw:
         )
 
 
-def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
+def draw_training(
+    prior: GaussianPrior, model: TrueModel, n: int, seed: Seed
+) -> _MomentDraw | _PairDraw:
     """The randomness of a training set of ``n`` pairs, free of the noise level.
 
     Its ``moments(sigma2)`` method gives the sample moments of the set at
