@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,14 +29,14 @@ import numpy as np
 from .moments import (
     Dataset,
     SampleMoments,
-    SpdFactor,
     _as_float_array,
+    _check_ridge,
+    _factor,
     _frozen,
+    _solve,
     compute_moments,
     gain_direct,
     gain_lemma,
-    spd_factor,
-    spd_solve,
 )
 from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, TrueModel
 
@@ -155,13 +156,7 @@ def linear_population_moments(prior: GaussianPrior, model: TrueModel) -> Populat
     """
     if not isinstance(model.nonlinearity, Linear):
         raise ValueError("closed-form population moments exist only for the linear model")
-    H = model.H
-    C = prior.C_yy
-    return PopulationMoments(
-        mu_x=H @ prior.mu_y + model.mu_w,
-        C_yx=C @ H.T,
-        C_xx=H @ C @ H.T + model.sigma2 * np.eye(model.n_x),
-    )
+    return population_moments(prior, model)
 
 
 # Trapezoid rule for E f(Z), Z ~ N(0, 1): equispaced nodes on [-_Z_MAX, _Z_MAX].
@@ -305,6 +300,54 @@ def measurement_moments(prior: GaussianPrior, H, nonlinearity: Nonlinearity) -> 
     return MeasurementMoments(B=d[:, None] * HL, mu_g=mu_g, Q=Q)
 
 
+class _Truth:
+    """What the rules and their risk read of the data ``x = g(H y) + w``, free of the noise.
+
+    ``measurement`` is the :func:`measurement_moments` of ``g(H y)``, computed
+    when omitted: ``mu_x = mu_g + mu_w``; ``C_yx = C_yy H^T`` and ``C_xx = H
+    C_yy H^T + sigma2 I`` under the linear map, ``C_yx = L_yy B^T`` and
+    ``C_xx = B B^T + Q + sigma2 I`` under the others. Inputs are not checked.
+    """
+
+    def __init__(self, prior: GaussianPrior, H, mu_w, nonlinearity, measurement=None):
+        if measurement is None:
+            measurement = measurement_moments(prior, H, nonlinearity)
+        self.prior, self.H, self.mu_w, self.nonlinearity = prior, H, mu_w, nonlinearity
+        self.measurement, self.linear = measurement, measurement.Q is None
+        self.mu_x = measurement.mu_g + mu_w
+
+    @cached_property
+    def HC(self) -> np.ndarray:
+        return self.H @ self.prior.C_yy
+
+    @cached_property
+    def C_yx(self) -> np.ndarray:
+        if self.linear:
+            return self.prior.C_yy @ self.H.T
+        return self.prior.L_yy @ self.measurement.B.T
+
+    @cached_property
+    def C_xx_signal(self) -> np.ndarray:
+        """``C_xx - sigma2 I``."""
+        if self.linear:
+            return self.HC @ self.H.T
+        B = self.measurement.B
+        return B @ B.T + self.measurement.Q
+
+    def C_xx(self, sigma2: float) -> np.ndarray:
+        return self.C_xx_signal + sigma2 * np.eye(self.H.shape[0])
+
+    def risk(self, A: np.ndarray, b: np.ndarray, sigma2: float) -> float:
+        """:func:`affine_risk` of the rule ``x -> A x + b`` at noise variance ``sigma2``."""
+        m, prior = self.measurement, self.prior
+        spread = prior.L_yy - A @ m.B
+        bias = prior.mu_y - A @ self.mu_x - b
+        risk = np.vdot(spread, spread) + sigma2 * np.vdot(A, A) + bias @ bias
+        if m.Q is not None:
+            risk += np.vdot(A @ m.Q, A)
+        return float(risk)
+
+
 def population_moments(
     prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
 ) -> PopulationMoments:
@@ -312,18 +355,11 @@ def population_moments(
 
     mu_x = mu_g + mu_w, C_yx = L_yy B^T and C_xx = B B^T + Q + sigma2 I from
     ``measurement`` (:func:`measurement_moments` of the model, computed when
-    omitted). The linear map is delegated to :func:`linear_population_moments`.
+    omitted); under the linear map C_yx = C_yy H^T and C_xx = H C_yy H^T +
+    sigma2 I.
     """
-    if isinstance(model.nonlinearity, Linear):
-        return linear_population_moments(prior, model)
-    if measurement is None:
-        measurement = measurement_moments(prior, model.H, model.nonlinearity)
-    B = measurement.B
-    return PopulationMoments(
-        mu_x=measurement.mu_g + model.mu_w,
-        C_yx=prior.L_yy @ B.T,
-        C_xx=B @ B.T + measurement.Q + model.sigma2 * np.eye(model.n_x),
-    )
+    truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
+    return PopulationMoments(mu_x=truth.mu_x, C_yx=truth.C_yx, C_xx=truth.C_xx(model.sigma2))
 
 
 def affine_risk(
@@ -348,28 +384,57 @@ def affine_risk(
             f"rule shape {est.A.shape}, prior dimension {prior.n_y} and model shape "
             f"{model.H.shape} are inconsistent"
         )
-    if measurement is None:
-        measurement = measurement_moments(prior, model.H, model.nonlinearity)
-    A = est.A
-    spread = prior.L_yy - A @ measurement.B
-    bias = prior.mu_y - A @ (measurement.mu_g + model.mu_w) - est.b
-    risk = np.vdot(spread, spread) + model.sigma2 * np.vdot(A, A) + bias @ bias
-    if measurement.Q is not None:
-        risk += np.vdot(A @ measurement.Q, A)
-    return float(risk)
+    truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
+    return truth.risk(est.A, est.b, model.sigma2)
 
 
-def target_factor(moments: SampleMoments, ridge: float = 0.0) -> SpdFactor:
-    """The :func:`~gendisc.moments.spd_factor` of the target sample covariance.
-
-    :func:`fit_ml` solves with it.
-    """
-    return spd_factor(moments.C_yy, ridge, name="target sample covariance")
+# The rule formulas below take arrays that their callers built or checked: the
+# public constructors after them, and the sweep. Each returns the pair (A, b).
 
 
-def fit_ml(
-    data: Dataset | SampleMoments, ridge: float = 0.0, factor: Optional[SpdFactor] = None
-) -> FittedModel:
+def target_factor(C_yy: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor of the target sample covariance plus ``ridge``, for :func:`fit_ml`."""
+    return _factor(C_yy, ridge, "target sample covariance")
+
+
+def _generative_offset(G, mu_y, x_bar, y_bar, H) -> np.ndarray:
+    # estimate(x) = mu_y + G (x - x_bar - H (mu_y - y_bar))
+    return mu_y - G @ (x_bar + H @ (mu_y - y_bar))
+
+
+def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar, form: str = "auto"):
+    """The plug-in rule of :func:`generative_estimator` for fitted ``H``."""
+    if form == "auto":  # the smaller inverse: N_y <= N_x puts it on the target side
+        form = "b" if H.shape[1] <= H.shape[0] else "a"
+    G = (gain_direct if form == "a" else gain_lemma)(H, prior.C_yy, sigma2)
+    return G, _generative_offset(G, prior.mu_y, x_bar, y_bar, H)
+
+
+def _lmmse(C_xx, C_yx, mu_x, mu_y, ridge: float, name: str):
+    """A = C_yx C_xx^{-1}, b = mu_y - A mu_x, solving with ``C_xx`` named ``name``."""
+    A = _solve(_factor(C_xx, ridge, name), C_yx.T).T
+    return A, mu_y - A @ mu_x
+
+
+def _oracle(truth: _Truth, sigma2: float):
+    # Under the linear map C_yx is taken as (H C_yy)^T, solved with the innovation covariance.
+    C_yx, name = (truth.HC.T, "innovation covariance") if truth.linear else (
+        truth.C_yx, "population input covariance"
+    )
+    return _lmmse(truth.C_xx(sigma2), C_yx, truth.mu_x, truth.prior.mu_y, 0.0, name)
+
+
+def _generative_asymptote(prior: GaussianPrior, C_yx, mu_x, sigma2: float):
+    C = prior.C_yy
+    W = _solve(_factor(C, 0.0, "prior covariance"), C_yx)  # C_yy^{-1} C_yx
+    inner = W @ W.T
+    if sigma2:
+        inner = inner + sigma2 * _solve(_factor(C, 0.0, "prior covariance"), np.eye(prior.n_y))
+    A = _solve(_factor(inner, 0.0, "asymptotic inner matrix"), W)
+    return A, prior.mu_y - A @ mu_x
+
+
+def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
     """Maximum likelihood fit of the measurement matrix and noise mean.
 
     The estimates are H_hat = C_xy C_yy^{-1} and mu_hat = x_bar - H_hat y_bar,
@@ -382,10 +447,6 @@ def fit_ml(
         Training pairs, or their precomputed moments.
     ridge : float, optional
         Diagonal loading on the target sample covariance before inversion.
-    factor : SpdFactor, optional
-        ``target_factor(moments, ridge)``, made once by a caller that fits
-        several moments sharing one ``C_yy``; made here when omitted, and
-        ``ridge`` is then not read.
 
     Raises
     ------
@@ -394,18 +455,10 @@ def fit_ml(
         ridge (e.g. constant targets, or n_t <= N_y).
     """
     m = data if isinstance(data, SampleMoments) else compute_moments(data)
-    if factor is None:
-        factor = target_factor(m, ridge)
+    _check_ridge(ridge)
     # H_hat^T = C_yy^{-1} C_yx, using C_yy symmetry.
-    H_hat = factor.solve(m.C_yx).T
-    mu_hat = m.x_bar - H_hat @ m.y_bar
-    return FittedModel(H_hat=H_hat, mu_hat=mu_hat)
-
-
-def _generative_from_gain(G, mu_y, x_bar, y_bar, H, provenance) -> AffineEstimator:
-    # estimate(x) = mu_y + G (x - x_bar - H (mu_y - y_bar))
-    b = mu_y - G @ (x_bar + H @ (mu_y - y_bar))
-    return AffineEstimator(A=G, b=b, provenance=provenance)
+    H_hat = _solve(target_factor(m.C_yy, ridge), m.C_yx).T
+    return FittedModel(H_hat=H_hat, mu_hat=m.x_bar - H_hat @ m.y_bar)
 
 
 def generative_estimator(
@@ -445,14 +498,8 @@ def generative_estimator(
             f"moments dimensions ({moments.n_x}, {moments.n_y}) do not match "
             f"fitted H_hat shape {H.shape}"
         )
-    C = known.prior.C_yy
-    if form == "auto":
-        form = "b" if n_y <= n_x else "a"
-    gain = gain_direct if form == "a" else gain_lemma
-    G = gain(H, C, known.sigma2)
-    return _generative_from_gain(
-        G, known.prior.mu_y, moments.x_bar, moments.y_bar, H, Provenance.GENERATIVE
-    )
+    A, b = _generative(H, known.prior, known.sigma2, moments.x_bar, moments.y_bar, form)
+    return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE)
 
 
 def discriminative_estimator(moments: SampleMoments, ridge: float = 0.0) -> AffineEstimator:
@@ -467,8 +514,10 @@ def discriminative_estimator(moments: SampleMoments, ridge: float = 0.0) -> Affi
         If the input sample covariance is singular (typically n_t <= N_x);
         add samples or pass a ridge.
     """
-    A = spd_solve(moments.C_xx, moments.C_xy, ridge=ridge, name="input sample covariance").T
-    b = moments.y_bar - A @ moments.x_bar
+    _check_ridge(ridge)
+    A, b = _lmmse(
+        moments.C_xx, moments.C_yx, moments.x_bar, moments.y_bar, ridge, "input sample covariance"
+    )
     return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE)
 
 
@@ -488,12 +537,8 @@ def oracle_lmmse(
         raise ValueError(
             f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
         )
-    if not isinstance(model.nonlinearity, Linear):
-        best = discriminative_asymptote(prior, population_moments(prior, model, measurement))
-        return AffineEstimator(A=best.A, b=best.b, provenance=Provenance.ORACLE_LMMSE)
-    A = gain_direct(model.H, prior.C_yy, model.sigma2)
-    mu_x = model.H @ prior.mu_y + model.mu_w
-    b = prior.mu_y - A @ mu_x
+    truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
+    A, b = _oracle(truth, model.sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.ORACLE_LMMSE)
 
 
@@ -510,19 +555,13 @@ def generative_asymptote(
     :func:`population_moments`) is the asymptotic cost of the modeling
     mismatch.
     """
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     if pop.C_yx.shape[0] != prior.n_y:
         raise ValueError(
             f"population C_yx rows {pop.C_yx.shape[0]} do not match prior dimension {prior.n_y}"
         )
-    C = prior.C_yy
-    W = spd_solve(C, pop.C_yx, name="prior covariance")  # C_yy^{-1} C_yx
-    inner = W @ W.T
-    if sigma2:
-        inner = inner + sigma2 * spd_solve(C, np.eye(prior.n_y), name="prior covariance")
-    A = spd_solve(inner, W, name="asymptotic inner matrix")
-    b = prior.mu_y - A @ pop.mu_x
+    A, b = _generative_asymptote(prior, pop.C_yx, pop.mu_x, sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE_ASYMPTOTE)
 
 
@@ -536,22 +575,16 @@ def discriminative_asymptote(prior: GaussianPrior, pop: PopulationMoments) -> Af
         raise ValueError(
             f"population C_yx rows {pop.C_yx.shape[0]} do not match prior dimension {prior.n_y}"
         )
-    A = spd_solve(pop.C_xx, pop.C_yx.T, name="population input covariance").T
-    b = prior.mu_y - A @ pop.mu_x
+    A, b = _lmmse(pop.C_xx, pop.C_yx, pop.mu_x, prior.mu_y, 0.0, "population input covariance")
     return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE_ASYMPTOTE)
 
 
-def generative_highsnr(
-    prior: GaussianPrior, H, moments: SampleMoments, gain: Optional[np.ndarray] = None
-) -> AffineEstimator:
+def generative_highsnr(prior: GaussianPrior, H, moments: SampleMoments) -> AffineEstimator:
     """Vanishing-noise limit of the generative estimator.
 
     mu_y + C_yy H^T (H C_yy H^T)^{-1} (x - x_bar - H (mu_y - y_bar)), using
     the true measurement matrix (which the ML fit recovers in this limit).
     Requires H C_yy H^T nonsingular, for which N_y >= N_x is necessary.
-    ``gain`` is ``gain_direct(H, prior.C_yy, 0.0)``, free of the training
-    set, made once by a caller that builds many rules on one H; made here
-    when omitted.
     """
     H = _as_float_array(H, "H", ndim=2)
     if H.shape != (moments.n_x, moments.n_y) or prior.n_y != moments.n_y:
@@ -559,23 +592,17 @@ def generative_highsnr(
             f"H shape {H.shape}, prior dimension {prior.n_y} and moments dimensions "
             f"({moments.n_x}, {moments.n_y}) are inconsistent"
         )
-    G = gain_direct(H, prior.C_yy, 0.0) if gain is None else gain
-    return _generative_from_gain(
-        G, prior.mu_y, moments.x_bar, moments.y_bar, H, Provenance.GENERATIVE_HIGH_SNR
-    )
+    G = gain_direct(H, prior.C_yy, 0.0)
+    b = _generative_offset(G, prior.mu_y, moments.x_bar, moments.y_bar, H)
+    return AffineEstimator(A=G, b=b, provenance=Provenance.GENERATIVE_HIGH_SNR)
 
 
-def discriminative_highsnr(
-    H, moments: SampleMoments, gain: Optional[np.ndarray] = None
-) -> AffineEstimator:
+def discriminative_highsnr(H, moments: SampleMoments) -> AffineEstimator:
     """Vanishing-noise limit of the discriminative estimator.
 
     y_bar + C_yy_hat H^T (H C_yy_hat H^T)^{-1} (x - x_bar): the same
     transformation as the generative limit with the true target mean and
-    covariance replaced by their sample counterparts. ``gain`` is
-    ``gain_direct(H, moments.C_yy, 0.0)``, which does not involve the noise,
-    made once by a caller that builds rules for many moments sharing one
-    ``C_yy``; made here when omitted.
+    covariance replaced by their sample counterparts.
     """
     H = _as_float_array(H, "H", ndim=2)
     if H.shape != (moments.n_x, moments.n_y):
@@ -583,6 +610,7 @@ def discriminative_highsnr(
             f"H shape {H.shape} does not match moments dimensions "
             f"({moments.n_x}, {moments.n_y})"
         )
-    G = gain_direct(H, moments.C_yy, 0.0) if gain is None else gain
-    b = moments.y_bar - G @ moments.x_bar
-    return AffineEstimator(A=G, b=b, provenance=Provenance.DISCRIMINATIVE_HIGH_SNR)
+    G = gain_direct(H, moments.C_yy, 0.0)
+    return AffineEstimator(
+        A=G, b=moments.y_bar - G @ moments.x_bar, provenance=Provenance.DISCRIMINATIVE_HIGH_SNR
+    )

@@ -1,62 +1,53 @@
 """Seeded Monte Carlo engine for MSE-versus-SNR and MSE-versus-sample-size sweeps.
 
-Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``), a
-fresh training set, and fits every requested estimator at every SNR of the
-grid. The training set is drawn as its sample moments
-(:func:`~gendisc.synth.draw_training`): from their joint Gaussian-Wishart
-law under the linear map, at a cost that does not grow with ``n_t``, and
-from ``n_t`` drawn pairs under tanh and cubic. The draw does not depend on
-the noise level, so the SNR cells of a trial share it (common random
-numbers) and each assembles its moments from it; what else does not depend
-on the noise (the target sample covariance's factor, the vanishing-noise
-gains) is computed once and shared too, its failures and condition warnings
-counted in every cell that uses it. Each fitted rule is scored by its exact
-risk under the true data distribution
-(:func:`~gendisc.estimators.affine_risk`), whatever the measurement map, so
-no test pair is drawn and a cell's standard error covers only the training
-draws and H. The risk rests on the noise-free population moments of the map
-(:func:`~gendisc.estimators.measurement_moments`), computed once per trial,
-or once per sweep when H is frozen. :func:`sweep` runs the sample-count
-cells in grid order, each cell's trials in index order and each trial at
-every SNR, serially. A trial's randomness comes from a counter-based child
-seed of (sample-count cell, trial), so results do not depend on the order
-trials run in, nor on which other SNRs share the grid; construction failures
-(singular sample covariances at small sample counts) are recorded per cell
-rather than aborting the sweep. Memory is one float64 score per trial,
-estimator and SNR cell, plus failure counts grouped by the failing matrix,
-each with the first trial it struck so that it can be replayed with
-:func:`run_trial`, the one-SNR case of the same code.
+Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``) and
+a fresh training set, and scores every requested estimator at every SNR of
+the grid by its exact risk under the true data distribution
+(:func:`~gendisc.estimators.affine_risk`), so no test pair is drawn and a
+cell's standard error covers only the training draws and H. The training set
+is drawn as its sample moments (:func:`~gendisc.synth.draw_training`), free of
+the noise level, so the SNR cells of a trial share it (common random numbers).
+A trial is scored on plain arrays, by the formulas the public constructors
+use but without their input checks: inputs are checked where they enter (the
+config, the public functions), never per cell. What does not depend on the
+noise is computed once per trial, or once per sweep when H is frozen, and
+shared: the target sample covariance's factor, the vanishing-noise gains, the
+population moments of the map and, under a frozen H, each untrained rule; its
+failures and condition warnings are counted in every cell that uses it.
+:func:`sweep` runs the sample-count cells in grid order, each cell's trials in
+index order and each trial at every SNR, serially. A trial's randomness comes
+from a counter-based child seed of (sample-count cell, trial), so results do
+not depend on the order trials run in, nor on which other SNRs share the grid;
+construction failures (singular sample covariances at small sample counts,
+non-finite moments) are recorded per cell rather than aborting the sweep.
+Memory is one float64 score per trial, estimator and SNR cell, plus failure
+counts grouped by reason, each with the first trial it struck so that it can
+be replayed with :func:`run_trial`, the one-SNR case of the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .estimators import (
-    AffineEstimator,
     KnownStatistics,
     MeasurementMoments,
     Provenance,
-    affine_risk,
-    discriminative_asymptote,
-    discriminative_estimator,
-    discriminative_highsnr,
-    fit_ml,
-    generative_asymptote,
-    generative_estimator,
-    generative_highsnr,
-    measurement_moments,
-    oracle_lmmse,
-    population_moments,
+    _generative,
+    _generative_asymptote,
+    _generative_offset,
+    _lmmse,
+    _oracle,
+    _Truth,
     target_factor,
 )
 from .moments import (
-    SampleMoments,
     SingularMatrixError,
+    _check_ridge,
+    _solve,
     condition_events,
     gain_direct,
     report_condition,
@@ -252,149 +243,133 @@ def compute_mse(errors) -> Optional[tuple[float, float]]:
     return mean, se
 
 
-class _Shared:
-    """Results that several sweep cells compute from the same inputs, made once.
+# Failure reasons of a rule whose inputs overflowed: the measurement moments
+# (every rule of the trial), or a cell's sample moments (every trained rule).
+NON_FINITE_MEASUREMENT = "non-finite measurement moments"
+NON_FINITE_SAMPLE = "non-finite sample moments"
+# Rules fitted on the trial's training set.
+_TRAINED = {"generative", "discriminative", "generative_high_snr", "discriminative_high_snr"}
 
-    ``get(slot, inputs, compute)`` returns ``compute()``, or the linear-algebra
-    error it raised, from the last time ``slot`` was computed, if ``inputs``
-    equal that time's bit for bit; otherwise it computes anew. The result is
-    then exactly what the cell would have computed itself, and so is the
-    count: the condition events the computation recorded are recorded again,
-    with their warnings, at each later use, and its error is raised again.
-    A sweep keeps one for its whole run; ``slot`` names what is computed, and
-    ``inputs`` hold every array it reads that can change within the sweep.
+
+class _Once:
+    """A result that several sweep cells use, computed at its first use.
+
+    ``get()`` returns ``compute()``, or raises the linear-algebra error it
+    raised. Each later call returns or raises the same, and records again,
+    with their warnings, the condition events that computing it recorded: a
+    cell counts a shared warning or failure as if it had computed the result.
     """
 
-    def __init__(self):
-        self._slots: dict[str, tuple] = {}
+    def __init__(self, compute: Callable):
+        self._compute, self._entry = compute, None
 
-    def get(self, slot: str, inputs: tuple, compute: Callable):
-        entry = self._slots.get(slot)
-        if entry is not None and all(
-            a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
-            for a, b in zip(entry[0], inputs)
-        ):
-            _, value, error, events = entry
-            for name, cond in events:
-                report_condition(name, cond)
-        else:
+    def get(self):
+        if self._entry is None:
             value = error = None
             with condition_events() as events:
                 try:
-                    value = compute()
+                    value = self._compute()
                 except np.linalg.LinAlgError as exc:
-                    error = exc
-            self._slots[slot] = (inputs, value, error, events)
+                    error = exc.with_traceback(None)
+            # Dropping compute frees what it holds; it may hold the owner of this object.
+            self._entry, self._compute = (value, error, events), None
+        else:
+            value, error, events = self._entry
+            for name, cond in events:
+                report_condition(name, cond)
         if error is not None:
-            raise error.with_traceback(None)
+            raise error
         return value
 
 
-@dataclass
-class _TrialInputs:
-    """What a rule builder may read in one sweep cell of a trial.
+class _Channel(_Truth):
+    """A trial's measurement map ``x = g(H y) + w`` and what its rules read of it.
 
-    ``H`` is the trial's measurement matrix, shared by the models of all its
-    cells. ``moments`` is ``None`` when no requested rule is trained.
+    ``known`` is the prior handed to the generative rules. Made once per
+    trial, or once per sweep when H is frozen, so that what rests on H alone
+    is computed once per H: the truth's products, the generative high-SNR
+    gain and, per noise variance, each untrained rule and its risk.
     """
 
-    prior: GaussianPrior
-    H: np.ndarray
-    model: TrueModel
-    known: Optional[KnownStatistics]
-    moments: Optional[SampleMoments]
-    ridge: float
-    measurement: MeasurementMoments
-    shared: _Shared
+    def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
+        super().__init__(prior, H, mu_w, nonlinearity, measurement)
+        self.known = known
+        arrays = (self.measurement.B, self.mu_x, self.measurement.Q)
+        self.finite = all(np.isfinite(a).all() for a in arrays if a is not None)
+        self.generative_high_snr_gain = _Once(lambda: gain_direct(H, known.C_yy, 0.0))
+        self._untrained: dict[tuple[str, float], _Once] = {}
 
-    @cached_property
-    def population(self):
-        return population_moments(self.prior, self.model, self.measurement)
+    def untrained_risk(self, name: str, sigma2: float) -> float:
+        key = (name, sigma2)
+        if key not in self._untrained:
+            self._untrained[key] = _Once(lambda: self.risk(*self._untrained_rule(*key), sigma2))
+        return self._untrained[key].get()
 
-
-def _generative(t: _TrialInputs) -> AffineEstimator:
-    factor = t.shared.get(
-        "target factor", (t.moments.C_yy,), lambda: target_factor(t.moments, t.ridge)
-    )
-    return generative_estimator(fit_ml(t.moments, factor=factor), t.known, t.moments)
-
-
-def _generative_high_snr(t: _TrialInputs) -> AffineEstimator:
-    prior = t.known.prior if t.known else t.prior
-    gain = t.shared.get(
-        "generative high-SNR gain", (t.H, prior.C_yy), lambda: gain_direct(t.H, prior.C_yy, 0.0)
-    )
-    return generative_highsnr(prior, t.H, t.moments, gain=gain)
-
-
-def _discriminative_high_snr(t: _TrialInputs) -> AffineEstimator:
-    gain = t.shared.get(
-        "discriminative high-SNR gain",
-        (t.H, t.moments.C_yy),
-        lambda: gain_direct(t.H, t.moments.C_yy, 0.0),
-    )
-    return discriminative_highsnr(t.H, t.moments, gain=gain)
-
-
-class _Rule(NamedTuple):
-    trained: bool  # fitted on the trial's training set
-    build: Callable[[_TrialInputs], AffineEstimator]
-
-
-_RULES = {
-    Provenance.GENERATIVE: _Rule(True, _generative),
-    Provenance.DISCRIMINATIVE: _Rule(
-        True, lambda t: discriminative_estimator(t.moments, ridge=t.ridge)
-    ),
-    Provenance.ORACLE_LMMSE: _Rule(False, lambda t: oracle_lmmse(t.prior, t.model, t.measurement)),
-    Provenance.GENERATIVE_ASYMPTOTE: _Rule(
-        False, lambda t: generative_asymptote(t.prior, t.population, t.model.sigma2)
-    ),
-    Provenance.DISCRIMINATIVE_ASYMPTOTE: _Rule(
-        False, lambda t: discriminative_asymptote(t.prior, t.population)
-    ),
-    Provenance.GENERATIVE_HIGH_SNR: _Rule(True, _generative_high_snr),
-    Provenance.DISCRIMINATIVE_HIGH_SNR: _Rule(True, _discriminative_high_snr),
-}
+    def _untrained_rule(self, name: str, sigma2: float):
+        if name == Provenance.ORACLE_LMMSE:
+            return _oracle(self, sigma2)
+        if name == Provenance.GENERATIVE_ASYMPTOTE:
+            return _generative_asymptote(self.prior, self.C_yx, self.mu_x, sigma2)
+        return _lmmse(  # the discriminative asymptote
+            self.C_xx(sigma2), self.C_yx, self.mu_x, self.prior.mu_y, 0.0,
+            "population input covariance",
+        )
 
 
 def _score_cells(
-    prior: GaussianPrior,
-    models: list[TrueModel],
-    knowns: list[Optional[KnownStatistics]],
-    n_t: int,
-    estimator_names,
-    seed: Seed,
-    ridge: float,
-    measurement: MeasurementMoments,
-    shared: _Shared,
+    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2s, known_sigma2=None
 ) -> list[TrialOutcome]:
-    """One trial's outcome in each of its cells, which differ only in the noise level.
+    """One trial's outcome at each noise variance in ``sigma2s``, on plain arrays.
 
-    ``models[k]`` and ``knowns[k]`` are cell k's true model and side
-    information; the models share ``H``, ``mu_w`` and the measurement map.
     The training randomness is drawn once, from ``seed.child(0)``, and each
     cell's sample moments are assembled from it at the cell's noise level.
+    Their target block is the same bits at every noise level, so its factor
+    and the discriminative high-SNR gain are shared by the cells.
+    ``known_sigma2`` is the generative rule's noise variance, each cell's own
+    when ``None``. The arithmetic is that of the public constructors and
+    :func:`~gendisc.estimators.affine_risk`, without their input checks.
     """
-    rules = [(name, _RULES[Provenance(name)]) for name in estimator_names]
     draw = None
-    if any(rule.trained for _, rule in rules):
-        draw = draw_training(prior, models[0], n_t, seed.child(0))
-    H = models[0].H
+    if not _TRAINED.isdisjoint(names):
+        draw = draw_training(ch.prior, ch, n_t, seed.child(0))
+    factor = None
     outcomes = []
-    for model, known in zip(models, knowns):
+    for sigma2 in sigma2s:
         errors: dict[str, float] = {}
         failures: dict[str, str] = {}
         with condition_events() as events:
-            moments = draw.moments(model.sigma2) if draw is not None else None
-            inputs = _TrialInputs(prior, H, model, known, moments, ridge, measurement, shared)
-            for name, rule in rules:
+            if draw is not None:
+                x_bar, y_bar, C_yx, C_yy, C_xx = draw.blocks(sigma2)
+                if factor is None:
+                    factor = _Once(lambda C_yy=C_yy: target_factor(C_yy, ridge))
+                    discriminative_gain = _Once(lambda C_yy=C_yy: gain_direct(ch.H, C_yy, 0.0))
+                    targets_finite = np.isfinite(y_bar).all() and np.isfinite(C_yy).all()
+                sample_finite = targets_finite and np.isfinite(x_bar).all() and (
+                    np.isfinite(C_xx).all() and np.isfinite(C_yx).all()
+                )
+            for name in names:
+                if not ch.finite or (name in _TRAINED and not sample_finite):
+                    failures[name] = NON_FINITE_SAMPLE if ch.finite else NON_FINITE_MEASUREMENT
+                    continue
                 try:
-                    est = rule.build(inputs)
+                    if name == Provenance.GENERATIVE:
+                        H_hat = _solve(factor.get(), C_yx).T  # as fit_ml fits it
+                        s2 = sigma2 if known_sigma2 is None else known_sigma2
+                        rule = _generative(H_hat, ch.known, s2, x_bar, y_bar)
+                    elif name == Provenance.DISCRIMINATIVE:
+                        rule = _lmmse(C_xx, C_yx, x_bar, y_bar, ridge, "input sample covariance")
+                    elif name == Provenance.GENERATIVE_HIGH_SNR:
+                        G = ch.generative_high_snr_gain.get()
+                        rule = G, _generative_offset(G, ch.known.mu_y, x_bar, y_bar, ch.H)
+                    elif name == Provenance.DISCRIMINATIVE_HIGH_SNR:
+                        G = discriminative_gain.get()
+                        rule = G, y_bar - G @ x_bar
+                    else:
+                        errors[name] = ch.untrained_risk(name, sigma2)
+                        continue
+                    errors[name] = ch.risk(*rule, sigma2)
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
-                    continue
-                errors[name] = affine_risk(est, prior, model, measurement)
         outcomes.append(TrialOutcome(errors=errors, failures=failures, warning_count=len(events)))
     return outcomes
 
@@ -423,34 +398,37 @@ def run_single_trial(
     here when omitted. A sweep scores its trials with the same code, at
     every noise level of the trial at once.
     """
-    names = tuple(estimator_names)
+    names = tuple(Provenance(name).value for name in estimator_names)
     if known is None and Provenance.GENERATIVE.value in names:
         raise ValueError("the generative estimator needs KnownStatistics")
-    if measurement is None:
-        measurement = measurement_moments(prior, model.H, model.nonlinearity)
-    return _score_cells(
-        prior, [model], [known], n_t, names, seed, ridge, measurement, _Shared()
-    )[0]
+    _check_ridge(ridge)
+    ch = _Channel(
+        prior, known.prior if known else prior, model.H, model.mu_w, model.nonlinearity, measurement
+    )
+    return _score_cells(ch, names, ridge, n_t, seed, [model.sigma2], known and known.sigma2)[0]
 
 
 def sweep_constants(cfg: ExperimentConfig) -> tuple:
-    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_H, fixed_moments)``.
+    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_channel)``.
 
     ``prior`` generates the data, ``known_prior`` is the generative side
-    information, ``fixed_H`` is the frozen measurement matrix under
-    ``h_mode == "fixed_once"`` and ``fixed_moments`` its noise-free
-    :func:`~gendisc.estimators.measurement_moments` (both ``None`` otherwise).
+    information, and ``fixed_channel`` is the frozen measurement map under
+    ``h_mode == "fixed_once"``, with what rests on it alone (``None`` otherwise).
     """
     prior = exp_decay_prior(cfg.n_y)
     if cfg.prior_mode == "identity_mismatch":
         known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
     else:
         known_prior = prior
-    fixed_H = fixed_moments = None
     if cfg.h_mode == "fixed_once":
-        fixed_H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(_NS_FIXED_H))
-        fixed_moments = measurement_moments(prior, fixed_H, cfg.nonlinearity)
-    return prior, known_prior, fixed_H, fixed_moments
+        return prior, known_prior, _channel(cfg, prior, known_prior, cfg.seed.child(_NS_FIXED_H))
+    return prior, known_prior, None
+
+
+def _channel(cfg: ExperimentConfig, prior, known_prior, seed: Seed) -> _Channel:
+    """The channel of a measurement matrix drawn from ``seed``."""
+    H = random_measurement_matrix(cfg.n_x, cfg.n_y, seed)
+    return _Channel(prior, known_prior, H, np.zeros(cfg.n_x), cfg.nonlinearity)
 
 
 def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
@@ -467,26 +445,13 @@ def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
 
 
 def _run_trial_cells(
-    cfg: ExperimentConfig,
-    nt_index: int,
-    n_t: int,
-    trial_index: int,
-    snrs,
-    constants: tuple,
-    shared: _Shared,
+    cfg: ExperimentConfig, nt_index: int, n_t: int, trial_index: int, sigma2s, constants: tuple
 ) -> list[TrialOutcome]:
-    """Trial ``trial_index`` of sample-count cell ``nt_index``, at each SNR in ``snrs``."""
-    prior, known_prior, H, measurement = constants
+    """Trial ``trial_index`` of sample-count cell ``nt_index``, at each variance in ``sigma2s``."""
+    prior, known_prior, ch = constants
     trial_seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
-    if H is None:
-        H = random_measurement_matrix(cfg.n_x, cfg.n_y, trial_seed.child(2))
-        measurement = measurement_moments(prior, H, cfg.nonlinearity)
-    mu_w = np.zeros(cfg.n_x)
-    models = [TrueModel(H, mu_w, 1.0 / snr, cfg.nonlinearity) for snr in snrs]
-    knowns = [KnownStatistics(prior=known_prior, sigma2=model.sigma2) for model in models]
-    return _score_cells(
-        prior, models, knowns, n_t, cfg.estimator_set, trial_seed, cfg.ridge, measurement, shared
-    )
+    ch = ch or _channel(cfg, prior, known_prior, trial_seed.child(2))
+    return _score_cells(ch, cfg.estimator_set, cfg.ridge, n_t, trial_seed, sigma2s)
 
 
 def run_trial(
@@ -506,8 +471,7 @@ def run_trial(
     sweep_name, _ = sweep_points(cfg)
     nt_index = point.index if sweep_name == "nt" else 0
     return _run_trial_cells(
-        cfg, nt_index, point.n_t, trial_index, [point.snr],
-        constants or sweep_constants(cfg), _Shared(),
+        cfg, nt_index, point.n_t, trial_index, [point.sigma2], constants or sweep_constants(cfg)
     )[0]
 
 
@@ -523,7 +487,7 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     cfg.validate()
     sweep_name, points = sweep_points(cfg)
     constants = sweep_constants(cfg)
-    shared = _Shared()
+    sigma2s = [1.0 / snr for snr in cfg.snr_grid]
     names = cfg.estimator_set
     n_snr = len(cfg.snr_grid)
     # Scores stream into one preallocated row per SNR cell and estimator, in trial order.
@@ -535,7 +499,7 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
         reasons: list[dict[str, dict[str, dict]]] = [{} for _ in range(n_snr)]
         warning_counts = [0] * n_snr
         for trial in range(cfg.mc_trials):
-            outs = _run_trial_cells(cfg, j, n_t, trial, cfg.snr_grid, constants, shared)
+            outs = _run_trial_cells(cfg, j, n_t, trial, sigma2s, constants)
             for k, out in enumerate(outs):
                 warning_counts[k] += out.warning_count
                 for e, name in enumerate(names):

@@ -1,11 +1,11 @@
 """Sample moments and numerically safe symmetric-positive-definite linear algebra.
 
-Every matrix inverse in the estimator formulas is routed through
-:func:`spd_factor` (or :func:`spd_solve`, which factors and solves once),
-which factorizes via Cholesky, screens the condition number from the factor,
-and fails loudly (no silent pseudo-inverses) when the matrix is not positive
-definite after optional ridge regularization. A factor can be kept and
-solved against many right-hand sides.
+Every matrix inverse in the estimator formulas is routed through one Cholesky
+routine, public as :func:`spd_factor` (and :func:`spd_solve`, which factors
+and solves once), which screens the condition number from the factor and
+fails loudly (no silent pseudo-inverses) when the matrix is not positive
+definite after optional ridge regularization. The public functions check
+their inputs, then call the same unchecked routine the sweep calls.
 """
 
 from __future__ import annotations
@@ -292,7 +292,12 @@ class SpdFactor:
             raise ValueError(
                 f"right-hand side shape {B.shape} does not match {self.name} of shape {(n, n)}"
             )
-        return dpotrs(self.lower, B, lower=1)[0]
+        return _solve(self.lower, B)
+
+
+def _check_ridge(ridge: float) -> None:
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
 
 
 def spd_factor(M, ridge: float = 0.0, name: str = "matrix") -> SpdFactor:
@@ -323,8 +328,12 @@ def spd_factor(M, ridge: float = 0.0, name: str = "matrix") -> SpdFactor:
     M = _as_float_array(M, name, ndim=2)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not 0.0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+    _check_ridge(ridge)
+    return SpdFactor(_factor(M, ridge, name), name)
+
+
+def _factor(M: np.ndarray, ridge: float, name: str) -> np.ndarray:
+    """The lower factor of :func:`spd_factor`, with all its checks but those of its inputs."""
     if M.tobytes() == M.T.tobytes():
         A = M
     elif _symmetry_defect(M) > _SYMMETRY_RTOL:
@@ -349,7 +358,12 @@ def spd_factor(M, ridge: float = 0.0, name: str = "matrix") -> SpdFactor:
         cond = condition_estimate(A)
         if cond > CONDITION_WARN_THRESHOLD:
             report_condition(name, cond)
-    return SpdFactor(factor, name)
+    return factor
+
+
+def _solve(lower: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve with a lower factor of :func:`_factor`, as :meth:`SpdFactor.solve` does."""
+    return dpotrs(lower, B, lower=1)[0]
 
 
 def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
@@ -387,31 +401,30 @@ def woodbury_invert(H, C, sigma2: float, ridge: float = 0.0) -> tuple[np.ndarray
     """
     H = _as_float_array(H, "H", ndim=2)
     C = _as_float_array(C, "C", ndim=2)
-    if sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     if C.shape[0] != C.shape[1] or C.shape[0] != H.shape[1]:
         raise ValueError(f"shape mismatch: H is {H.shape}, C is {C.shape}")
+    _check_ridge(ridge)
     return (
         gain_direct(H, C, sigma2, ridge=ridge),
         gain_lemma(H, C, sigma2, ridge=ridge),
     )
 
 
+# The gains take float arrays that their callers checked or built, and check nothing.
+
+
 def gain_direct(H, C, sigma2: float, ridge: float = 0.0) -> np.ndarray:
     """Gain via the N_x-sized inverse: ``C H^T (H C H^T + sigma2 I)^{-1}``."""
-    H = np.asarray(H, dtype=float)
-    C = np.asarray(C, dtype=float)
     HC = H @ C
     S = HC @ H.T + sigma2 * np.eye(H.shape[0])
     # C symmetric: C H^T S^{-1} = (S^{-1} H C)^T
-    return spd_solve(S, HC, ridge=ridge, name="innovation covariance").T
+    return _solve(_factor(S, ridge, "innovation covariance"), HC).T
 
 
 def gain_lemma(H, C, sigma2: float, ridge: float = 0.0) -> np.ndarray:
     """Gain via the N_y-sized inverse: ``(H^T H + sigma2 C^{-1})^{-1} H^T``."""
-    H = np.asarray(H, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n_y = C.shape[0]
-    C_inv = spd_solve(C, np.eye(n_y), ridge=ridge, name="prior covariance")
+    C_inv = _solve(_factor(C, ridge, "prior covariance"), np.eye(C.shape[0]))
     M = H.T @ H + sigma2 * C_inv
-    return spd_solve(M, H.T, ridge=ridge, name="lemma inner matrix")
+    return _solve(_factor(M, ridge, "lemma inner matrix"), H.T)

@@ -189,9 +189,9 @@ def sample_targets(prior: GaussianPrior, n: int, seed: Seed) -> np.ndarray:
 def _check_draw(prior: GaussianPrior, model: TrueModel, n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if prior.n_y != model.n_y:
+    if prior.n_y != model.H.shape[1]:
         raise ValueError(
-            f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
+            f"prior dimension {prior.n_y} does not match model target dimension {model.H.shape[1]}"
         )
 
 
@@ -230,25 +230,32 @@ def _strict_lower(d: int) -> np.ndarray:
     return idx
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not (np.isfinite(sigma2) and sigma2 >= 0):
-        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+class _Draw:
+    """The training randomness of :func:`draw_training`, free of the noise level."""
+
+    def moments(self, sigma2: float) -> SampleMoments:
+        """The sample moments at noise variance ``sigma2``: the fields of :meth:`blocks`."""
+        if not (np.isfinite(sigma2) and sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+        return SampleMoments(*self.blocks(sigma2), n_t=self.n)
 
 
-class _PairDraw:
+class _PairDraw(_Draw):
     """``n`` pairs of :func:`sample_pairs` with the noise left unscaled.
 
     From ``seed.generator()`` come, in this order, the standard normals of
     the targets ``ys`` and of the noise. ``x = (g(H y) + mu_w) + sqrt(sigma2)
     * noise`` for any ``sigma2``; the target moments are computed once, on
-    first use.
+    first use. The moments at ``sigma2`` are ``compute_moments(Dataset(xs=
+    self.xs(sigma2), ys=self.ys))``, bit for bit.
     """
 
     def __init__(self, prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
         _check_draw(prior, model, n)
         rng = seed.generator()
+        self.n = n
         self.ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
-        self.noise = rng.standard_normal((n, model.n_x))
+        self.noise = rng.standard_normal((n, model.H.shape[0]))
         self.signal = model.nonlinearity.apply(self.ys @ model.H.T) + model.mu_w
 
     @cached_property
@@ -256,30 +263,21 @@ class _PairDraw:
         """The target mean, the centred targets and their 1/n scatter."""
         y_bar = self.ys.mean(axis=0)
         yc = self.ys - y_bar
-        return y_bar, yc, yc.T @ yc / self.ys.shape[0]
+        return y_bar, yc, yc.T @ yc / self.n
 
     def xs(self, sigma2: float) -> np.ndarray:
-        _check_sigma2(sigma2)
         return self.signal + np.sqrt(sigma2) * self.noise
 
-    def moments(self, sigma2: float) -> SampleMoments:
-        """``compute_moments(Dataset(xs=self.xs(sigma2), ys=self.ys))``, bit for bit."""
+    def blocks(self, sigma2: float) -> tuple[np.ndarray, ...]:
+        """``x_bar, y_bar, C_yx, C_yy, C_xx``, with ``sigma2`` unchecked."""
         y_bar, yc, C_yy = self._targets
         xs = self.xs(sigma2)
-        n = xs.shape[0]
         x_bar = xs.mean(axis=0)
         xc = xs - x_bar
-        return SampleMoments(
-            x_bar=x_bar,
-            y_bar=y_bar,
-            C_yx=yc.T @ xc / n,
-            C_yy=C_yy,
-            C_xx=xc.T @ xc / n,
-            n_t=n,
-        )
+        return x_bar, y_bar, yc.T @ xc / self.n, C_yy, xc.T @ xc / self.n
 
 
-class _MomentDraw:
+class _MomentDraw(_Draw):
     """The noise-free part of a linear-model training set's moments, drawn from their law.
 
     From ``seed.generator()`` come, in this order, the standard-normal mean
@@ -294,41 +292,37 @@ class _MomentDraw:
         _check_draw(prior, model, n)
         self.n, self.n_y = n, prior.n_y
         rng = seed.generator()
-        self.z = rng.standard_normal(prior.n_y + model.n_x)
-        self.G = _standard_scatter_root(rng, n - 1, prior.n_y + model.n_x)
+        self.z = rng.standard_normal(prior.n_y + model.H.shape[0])
+        self.G = _standard_scatter_root(rng, n - 1, prior.n_y + model.H.shape[0])
         self.F_y = prior.L_yy @ self.G[: self.n_y]
         self.HF_y = model.H @ self.F_y
         self.y_bar = prior.mu_y + prior.L_yy @ self.z[: self.n_y] / np.sqrt(n)
         self.signal_bar = model.H @ self.y_bar + model.mu_w
 
-    def moments(self, sigma2: float) -> SampleMoments:
-        """``F_x = H F_y + sigma G[N_y:]``, ``C = F F^T / n`` for ``F = [F_y; F_x]``
-        split into its blocks, and ``x_bar = (H y_bar + mu_w) + sigma z_w / sqrt(n)``."""
-        _check_sigma2(sigma2)
+    def blocks(self, sigma2: float) -> tuple[np.ndarray, ...]:
+        """``x_bar, y_bar, C_yx, C_yy, C_xx`` (``sigma2`` unchecked): ``F_x = H F_y + sigma
+        G[N_y:]``, ``C = F F^T / n`` for ``F = [F_y; F_x]`` split into its blocks, and
+        ``x_bar = (H y_bar + mu_w) + sigma z_w / sqrt(n)``."""
         n, n_y = self.n, self.n_y
         sigma = np.sqrt(sigma2)
         F = np.empty(self.G.shape)
         F[:n_y] = self.F_y
         F[n_y:] = self.HF_y + sigma * self.G[n_y:]
         C = F @ F.T / n
-        return SampleMoments(
-            x_bar=self.signal_bar + sigma * self.z[n_y:] / np.sqrt(n),
-            y_bar=self.y_bar,
-            C_yx=C[:n_y, n_y:],
-            C_yy=C[:n_y, :n_y],
-            C_xx=C[n_y:, n_y:],
-            n_t=n,
-        )
+        x_bar = self.signal_bar + sigma * self.z[n_y:] / np.sqrt(n)
+        return x_bar, self.y_bar, C[:n_y, n_y:], C[:n_y, :n_y], C[n_y:, n_y:]
 
 
 def draw_training(
     prior: GaussianPrior, model: TrueModel, n: int, seed: Seed
-) -> _MomentDraw | _PairDraw:
+) -> _Draw:
     """The randomness of a training set of ``n`` pairs, free of the noise level.
 
     Its ``moments(sigma2)`` method gives the sample moments of the set at
-    noise variance ``sigma2``, with ``H``, ``mu_w`` and the measurement map
-    taken from ``model`` (whose own ``sigma2`` is not read). The draws do
+    noise variance ``sigma2``, and ``blocks(sigma2)`` their fields as plain
+    arrays, with ``sigma2`` unchecked. ``H``, ``mu_w`` and the measurement
+    map ``nonlinearity`` are read from ``model``: a :class:`TrueModel`, whose
+    own ``sigma2`` is not read, or any object with those three. The draws do
     not depend on ``sigma2``: sets at several noise levels share them and
     differ only in how far the noise is scaled. Under a :class:`Linear` map
     the moments are drawn from their joint law and no pair is materialized;

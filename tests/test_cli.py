@@ -146,6 +146,27 @@ class TestValidateCommand:
         rows = read_results_csv(tmp_path / "out" / "results.csv")
         assert rows and all(int(row["trials_ok"]) == 2 for row in rows)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_moments_are_per_cell_failures(self, tmp_path):
+        # alpha = 1e200 is finite, so validate accepts it; the cubic map then
+        # overflows, and every rule of every trial fails for a named reason.
+        config = {
+            "n_x": 4, "n_y": 5, "snr_grid": [1, 10], "nt_grid": [20], "mc_trials": 3,
+            "nonlinearity": {"kind": "cubic", "alpha": 1e200},
+        }
+        path = _write(tmp_path / "c.json", json.dumps(config))
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        rows = read_results_csv(tmp_path / "out" / "results.csv")
+        assert len(rows) == 6
+        assert all((row["mean_mse"], row["trials_failed"]) == ("", "3") for row in rows)
+        cells = json.loads((tmp_path / "out" / "manifest.json").read_text())["cells"]
+        reason = {"non-finite measurement moments": {"count": 3, "first_trial": 0}}
+        for cell in cells:
+            assert cell["failure_reasons"] == {
+                name: reason for name in ("generative", "discriminative", "oracle_lmmse")
+            }
+
     def test_valid_config_prints_resolved_json(self, tmp_path, capsys):
         path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
         assert main(["validate", path]) == 0

@@ -1,19 +1,28 @@
+import collections
 import warnings
 
 import numpy as np
 import pytest
 
-from gendisc import harness
+from gendisc import estimators, harness, moments, synth
 from gendisc.estimators import (
+    AffineEstimator,
+    FittedModel,
     KnownStatistics,
     Provenance,
     affine_risk,
+    discriminative_asymptote,
     discriminative_estimator,
+    discriminative_highsnr,
     fit_ml,
+    generative_asymptote,
     generative_estimator,
+    generative_highsnr,
     oracle_lmmse,
+    population_moments,
 )
 from gendisc.harness import (
+    H_MODES,
     ExperimentConfig,
     SweepPoint,
     compute_mse,
@@ -24,6 +33,7 @@ from gendisc.harness import (
 )
 from gendisc.moments import (
     IllConditionedWarning,
+    SampleMoments,
     SingularMatrixError,
     condition_events,
     spd_factor,
@@ -31,6 +41,7 @@ from gendisc.moments import (
 from gendisc.synth import (
     Cubic,
     GaussianPrior,
+    Linear,
     Seed,
     Tanh,
     TrueModel,
@@ -480,32 +491,184 @@ class TestSharedDraws:
         assert calls == {"draw": 6, "factor": 6, "gain": 1 + 6}
 
     def test_shared_warning_counts_in_every_use(self):
-        shared = harness._Shared()
         M = np.diag([1.0, 1e-13])
+        shared = harness._Once(lambda: spd_factor(M, name="probe"))
         for _ in range(3):
             with condition_events() as events:
                 with pytest.warns(IllConditionedWarning):
-                    factor = shared.get("probe", (M,), lambda: spd_factor(M, name="probe"))
+                    factor = shared.get()
             assert [name for name, _ in events] == ["probe"]
         assert np.allclose(factor.solve(np.ones(2)), [1.0, 1e13], rtol=1e-12)
 
     def test_shared_failure_is_raised_in_every_use(self):
-        shared = harness._Shared()
         M = np.diag([1.0, 0.0])
+        shared = harness._Once(lambda: spd_factor(M, name="probe"))
         errors = []
         for _ in range(2):
             with pytest.raises(SingularMatrixError) as excinfo:
-                shared.get("probe", (M,), lambda: spd_factor(M, name="probe"))
+                shared.get()
             errors.append(excinfo.value)
         assert errors[0] is errors[1]
         assert errors[0].name == "probe"
 
-    def test_changed_inputs_are_computed_anew(self):
-        shared = harness._Shared()
-        computed = []
-        for M in (np.eye(2), np.eye(2), 2.0 * np.eye(2), np.eye(2)):
-            shared.get("probe", (M,), lambda: computed.append(M[0, 0]))
-        assert computed == [1.0, 2.0, 1.0]
+    def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
+        # Under a frozen H the oracle and both asymptotes do not depend on the
+        # trial: each is built and scored once per SNR cell of the sweep, and
+        # its condition warnings still count in every trial.
+        calls = {"oracle": 0, "generative": 0, "discriminative": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "_oracle", counted("oracle", harness._oracle))
+        monkeypatch.setattr(
+            harness, "_generative_asymptote", counted("generative", harness._generative_asymptote)
+        )
+        monkeypatch.setattr(harness, "_lmmse", counted("discriminative", harness._lmmse))
+        cfg = ExperimentConfig(
+            n_x=6, n_y=3, snr_grid=(1.0, 1e12, 3e13), nt_grid=(12,), mc_trials=4, seed=Seed(11),
+            h_mode="fixed_once",
+            estimator_set=("oracle_lmmse", "generative_asymptote", "discriminative_asymptote"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = sweep(cfg)
+            built = dict(calls)
+            _, points = sweep_points(cfg)
+            alone = [run_trial(cfg, p, 0) for p in points]
+        assert built == {"oracle": 3, "generative": 3, "discriminative": 3}
+        assert any(out.warning_count for out in alone)
+        cells = report.metadata["cells"]
+        assert [c["condition_warnings"] for c in cells] == [4 * o.warning_count for o in alone]
+        for row in report.rows:
+            assert row.trials_ok == 4 and row.std_err == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_sample_moments_fail_the_trained_rules(self):
+        # At SNR 1e-308 the noise scatter overflows: every trained rule of that
+        # cell fails for that reason, while the other cell is scored.
+        names = ("generative", "discriminative", "generative_high_snr", "discriminative_high_snr")
+        cfg = _small_config(
+            snr_grid=(1e-308, 1.0), nt_grid=(20,), mc_trials=3, estimator_set=names
+        )
+        cells = sweep(cfg).metadata["cells"]
+        reason = {harness.NON_FINITE_SAMPLE: {"count": 3, "first_trial": 0}}
+        assert cells[0]["failure_reasons"] == {name: reason for name in names}
+        assert cells[1]["failures"] == {}
+
+
+ALL_RULES = tuple(p.value for p in Provenance)
+
+
+def _public_outcome(cfg, point, trial):
+    """A trial's errors and failure reasons from the public constructors and affine_risk.
+
+    The rules are fitted on ``sample_moments`` of the trial's training stream,
+    with H drawn from the trial's or the sweep's stream as ``run_trial`` does.
+    """
+    prior = exp_decay_prior(cfg.n_y)
+    sweep_name, _ = sweep_points(cfg)
+    seed = cfg.seed.child(0, point.index if sweep_name == "nt" else 0, trial)
+    H_seed = cfg.seed.child(1) if cfg.h_mode == "fixed_once" else seed.child(2)
+    H = random_measurement_matrix(cfg.n_x, cfg.n_y, H_seed)
+    model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity)
+    known = KnownStatistics(prior=prior, sigma2=point.sigma2)
+    m = sample_moments(prior, model, point.n_t, seed.child(0))
+    pop = population_moments(prior, model)
+    build = {
+        "generative": lambda: generative_estimator(fit_ml(m, cfg.ridge), known, m),
+        "discriminative": lambda: discriminative_estimator(m, cfg.ridge),
+        "oracle_lmmse": lambda: oracle_lmmse(prior, model),
+        "generative_asymptote": lambda: generative_asymptote(prior, pop, point.sigma2),
+        "discriminative_asymptote": lambda: discriminative_asymptote(prior, pop),
+        "generative_high_snr": lambda: generative_highsnr(prior, H, m),
+        "discriminative_high_snr": lambda: discriminative_highsnr(H, m),
+    }
+    errors, failures = {}, {}
+    for name in cfg.estimator_set:
+        try:
+            errors[name] = affine_risk(build[name](), prior, model)
+        except SingularMatrixError as exc:
+            failures[name] = exc.name
+    return errors, failures
+
+
+class TestOnePath:
+    @pytest.mark.filterwarnings("ignore::gendisc.moments.IllConditionedWarning")
+    @pytest.mark.parametrize("h_mode", H_MODES)
+    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
+    @pytest.mark.parametrize("n_x, n_y", [(5, 4), (4, 5)])
+    def test_trial_scores_equal_the_public_constructors(self, n_x, n_y, nonlinearity, h_mode):
+        # Every rule the sweep scores on plain arrays has the risk, bit for bit,
+        # and the failure reason of the public constructor fed the same draw.
+        # The grids reach far enough (n_t = 5, SNR 1e15) that some rules fail.
+        n_failures = 0
+        for grids in (dict(snr_grid=(0.5, 1e15), nt_grid=(8,)), dict(snr_grid=(2.0,), nt_grid=(5, 30))):
+            cfg = ExperimentConfig(
+                n_x=n_x, n_y=n_y, mc_trials=3, seed=Seed(31), h_mode=h_mode,
+                nonlinearity=nonlinearity, estimator_set=ALL_RULES, **grids,
+            )
+            for point in sweep_points(cfg)[1]:
+                for trial in range(cfg.mc_trials):
+                    out = run_trial(cfg, point, trial)
+                    errors, failures = _public_outcome(cfg, point, trial)
+                    assert out.errors == errors
+                    assert out.failures == failures
+                    n_failures += len(failures)
+        assert n_failures > 0
+
+
+class TestBoundary:
+    @pytest.mark.filterwarnings("ignore::gendisc.moments.IllConditionedWarning")
+    @pytest.mark.parametrize(
+        "nonlinearity, h_mode", [(Linear(), "per_trial"), (Tanh(scale=1.0), "fixed_once")]
+    )
+    def test_sweep_loop_validates_and_constructs_nothing(self, monkeypatch, nonlinearity, h_mode):
+        # Inputs are checked where they enter; once sweep_constants has run, a
+        # 13-SNR sweep builds none of the public, validating objects and makes
+        # no array check, so validation cannot creep back into the per-cell loop.
+        counts = collections.Counter()
+        armed = []
+        real_constants = harness.sweep_constants
+
+        def constants(cfg):
+            out = real_constants(cfg)
+            armed.append(True)
+            return out
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if armed:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "sweep_constants", constants)
+        for cls in (SampleMoments, FittedModel, AffineEstimator, TrueModel, KnownStatistics):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        for module in (moments, estimators, synth, harness):
+            if hasattr(module, "_as_float_array"):
+                wrapped = counted("_as_float_array", module._as_float_array)
+                monkeypatch.setattr(module, "_as_float_array", wrapped)
+        cfg = ExperimentConfig(
+            n_x=4, n_y=5, nt_grid=(30,), mc_trials=3, seed=Seed(41), nonlinearity=nonlinearity,
+            h_mode=h_mode, estimator_set=ALL_RULES,
+        )
+        assert len(cfg.snr_grid) == 13
+        report = sweep(cfg)
+        assert armed and all(row.trials_ok == 3 for row in report.rows)
+        assert counts == {}
+        # The counters do see the public boundary.
+        discriminative_estimator(sample_moments(
+            exp_decay_prior(2), TrueModel(np.eye(2), np.zeros(2), 1.0), 10, Seed(1)
+        ))
+        assert counts["SampleMoments"] == counts["AffineEstimator"] == 1
+        assert counts["_as_float_array"] > 0
 
 
 class TestConfigValidation:
