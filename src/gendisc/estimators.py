@@ -306,7 +306,8 @@ class _Truth:
     ``measurement`` is the :func:`measurement_moments` of ``g(H y)``, computed
     when omitted: ``mu_x = mu_g + mu_w``; ``C_yx = C_yy H^T`` and ``C_xx = H
     C_yy H^T + sigma2 I`` under the linear map, ``C_yx = L_yy B^T`` and
-    ``C_xx = B B^T + Q + sigma2 I`` under the others. Inputs are not checked.
+    ``C_xx = B B^T + Q + sigma2 I`` under the others. Inputs are not checked;
+    ``finite`` tells whether the measurement moments overflowed.
     """
 
     def __init__(self, prior: GaussianPrior, H, mu_w, nonlinearity, measurement=None):
@@ -315,6 +316,8 @@ class _Truth:
         self.prior, self.H, self.mu_w, self.nonlinearity = prior, H, mu_w, nonlinearity
         self.measurement, self.linear = measurement, measurement.Q is None
         self.mu_x = measurement.mu_g + mu_w
+        arrays = (measurement.B, self.mu_x, measurement.Q)
+        self.finite = all(np.isfinite(a).all() for a in arrays if a is not None)
 
     @cached_property
     def HC(self) -> np.ndarray:
@@ -538,6 +541,8 @@ def oracle_lmmse(
             f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
         )
     truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
+    if not truth.finite:
+        raise ValueError("the measurement moments contain non-finite entries")
     A, b = _oracle(truth, model.sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.ORACLE_LMMSE)
 

@@ -270,7 +270,7 @@ class _Once:
                 try:
                     value = self._compute()
                 except np.linalg.LinAlgError as exc:
-                    error = exc.with_traceback(None)
+                    error = exc
             # Dropping compute frees what it holds; it may hold the owner of this object.
             self._entry, self._compute = (value, error, events), None
         else:
@@ -278,7 +278,8 @@ class _Once:
             for name, cond in events:
                 report_condition(name, cond)
         if error is not None:
-            raise error
+            # Raised afresh: a re-raise would chain onto the frames of every earlier use.
+            raise error.with_traceback(None)
         return value
 
 
@@ -294,8 +295,6 @@ class _Channel(_Truth):
     def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
         super().__init__(prior, H, mu_w, nonlinearity, measurement)
         self.known = known
-        arrays = (self.measurement.B, self.mu_x, self.measurement.Q)
-        self.finite = all(np.isfinite(a).all() for a in arrays if a is not None)
         self.generative_high_snr_gain = _Once(lambda: gain_direct(H, known.C_yy, 0.0))
         self._untrained: dict[tuple[str, float], _Once] = {}
 
@@ -344,11 +343,9 @@ def _score_cells(
                     factor = _Once(lambda C_yy=C_yy: target_factor(C_yy, ridge))
                     discriminative_gain = _Once(lambda C_yy=C_yy: gain_direct(ch.H, C_yy, 0.0))
                     targets_finite = np.isfinite(y_bar).all() and np.isfinite(C_yy).all()
-                sample_finite = targets_finite and np.isfinite(x_bar).all() and (
-                    np.isfinite(C_xx).all() and np.isfinite(C_yx).all()
-                )
+                finite = targets_finite and all(np.isfinite(a).all() for a in (x_bar, C_yx, C_xx))
             for name in names:
-                if not ch.finite or (name in _TRAINED and not sample_finite):
+                if not ch.finite or (name in _TRAINED and not finite):
                     failures[name] = NON_FINITE_SAMPLE if ch.finite else NON_FINITE_MEASUREMENT
                     continue
                 try:
@@ -370,6 +367,7 @@ def _score_cells(
                     errors[name] = ch.risk(*rule, sigma2)
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
+                    exc.with_traceback(None)  # a shared error outlives this frame; unpin it
         outcomes.append(TrialOutcome(errors=errors, failures=failures, warning_count=len(events)))
     return outcomes
 

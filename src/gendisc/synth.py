@@ -313,9 +313,7 @@ class _MomentDraw(_Draw):
         return x_bar, self.y_bar, C[:n_y, n_y:], C[:n_y, :n_y], C[n_y:, n_y:]
 
 
-def draw_training(
-    prior: GaussianPrior, model: TrueModel, n: int, seed: Seed
-) -> _Draw:
+def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> _Draw:
     """The randomness of a training set of ``n`` pairs, free of the noise level.
 
     Its ``moments(sigma2)`` method gives the sample moments of the set at

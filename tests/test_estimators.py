@@ -221,6 +221,15 @@ class TestOracleLmmse:
         assert np.allclose(est.A, 0.0, atol=1e-9)
         assert np.allclose(est.b, mu, atol=1e-9)
 
+    def test_non_finite_measurement_moments_are_rejected(self):
+        # A valid cubic map whose moments overflow: a clear input error, not a factorization one.
+        prior = exp_decay_prior(5)
+        H = random_measurement_matrix(4, 5, Seed(40))
+        model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=1.0, nonlinearity=Cubic(alpha=1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                oracle_lmmse(prior, model)
+
     def test_discriminative_converges_to_oracle(self):
         prior = exp_decay_prior(6)
         H = random_measurement_matrix(5, 6, Seed(38))
@@ -514,6 +523,7 @@ class TestMeasurementMoments:
         m = measurement_moments(prior, H, model.nonlinearity)
         assert m.Q is None
         pop = linear_population_moments(prior, model)
+        assert np.allclose(H @ prior.mu_y + model.mu_w, pop.mu_x, rtol=0, atol=1e-12)
         assert np.allclose(m.mu_g + model.mu_w, pop.mu_x, rtol=0, atol=1e-12)
         assert np.allclose(prior.L_yy @ m.B.T, pop.C_yx, rtol=0, atol=1e-12)
         assert np.allclose(m.B @ m.B.T + 0.7 * np.eye(4), pop.C_xx, rtol=0, atol=1e-12)

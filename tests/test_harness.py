@@ -1,4 +1,7 @@
 import collections
+import gc
+import traceback
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -510,6 +513,44 @@ class TestSharedDraws:
             errors.append(excinfo.value)
         assert errors[0] is errors[1]
         assert errors[0].name == "probe"
+
+    def test_shared_failure_carries_only_the_frames_of_its_last_use(self):
+        # Re-raising one exception object chains its traceback onto the
+        # frames of every earlier use; each use must start it afresh.
+        shared = harness._Once(lambda: spd_factor(np.diag([1.0, 0.0]), name="probe"))
+        depths = []
+        for _ in range(5):
+            with pytest.raises(SingularMatrixError) as excinfo:
+                shared.get()
+            depths.append(len(traceback.extract_tb(excinfo.value.__traceback__)))
+        assert len(set(depths)) == 1
+
+    def test_shared_failure_pins_no_trial_under_a_frozen_h(self):
+        # With n_x > n_y the high-SNR gains fail in every trial, the
+        # generative one from a result shared by the whole sweep. What a
+        # trial held (its n_t x (n_y + 2 n_x) tanh draw among it) must be
+        # freed when the trial ends, without waiting for the cyclic collector.
+        n_t = 2000
+        cfg = _small_config(
+            n_x=5, n_y=4, nt_grid=(n_t,), h_mode="fixed_once", nonlinearity=Tanh(),
+            estimator_set=("generative_high_snr", "discriminative_high_snr", "oracle_lmmse"),
+        )
+        constants = harness.sweep_constants(cfg)
+        sigma2s = [1.0 / snr for snr in cfg.snr_grid]
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            outs = harness._run_trial_cells(cfg, 0, n_t, 0, sigma2s, constants)
+            before = tracemalloc.get_traced_memory()[0]
+            for trial in range(1, 21):
+                harness._run_trial_cells(cfg, 0, n_t, trial, sigma2s, constants)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert set(outs[0].failures) == {"generative_high_snr", "discriminative_high_snr"}
+        assert grown < n_t * (cfg.n_y + 2 * cfg.n_x) * 8  # less than one trial's draw
 
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
         # Under a frozen H the oracle and both asymptotes do not depend on the
