@@ -1,4 +1,4 @@
-"""Golden anchor: SHA-256 of results.csv for five tiny deterministic sweeps.
+"""Golden anchor: SHA-256 of results.csv for six tiny deterministic sweeps.
 
 A change that alters any output bit changes one of these hashes. Such a
 change must be deliberate and logged in CHANGES.md together with the new
@@ -65,6 +65,19 @@ NT_CONFIG = {
     "seed": 1729,
 }
 
+# Two learned rules near the precision limit: at SNR 1e14 the discriminative
+# rule fails in 9 of 20 trials, which pins the mean and SE of a partly failed
+# cell, reduced over the trials that were scored, in trial order.
+PARTIAL_FAILURE_CONFIG = {
+    "n_x": 6,
+    "n_y": 3,
+    "snr_grid": [1e12, 1e14],
+    "nt_grid": [30],
+    "mc_trials": 20,
+    "seed": 1729,
+    "estimator_set": ["generative", "discriminative"],
+}
+
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
@@ -85,6 +98,10 @@ GOLDEN = {
     "nt": (
         NT_CONFIG,
         "8fb2d0d0ede68159898ba0ea6992113c9a152e2c4111cb2a2dfe55208cb69c14",
+    ),
+    "partial_failure": (
+        PARTIAL_FAILURE_CONFIG,
+        "c788e5a0fcec49ed4ad0eb5afc8ee8248bf0224e72dcca5f67129fbe6a867afb",
     ),
 }
 
@@ -137,3 +154,13 @@ def test_nt_small_cell_failure_reasons(tmp_path):
         "discriminative": {"input sample covariance": {"count": 20, "first_trial": 0}},
     }
     assert all(cell["failure_reasons"] == {} for cell in cells[1:])
+
+
+def test_partial_failure_cell_counts(tmp_path):
+    # The anchor above is a partly failed cell, not an all-failed or a clean one.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(PARTIAL_FAILURE_CONFIG), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+    cells = json.loads((out_dir / "manifest.json").read_text())["cells"]
+    assert [cell["failures"] for cell in cells] == [{}, {"discriminative": 9}]
