@@ -266,7 +266,7 @@ def condition_estimate(M: np.ndarray) -> float:
     i.e. when the matrix has no SPD factorization.
     """
     M = np.asarray(M, dtype=float)
-    evals = np.linalg.eigvalsh(0.5 * (M + M.T))
+    evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first: no overflow near the float range
     lo, hi = evals[0], evals[-1]
     if lo <= 0.0:
         return float("inf")
@@ -339,7 +339,7 @@ def _factor(M: np.ndarray, ridge: float, name: str) -> np.ndarray:
     elif _symmetry_defect(M) > _SYMMETRY_RTOL:
         raise ValueError(f"{name} is not symmetric (relative asymmetry exceeds {_SYMMETRY_RTOL:g})")
     else:
-        A = 0.5 * (M + M.T)
+        A = 0.5 * M + 0.5 * M.T  # halved first, as condition_estimate does
     if ridge:
         A = A + ridge * np.eye(A.shape[0])
 

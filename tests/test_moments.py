@@ -301,6 +301,13 @@ class TestConditionEstimate:
     def test_indefinite_is_inf(self):
         assert condition_estimate(np.diag([1.0, -1.0])) == np.inf
 
+    def test_entries_near_the_float_range_do_not_overflow(self):
+        # M + M^T overflows here; halving each side first does not.
+        M = np.array([[1e308, 1e307], [np.nextafter(1e307, np.inf), 1e308]])
+        assert condition_estimate(M) == pytest.approx(1.1e308 / 0.9e308, rel=1e-12)
+        L = np.tril(spd_factor(M, name="probe").lower)
+        assert np.allclose(L @ L.T, M, rtol=1e-14, atol=0)
+
 
 class TestWoodburyInvert:
     def test_identity_shrinkage(self):
