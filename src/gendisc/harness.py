@@ -20,9 +20,10 @@ from a counter-based child seed of (sample-count cell, trial), so results do
 not depend on the order trials run in, nor on which other SNRs share the grid;
 construction failures (singular sample covariances at small sample counts,
 non-finite moments) are recorded per cell rather than aborting the sweep.
-Memory is one float64 score per trial, estimator and SNR cell, plus failure
-counts grouped by reason, each with the first trial it struck so that it can
-be replayed with :func:`run_trial`, the one-SNR case of the same code.
+Memory is one float64 score per trial, estimator and SNR cell, kept at the
+trial's index with NaN for a failure, plus failure counts grouped by reason,
+each with the first trial it struck so that it can be replayed with
+:func:`run_trial`, the one-SNR case of the same code.
 """
 
 from __future__ import annotations
@@ -288,53 +289,45 @@ class _Channel(_Truth):
 
     ``known`` is the prior handed to the generative rules. Made once per
     trial, or once per sweep when H is frozen, so that what rests on H alone
-    is computed once per H: the truth's products, the generative high-SNR
-    gain and, per noise variance, each untrained rule and its risk.
+    is computed once per H: the truth's products and, through :meth:`once`,
+    the generative high-SNR gain and, per noise variance, each untrained
+    rule's risk.
     """
 
     def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
         super().__init__(prior, H, mu_w, nonlinearity, measurement)
         self.known = known
-        self.generative_high_snr_gain = _Once(lambda: gain_direct(H, known.C_yy, 0.0))
-        self._untrained: dict[tuple[str, float], _Once] = {}
+        self._memo: dict = {}
 
-    def untrained_risk(self, name: str, sigma2: float) -> float:
-        key = (name, sigma2)
-        if key not in self._untrained:
-            self._untrained[key] = _Once(lambda: self.risk(*self._untrained_rule(*key), sigma2))
-        return self._untrained[key].get()
-
-    def _untrained_rule(self, name: str, sigma2: float):
-        if name == Provenance.ORACLE_LMMSE:
-            return _oracle(self, sigma2)
-        if name == Provenance.GENERATIVE_ASYMPTOTE:
-            return _generative_asymptote(self.prior, self.C_yx, self.mu_x, sigma2)
-        return _lmmse(  # the discriminative asymptote
-            self.C_xx(sigma2), self.C_yx, self.mu_x, self.prior.mu_y, 0.0,
-            "population input covariance",
-        )
+    def once(self, key, compute: Callable):
+        """``compute()`` at the first use of ``key``, shared by every later use (see :class:`_Once`)."""
+        if key not in self._memo:
+            self._memo[key] = _Once(compute)
+        return self._memo[key].get()
 
 
 def _score_cells(
-    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2s, known_sigma2=None
-) -> list[TrialOutcome]:
-    """One trial's outcome at each noise variance in ``sigma2s``, on plain arrays.
+    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2s, out, known_sigma2=None
+) -> list[tuple[dict[str, str], int]]:
+    """Score one trial at each noise variance in ``sigma2s``, on plain arrays.
 
-    The training randomness is drawn once, from ``seed.child(0)``, and each
-    cell's sample moments are assembled from it at the cell's noise level.
-    Their target block is the same bits at every noise level, so its factor
-    and the discriminative high-SNR gain are shared by the cells.
-    ``known_sigma2`` is the generative rule's noise variance, each cell's own
-    when ``None``. The arithmetic is that of the public constructors and
+    Writes the risk of rule ``names[e]`` at ``sigma2s[k]`` to ``out[k, e]``,
+    NaN when the rule failed, and returns each cell's failure reasons (see
+    :class:`TrialOutcome`) and condition-warning count. The training
+    randomness is drawn once, from ``seed.child(0)``, and each cell's sample
+    moments are assembled from it at the cell's noise level. Their target
+    block is the same bits at every noise level, so its factor and the
+    discriminative high-SNR gain are shared by the cells. ``known_sigma2`` is
+    the generative rule's noise variance, each cell's own when ``None``. The
+    arithmetic is that of the public constructors and
     :func:`~gendisc.estimators.affine_risk`, without their input checks.
     """
     draw = None
     if not _TRAINED.isdisjoint(names):
         draw = draw_training(ch.prior, ch, n_t, seed.child(0))
     factor = None
-    outcomes = []
-    for sigma2 in sigma2s:
-        errors: dict[str, float] = {}
+    cells = []
+    for k, sigma2 in enumerate(sigma2s):
         failures: dict[str, str] = {}
         with condition_events() as events:
             if draw is not None:
@@ -344,7 +337,8 @@ def _score_cells(
                     discriminative_gain = _Once(lambda C_yy=C_yy: gain_direct(ch.H, C_yy, 0.0))
                     targets_finite = np.isfinite(y_bar).all() and np.isfinite(C_yy).all()
                 finite = targets_finite and all(np.isfinite(a).all() for a in (x_bar, C_yx, C_xx))
-            for name in names:
+            out[k] = np.nan
+            for e, name in enumerate(names):
                 if not ch.finite or (name in _TRAINED and not finite):
                     failures[name] = NON_FINITE_SAMPLE if ch.finite else NON_FINITE_MEASUREMENT
                     continue
@@ -356,20 +350,44 @@ def _score_cells(
                     elif name == Provenance.DISCRIMINATIVE:
                         rule = _lmmse(C_xx, C_yx, x_bar, y_bar, ridge, "input sample covariance")
                     elif name == Provenance.GENERATIVE_HIGH_SNR:
-                        G = ch.generative_high_snr_gain.get()
+                        G = ch.once(name, lambda: gain_direct(ch.H, ch.known.C_yy, 0.0))
                         rule = G, _generative_offset(G, ch.known.mu_y, x_bar, y_bar, ch.H)
                     elif name == Provenance.DISCRIMINATIVE_HIGH_SNR:
                         G = discriminative_gain.get()
                         rule = G, y_bar - G @ x_bar
-                    else:
-                        errors[name] = ch.untrained_risk(name, sigma2)
+                    else:  # an untrained rule, whose risk rests on the channel alone
+                        out[k, e] = ch.once(
+                            (name, sigma2), lambda: ch.risk(*_untrained(ch, name, sigma2), sigma2)
+                        )
                         continue
-                    errors[name] = ch.risk(*rule, sigma2)
+                    out[k, e] = ch.risk(*rule, sigma2)
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
                     exc.with_traceback(None)  # a shared error outlives this frame; unpin it
-        outcomes.append(TrialOutcome(errors=errors, failures=failures, warning_count=len(events)))
-    return outcomes
+        cells.append((failures, len(events)))
+    return cells
+
+
+def _untrained(ch: _Channel, name: str, sigma2: float):
+    if name == Provenance.ORACLE_LMMSE:
+        return _oracle(ch, sigma2)
+    if name == Provenance.GENERATIVE_ASYMPTOTE:
+        return _generative_asymptote(ch.prior, ch.C_yx, ch.mu_x, sigma2)
+    return _lmmse(  # the discriminative asymptote
+        ch.C_xx(sigma2), ch.C_yx, ch.mu_x, ch.prior.mu_y, 0.0, "population input covariance"
+    )
+
+
+def _outcome(
+    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2: float, known_sigma2=None
+) -> TrialOutcome:
+    """:func:`_score_cells` at the one noise variance ``sigma2``, as a :class:`TrialOutcome`."""
+    out = np.empty((1, len(names)))
+    ((failures, warning_count),) = _score_cells(
+        ch, names, ridge, n_t, seed, [sigma2], out, known_sigma2
+    )
+    errors = {name: float(r) for name, r in zip(names, out[0]) if name not in failures}
+    return TrialOutcome(errors=errors, failures=failures, warning_count=warning_count)
 
 
 def run_single_trial(
@@ -403,7 +421,7 @@ def run_single_trial(
     ch = _Channel(
         prior, known.prior if known else prior, model.H, model.mu_w, model.nonlinearity, measurement
     )
-    return _score_cells(ch, names, ridge, n_t, seed, [model.sigma2], known and known.sigma2)[0]
+    return _outcome(ch, names, ridge, n_t, seed, model.sigma2, known and known.sigma2)
 
 
 def sweep_constants(cfg: ExperimentConfig) -> tuple:
@@ -442,14 +460,11 @@ def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
     return "snr", [SweepPoint(index=i, snr=s, n_t=n_t) for i, s in enumerate(cfg.snr_grid)]
 
 
-def _run_trial_cells(
-    cfg: ExperimentConfig, nt_index: int, n_t: int, trial_index: int, sigma2s, constants: tuple
-) -> list[TrialOutcome]:
-    """Trial ``trial_index`` of sample-count cell ``nt_index``, at each variance in ``sigma2s``."""
+def _trial(cfg: ExperimentConfig, nt_index: int, trial_index: int, constants) -> tuple:
+    """The channel and seed of trial ``trial_index`` of sample-count cell ``nt_index``."""
     prior, known_prior, ch = constants
-    trial_seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
-    ch = ch or _channel(cfg, prior, known_prior, trial_seed.child(2))
-    return _score_cells(ch, cfg.estimator_set, cfg.ridge, n_t, trial_seed, sigma2s)
+    seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
+    return ch or _channel(cfg, prior, known_prior, seed.child(2)), seed
 
 
 def run_trial(
@@ -468,9 +483,8 @@ def run_trial(
     """
     sweep_name, _ = sweep_points(cfg)
     nt_index = point.index if sweep_name == "nt" else 0
-    return _run_trial_cells(
-        cfg, nt_index, point.n_t, trial_index, [point.sigma2], constants or sweep_constants(cfg)
-    )[0]
+    ch, seed = _trial(cfg, nt_index, trial_index, constants or sweep_constants(cfg))
+    return _outcome(ch, cfg.estimator_set, cfg.ridge, point.n_t, seed, point.sigma2)
 
 
 def sweep(cfg: ExperimentConfig) -> MseReport:
@@ -488,33 +502,35 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     sigma2s = [1.0 / snr for snr in cfg.snr_grid]
     names = cfg.estimator_set
     n_snr = len(cfg.snr_grid)
-    # Scores stream into one preallocated row per SNR cell and estimator, in trial order.
+    # Each trial's scores go to its own index of one row per SNR cell and
+    # estimator, NaN where the rule failed.
     scores = np.empty((n_snr, len(names), cfg.mc_trials))
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
     for j, n_t in enumerate(cfg.nt_grid):
-        n_ok = [[0] * len(names) for _ in range(n_snr)]
         reasons: list[dict[str, dict[str, dict]]] = [{} for _ in range(n_snr)]
         warning_counts = [0] * n_snr
         for trial in range(cfg.mc_trials):
-            outs = _run_trial_cells(cfg, j, n_t, trial, sigma2s, constants)
-            for k, out in enumerate(outs):
-                warning_counts[k] += out.warning_count
-                for e, name in enumerate(names):
-                    if name in out.errors:
-                        scores[k, e, n_ok[k][e]] = out.errors[name]
-                        n_ok[k][e] += 1
-                    else:
-                        reason = reasons[k].setdefault(name, {}).setdefault(
-                            out.failures[name], {"count": 0, "first_trial": trial}
-                        )
-                        reason["count"] += 1
+            ch, seed = _trial(cfg, j, trial, constants)
+            cells = _score_cells(ch, names, cfg.ridge, n_t, seed, sigma2s, scores[:, :, trial])
+            for k, (failures, warning_count) in enumerate(cells):
+                warning_counts[k] += warning_count
+                for name, why in failures.items():
+                    reason = reasons[k].setdefault(name, {}).setdefault(
+                        why, {"count": 0, "first_trial": trial}
+                    )
+                    reason["count"] += 1
         for k in range(n_snr):
             point = points[j + k]  # one of the grids has a single entry, so j or k is 0
             value = point.n_t if sweep_name == "nt" else point.snr
+            failed = {}
             for e, name in enumerate(names):
-                stat = compute_mse(scores[k, e, : n_ok[k][e]])
+                row = scores[k, e]
+                ok = row[~np.isnan(row)]
+                stat = compute_mse(ok)
                 mean, se = stat if stat is not None else (None, None)
+                if ok.size < cfg.mc_trials:
+                    failed[name] = cfg.mc_trials - ok.size
                 rows.append(
                     MseRow(
                         sweep_name=sweep_name,
@@ -522,19 +538,15 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
                         estimator=name,
                         mean_mse=mean,
                         std_err=se,
-                        trials_ok=n_ok[k][e],
-                        trials_failed=cfg.mc_trials - n_ok[k][e],
+                        trials_ok=ok.size,
+                        trials_failed=cfg.mc_trials - ok.size,
                     )
                 )
             cells_meta.append(
                 {
                     "sweep_value": value,
                     "condition_warnings": warning_counts[k],
-                    "failures": {
-                        name: cfg.mc_trials - n_ok[k][e]
-                        for e, name in enumerate(names)
-                        if n_ok[k][e] < cfg.mc_trials
-                    },
+                    "failures": failed,
                     "failure_reasons": reasons[k],
                 }
             )

@@ -536,20 +536,21 @@ class TestSharedDraws:
             estimator_set=("generative_high_snr", "discriminative_high_snr", "oracle_lmmse"),
         )
         constants = harness.sweep_constants(cfg)
-        sigma2s = [1.0 / snr for snr in cfg.snr_grid]
+        _, points = sweep_points(cfg)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
-            outs = harness._run_trial_cells(cfg, 0, n_t, 0, sigma2s, constants)
+            outs = [run_trial(cfg, p, 0, constants) for p in points]
             before = tracemalloc.get_traced_memory()[0]
             for trial in range(1, 21):
-                harness._run_trial_cells(cfg, 0, n_t, trial, sigma2s, constants)
+                for p in points:
+                    run_trial(cfg, p, trial, constants)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert set(outs[0].failures) == {"generative_high_snr", "discriminative_high_snr"}
+        assert all(set(out.failures) == {"generative_high_snr", "discriminative_high_snr"} for out in outs)
         assert grown < n_t * (cfg.n_y + 2 * cfg.n_x) * 8  # less than one trial's draw
 
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
