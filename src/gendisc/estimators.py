@@ -5,9 +5,11 @@ measurement parameters (H, noise mean) by maximum likelihood and plugs them,
 together with the known prior and noise variance, into the optimal affine
 estimator under the fitted model. The discriminative route minimizes the
 empirical squared error directly over all affine maps, which lands on the
-sample-LMMSE estimator. Alongside them live the oracle estimator built from
-the true parameters and the closed-form large-sample / vanishing-noise limit
-estimators used as analytical reference points.
+sample-LMMSE estimator. Alongside them live the oracle estimator, the
+population LMMSE built from the true moments under any measurement map and
+so also the discriminative route's large-sample limit, and the closed-form
+large-sample / vanishing-noise limit estimators used as analytical
+reference points.
 
 All estimators share one output type, :class:`AffineEstimator`, so they can
 be evaluated and compared uniformly, by their exact risk
@@ -304,38 +306,30 @@ class _Truth:
     """What the rules and their risk read of the data ``x = g(H y) + w``, free of the noise.
 
     ``measurement`` is the :func:`measurement_moments` of ``g(H y)``, computed
-    when omitted: ``mu_x = mu_g + mu_w``; ``C_yx = C_yy H^T`` and ``C_xx = H
-    C_yy H^T + sigma2 I`` under the linear map, ``C_yx = L_yy B^T`` and
-    ``C_xx = B B^T + Q + sigma2 I`` under the others. Inputs are not checked;
-    ``finite`` tells whether the measurement moments overflowed.
+    when omitted: ``mu_x = mu_g + mu_w``, ``C_yx = L_yy B^T`` and ``C_xx = B
+    B^T + Q + sigma2 I`` under every map, the linear one being the map with no
+    ``Q``. Inputs are not checked; ``finite`` tells whether the measurement
+    moments overflowed.
     """
 
     def __init__(self, prior: GaussianPrior, H, mu_w, nonlinearity, measurement=None):
         if measurement is None:
             measurement = measurement_moments(prior, H, nonlinearity)
         self.prior, self.H, self.mu_w, self.nonlinearity = prior, H, mu_w, nonlinearity
-        self.measurement, self.linear = measurement, measurement.Q is None
+        self.measurement = measurement
         self.mu_x = measurement.mu_g + mu_w
         arrays = (measurement.B, self.mu_x, measurement.Q)
         self.finite = all(np.isfinite(a).all() for a in arrays if a is not None)
 
     @cached_property
-    def HC(self) -> np.ndarray:
-        return self.H @ self.prior.C_yy
-
-    @cached_property
     def C_yx(self) -> np.ndarray:
-        if self.linear:
-            return self.prior.C_yy @ self.H.T
         return self.prior.L_yy @ self.measurement.B.T
 
     @cached_property
     def C_xx_signal(self) -> np.ndarray:
         """``C_xx - sigma2 I``."""
-        if self.linear:
-            return self.HC @ self.H.T
-        B = self.measurement.B
-        return B @ B.T + self.measurement.Q
+        B, Q = self.measurement.B, self.measurement.Q
+        return B @ B.T if Q is None else B @ B.T + Q
 
     def C_xx(self, sigma2: float) -> np.ndarray:
         return self.C_xx_signal + sigma2 * np.eye(self.H.shape[0])
@@ -358,8 +352,8 @@ def population_moments(
 
     mu_x = mu_g + mu_w, C_yx = L_yy B^T and C_xx = B B^T + Q + sigma2 I from
     ``measurement`` (:func:`measurement_moments` of the model, computed when
-    omitted); under the linear map C_yx = C_yy H^T and C_xx = H C_yy H^T +
-    sigma2 I.
+    omitted). Under the linear map B = H L_yy and there is no Q, so these are
+    C_yy H^T and H C_yy H^T + sigma2 I.
     """
     truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
     return PopulationMoments(mu_x=truth.mu_x, C_yx=truth.C_yx, C_xx=truth.C_xx(model.sigma2))
@@ -420,11 +414,9 @@ def _lmmse(C_xx, C_yx, mu_x, mu_y, ridge: float, name: str):
 
 
 def _oracle(truth: _Truth, sigma2: float):
-    # Under the linear map C_yx is taken as (H C_yy)^T, solved with the innovation covariance.
-    C_yx, name = (truth.HC.T, "innovation covariance") if truth.linear else (
-        truth.C_yx, "population input covariance"
-    )
-    return _lmmse(truth.C_xx(sigma2), C_yx, truth.mu_x, truth.prior.mu_y, 0.0, name)
+    """The population LMMSE rule: the oracle, and the discriminative asymptote, under every map."""
+    C_xx, mu_y = truth.C_xx(sigma2), truth.prior.mu_y
+    return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
 
 
 def _generative_asymptote(prior: GaussianPrior, C_yx, mu_x, sigma2: float):
@@ -527,14 +519,17 @@ def discriminative_estimator(moments: SampleMoments, ridge: float = 0.0) -> Affi
 def oracle_lmmse(
     prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
 ) -> AffineEstimator:
-    """Optimal affine estimator with full knowledge of the true model.
+    """Optimal affine estimator with full knowledge of the true model: the population LMMSE.
 
-    Under the linear map A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1} and b =
-    mu_y - A mu_x; for the jointly Gaussian linear model this coincides with
-    the minimum-MSE estimator, and with sigma2 == 0 it needs a nonsingular
-    H C_yy H^T. Under a distorted map it is the best affine rule A = C_yx
-    C_xx^{-1}, the discriminative asymptote at :func:`population_moments`
-    (``measurement`` is passed on to it).
+    Under every measurement map it is the best affine rule A = C_yx
+    C_xx^{-1}, b = mu_y - A mu_x, at the true moments of
+    :func:`population_moments` (``measurement`` is passed on to it), and so
+    the large-sample limit of the discriminative estimator,
+    :func:`discriminative_asymptote` at those moments. Under the linear map
+    A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1}, computed as L_yy B^T (B B^T +
+    sigma2 I)^{-1} with B = H L_yy; for the jointly Gaussian linear model it
+    is the minimum-MSE estimator, and with sigma2 == 0 it needs a
+    nonsingular H C_yy H^T.
     """
     if prior.n_y != model.n_y:
         raise ValueError(

@@ -13,7 +13,9 @@ config, the public functions), never per cell. What does not depend on the
 noise is computed once per trial, or once per sweep when H is frozen, and
 shared: the target sample covariance's factor, the vanishing-noise gains, the
 population moments of the map and, under a frozen H, each untrained rule; its
-failures and condition warnings are counted in every cell that uses it.
+failures and condition warnings are counted in every cell that uses it. The
+oracle is the population LMMSE under every map, so it is also the
+discriminative asymptote, and the two are built once for both.
 :func:`sweep` runs the sample-count cells in grid order, each cell's trials in
 index order and each trial at every SNR, serially. A trial's randomness comes
 from a counter-based child seed of (sample-count cell, trial), so results do
@@ -291,7 +293,7 @@ class _Channel(_Truth):
     trial, or once per sweep when H is frozen, so that what rests on H alone
     is computed once per H: the truth's products and, through :meth:`once`,
     the generative high-SNR gain and, per noise variance, each untrained
-    rule's risk.
+    rule.
     """
 
     def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
@@ -355,27 +357,17 @@ def _score_cells(
                     elif name == Provenance.DISCRIMINATIVE_HIGH_SNR:
                         G = discriminative_gain.get()
                         rule = G, y_bar - G @ x_bar
-                    else:  # an untrained rule, whose risk rests on the channel alone
-                        out[k, e] = ch.once(
-                            (name, sigma2), lambda: ch.risk(*_untrained(ch, name, sigma2), sigma2)
-                        )
-                        continue
+                    elif name == Provenance.GENERATIVE_ASYMPTOTE:
+                        args = ch.prior, ch.C_yx, ch.mu_x, sigma2
+                        rule = ch.once((name, sigma2), lambda: _generative_asymptote(*args))
+                    else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
+                        rule = ch.once(("population LMMSE", sigma2), lambda: _oracle(ch, sigma2))
                     out[k, e] = ch.risk(*rule, sigma2)
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
                     exc.with_traceback(None)  # a shared error outlives this frame; unpin it
         cells.append((failures, len(events)))
     return cells
-
-
-def _untrained(ch: _Channel, name: str, sigma2: float):
-    if name == Provenance.ORACLE_LMMSE:
-        return _oracle(ch, sigma2)
-    if name == Provenance.GENERATIVE_ASYMPTOTE:
-        return _generative_asymptote(ch.prior, ch.C_yx, ch.mu_x, sigma2)
-    return _lmmse(  # the discriminative asymptote
-        ch.C_xx(sigma2), ch.C_yx, ch.mu_x, ch.prior.mu_y, 0.0, "population input covariance"
-    )
 
 
 def _outcome(

@@ -27,6 +27,7 @@ from gendisc.moments import Dataset, SampleMoments, SingularMatrixError, compute
 from gendisc.synth import (
     Cubic,
     GaussianPrior,
+    Linear,
     Seed,
     Tanh,
     TrueModel,
@@ -230,6 +231,18 @@ class TestOracleLmmse:
             with pytest.raises(ValueError, match="non-finite"):
                 oracle_lmmse(prior, model)
 
+    def test_linear_oracle_factors_without_the_symmetry_guard(self, monkeypatch):
+        # B B^T + sigma2 I is one syrk plus a diagonal: equal to its transpose
+        # bit for bit, so it is factored as given.
+        from gendisc.moments import _symmetry_defect as guard
+
+        calls = []
+        monkeypatch.setattr("gendisc.moments._symmetry_defect", lambda M: calls.append(1) or guard(M))
+        prior = exp_decay_prior(6)
+        H = random_measurement_matrix(5, 6, Seed(36))
+        oracle_lmmse(prior, TrueModel(H=H, mu_w=np.zeros(5), sigma2=0.3))
+        assert calls == []
+
     def test_discriminative_converges_to_oracle(self):
         prior = exp_decay_prior(6)
         H = random_measurement_matrix(5, 6, Seed(38))
@@ -260,13 +273,17 @@ class TestAsymptotes:
         oracle = oracle_lmmse(prior, model)
         assert affine_rel_diff(asym, oracle) <= 1e-8
 
-    def test_discriminative_asymptote_is_population_lmmse(self):
+    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_discriminative_asymptote_is_population_lmmse(self, nonlinearity):
+        # One rule under every map: the oracle is the discriminative asymptote
+        # at the population moments, bit for bit.
         prior = exp_decay_prior(5)
         H = random_measurement_matrix(4, 5, Seed(41))
-        model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.3)
-        asym = discriminative_asymptote(prior, linear_population_moments(prior, model))
+        model = TrueModel(H=H, mu_w=np.full(4, 0.2), sigma2=0.3, nonlinearity=nonlinearity)
+        asym = discriminative_asymptote(prior, population_moments(prior, model))
         oracle = oracle_lmmse(prior, model)
-        assert affine_rel_diff(asym, oracle) <= 1e-10
+        assert np.array_equal(asym.A, oracle.A)
+        assert np.array_equal(asym.b, oracle.b)
 
     def test_zero_noise_reduces_to_inverse_of_square_channel(self):
         # sigma2 = 0 with consistent linear moments gives the direct-form
@@ -527,6 +544,9 @@ class TestMeasurementMoments:
         assert np.allclose(m.mu_g + model.mu_w, pop.mu_x, rtol=0, atol=1e-12)
         assert np.allclose(prior.L_yy @ m.B.T, pop.C_yx, rtol=0, atol=1e-12)
         assert np.allclose(m.B @ m.B.T + 0.7 * np.eye(4), pop.C_xx, rtol=0, atol=1e-12)
+        # The closed forms in H and C_yy, independent of the factor L_yy.
+        assert np.allclose(prior.C_yy @ H.T, pop.C_yx, rtol=0, atol=1e-12)
+        assert np.allclose(H @ prior.C_yy @ H.T + 0.7 * np.eye(4), pop.C_xx, rtol=0, atol=1e-12)
 
     def test_cubic_matches_isserlis(self):
         # Zero mean: d = 1 + 3 alpha S_ii and Q = 6 alpha^2 S∘S∘S.

@@ -81,11 +81,11 @@ PARTIAL_FAILURE_CONFIG = {
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
-        "16fb3b409bf6eabdc77dfe824e8c28e4b3f5357ce204bf4ea11ec0042e7bc08d",
+        "46c986b3abe692e48d769629c16964a30289a91bdd6d08d068a2dcb9bd9c56f8",
     ),
     "linear_one_snr": (
         LINEAR_ONE_SNR_CONFIG,
-        "16ebb6628e53c317ec640441435421eb90309b0ee45e99d0b6a43287714ea073",
+        "51e3fd3d9d50154951885db2d421006e04a823e38c769d9f6db8c9b6bc2476fd",
     ),
     "misspec": (
         MISSPEC_CONFIG,
@@ -97,7 +97,7 @@ GOLDEN = {
     ),
     "nt": (
         NT_CONFIG,
-        "8fb2d0d0ede68159898ba0ea6992113c9a152e2c4111cb2a2dfe55208cb69c14",
+        "65b8a288237249edc2776f97991d6233dade3f119b4d574e59128e8863f4cfd9",
     ),
     "partial_failure": (
         PARTIAL_FAILURE_CONFIG,

@@ -554,10 +554,11 @@ class TestSharedDraws:
         assert grown < n_t * (cfg.n_y + 2 * cfg.n_x) * 8  # less than one trial's draw
 
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
-        # Under a frozen H the oracle and both asymptotes do not depend on the
-        # trial: each is built and scored once per SNR cell of the sweep, and
-        # its condition warnings still count in every trial.
-        calls = {"oracle": 0, "generative": 0, "discriminative": 0}
+        # Under a frozen H the untrained rules do not depend on the trial: each
+        # is built once per SNR cell of the sweep, and its condition warnings
+        # still count in every trial. The oracle and the discriminative
+        # asymptote are one rule, the population LMMSE, built once for both.
+        calls = {"population LMMSE": 0, "generative asymptote": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -566,11 +567,12 @@ class TestSharedDraws:
 
             return wrapper
 
-        monkeypatch.setattr(harness, "_oracle", counted("oracle", harness._oracle))
+        monkeypatch.setattr(harness, "_oracle", counted("population LMMSE", harness._oracle))
         monkeypatch.setattr(
-            harness, "_generative_asymptote", counted("generative", harness._generative_asymptote)
+            harness,
+            "_generative_asymptote",
+            counted("generative asymptote", harness._generative_asymptote),
         )
-        monkeypatch.setattr(harness, "_lmmse", counted("discriminative", harness._lmmse))
         cfg = ExperimentConfig(
             n_x=6, n_y=3, snr_grid=(1.0, 1e12, 3e13), nt_grid=(12,), mc_trials=4, seed=Seed(11),
             h_mode="fixed_once",
@@ -582,12 +584,24 @@ class TestSharedDraws:
             built = dict(calls)
             _, points = sweep_points(cfg)
             alone = [run_trial(cfg, p, 0) for p in points]
-        assert built == {"oracle": 3, "generative": 3, "discriminative": 3}
+        assert built == {"population LMMSE": 3, "generative asymptote": 3}
         assert any(out.warning_count for out in alone)
         cells = report.metadata["cells"]
         assert [c["condition_warnings"] for c in cells] == [4 * o.warning_count for o in alone]
         for row in report.rows:
             assert row.trials_ok == 4 and row.std_err == 0.0
+        for out in alone:
+            assert out.errors["oracle_lmmse"] == out.errors["discriminative_asymptote"]
+
+    def test_linear_oracle_is_scored_at_the_lowest_snr(self):
+        # At SNR 1e-308 the noise variance is 1e308: the population input
+        # covariance is finite, and the oracle, which all but ignores x, has
+        # the prior's risk tr C_yy.
+        cfg = _small_config(snr_grid=(1e-308, 1.0), mc_trials=3, estimator_set=("oracle_lmmse",))
+        report = sweep(cfg)
+        assert report.metadata["cells"][0]["failures"] == {}
+        trace = np.trace(exp_decay_prior(cfg.n_y).C_yy)
+        assert report.rows[0].mean_mse == pytest.approx(trace, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_sample_moments_fail_the_trained_rules(self):
