@@ -302,7 +302,7 @@ class _Channel(_Truth):
         self._memo: dict = {}
 
     def once(self, key, compute: Callable):
-        """``compute()`` at the first use of ``key``, shared by every later use (see :class:`_Once`)."""
+        """``compute()`` at the first use of ``key``, shared by later uses (see :class:`_Once`)."""
         if key not in self._memo:
             self._memo[key] = _Once(compute)
         return self._memo[key].get()

@@ -266,7 +266,7 @@ def condition_estimate(M: np.ndarray) -> float:
     i.e. when the matrix has no SPD factorization.
     """
     M = np.asarray(M, dtype=float)
-    evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first: no overflow near the float range
+    evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first, so no overflow near 1e308
     lo, hi = evals[0], evals[-1]
     if lo <= 0.0:
         return float("inf")

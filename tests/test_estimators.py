@@ -237,7 +237,12 @@ class TestOracleLmmse:
         from gendisc.moments import _symmetry_defect as guard
 
         calls = []
-        monkeypatch.setattr("gendisc.moments._symmetry_defect", lambda M: calls.append(1) or guard(M))
+
+        def counted(M):
+            calls.append(1)
+            return guard(M)
+
+        monkeypatch.setattr("gendisc.moments._symmetry_defect", counted)
         prior = exp_decay_prior(6)
         H = random_measurement_matrix(5, 6, Seed(36))
         oracle_lmmse(prior, TrueModel(H=H, mu_w=np.zeros(5), sigma2=0.3))

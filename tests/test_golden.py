@@ -154,13 +154,3 @@ def test_nt_small_cell_failure_reasons(tmp_path):
         "discriminative": {"input sample covariance": {"count": 20, "first_trial": 0}},
     }
     assert all(cell["failure_reasons"] == {} for cell in cells[1:])
-
-
-def test_partial_failure_cell_counts(tmp_path):
-    # The anchor above is a partly failed cell, not an all-failed or a clean one.
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(PARTIAL_FAILURE_CONFIG), encoding="utf-8")
-    out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
-    cells = json.loads((out_dir / "manifest.json").read_text())["cells"]
-    assert [cell["failures"] for cell in cells] == [{}, {"discriminative": 9}]

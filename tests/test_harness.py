@@ -550,7 +550,8 @@ class TestSharedDraws:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert all(set(out.failures) == {"generative_high_snr", "discriminative_high_snr"} for out in outs)
+        high_snr = {"generative_high_snr", "discriminative_high_snr"}
+        assert all(set(out.failures) == high_snr for out in outs)
         assert grown < n_t * (cfg.n_y + 2 * cfg.n_x) * 8  # less than one trial's draw
 
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):

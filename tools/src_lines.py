@@ -2,7 +2,8 @@
 
 A code line holds at least one token that is not a comment or a docstring;
 blank lines, comment-only lines and the lines of module, class and function
-docstrings are not counted. Run from anywhere: ``python tools/src_lines.py``.
+docstrings are not counted. Run from anywhere: ``python tools/src_lines.py``,
+or ``python tools/src_lines.py OTHER/src`` to count another checkout.
 """
 
 from __future__ import annotations
