@@ -420,11 +420,11 @@ def _oracle(truth: _Truth, sigma2: float):
 
 
 def _generative_asymptote(prior: GaussianPrior, C_yx, mu_x, sigma2: float):
-    C = prior.C_yy
-    W = _solve(_factor(C, 0.0, "prior covariance"), C_yx)  # C_yy^{-1} C_yx
+    L = _factor(prior.C_yy, 0.0, "prior covariance")
+    W = _solve(L, C_yx)  # C_yy^{-1} C_yx
     inner = W @ W.T
     if sigma2:
-        inner = inner + sigma2 * _solve(_factor(C, 0.0, "prior covariance"), np.eye(prior.n_y))
+        inner = inner + sigma2 * _solve(L, np.eye(prior.n_y))
     A = _solve(_factor(inner, 0.0, "asymptotic inner matrix"), W)
     return A, prior.mu_y - A @ mu_x
 

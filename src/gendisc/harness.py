@@ -10,9 +10,12 @@ the noise level, so the SNR cells of a trial share it (common random numbers).
 A trial is scored on plain arrays, by the formulas the public constructors
 use but without their input checks: inputs are checked where they enter (the
 config, the public functions), never per cell. What does not depend on the
-noise is computed once per trial, or once per sweep when H is frozen, and
-shared: the target sample covariance's factor, the vanishing-noise gains, the
-population moments of the map and, under a frozen H, each untrained rule; its
+noise is computed once and shared through one keyed memo, :func:`_shared`:
+a memo of the trial keeps the target sample covariance's factor and the
+discriminative vanishing-noise gain, and the ``memo`` of the trial's
+channel, made once per sweep when H is frozen, keeps the generative
+vanishing-noise gain and each untrained rule per noise variance; the
+channel also holds the population moments of the map. A shared result's
 failures and condition warnings are counted in every cell that uses it. The
 oracle is the population LMMSE under every map, so it is also the
 discriminative asymptote, and the two are built once for both.
@@ -254,36 +257,32 @@ NON_FINITE_SAMPLE = "non-finite sample moments"
 _TRAINED = {"generative", "discriminative", "generative_high_snr", "discriminative_high_snr"}
 
 
-class _Once:
-    """A result that several sweep cells use, computed at its first use.
+def _shared(memo: dict, key, compute: Callable):
+    """``compute()`` at the first use of ``key`` in ``memo``, shared by its later uses.
 
-    ``get()`` returns ``compute()``, or raises the linear-algebra error it
-    raised. Each later call returns or raises the same, and records again,
-    with their warnings, the condition events that computing it recorded: a
-    cell counts a shared warning or failure as if it had computed the result.
+    Returns the result, or raises the linear-algebra error computing it
+    raised. ``memo`` keeps ``(value, error, events)``, never ``compute``, so
+    it pins nothing that computing the result read. Each later use returns
+    or raises the same, and records again, with their warnings, the
+    condition events that computing it recorded: a cell counts a shared
+    warning or failure as if it had computed the result.
     """
-
-    def __init__(self, compute: Callable):
-        self._compute, self._entry = compute, None
-
-    def get(self):
-        if self._entry is None:
-            value = error = None
-            with condition_events() as events:
-                try:
-                    value = self._compute()
-                except np.linalg.LinAlgError as exc:
-                    error = exc
-            # Dropping compute frees what it holds; it may hold the owner of this object.
-            self._entry, self._compute = (value, error, events), None
-        else:
-            value, error, events = self._entry
-            for name, cond in events:
-                report_condition(name, cond)
-        if error is not None:
-            # Raised afresh: a re-raise would chain onto the frames of every earlier use.
-            raise error.with_traceback(None)
-        return value
+    if key not in memo:
+        value = error = None
+        with condition_events() as events:
+            try:
+                value = compute()
+            except np.linalg.LinAlgError as exc:
+                error = exc
+        memo[key] = value, error, events
+    else:
+        value, error, events = memo[key]
+        for name, cond in events:
+            report_condition(name, cond)
+    if error is not None:
+        # Raised afresh: a re-raise would chain onto the frames of every earlier use.
+        raise error.with_traceback(None)
+    return value
 
 
 class _Channel(_Truth):
@@ -291,21 +290,15 @@ class _Channel(_Truth):
 
     ``known`` is the prior handed to the generative rules. Made once per
     trial, or once per sweep when H is frozen, so that what rests on H alone
-    is computed once per H: the truth's products and, through :meth:`once`,
-    the generative high-SNR gain and, per noise variance, each untrained
-    rule.
+    is computed once per H: the truth's products and, kept in ``memo`` by
+    :func:`_shared`, the generative high-SNR gain and, per noise variance,
+    each untrained rule.
     """
 
     def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
         super().__init__(prior, H, mu_w, nonlinearity, measurement)
         self.known = known
-        self._memo: dict = {}
-
-    def once(self, key, compute: Callable):
-        """``compute()`` at the first use of ``key``, shared by later uses (see :class:`_Once`)."""
-        if key not in self._memo:
-            self._memo[key] = _Once(compute)
-        return self._memo[key].get()
+        self.memo: dict = {}
 
 
 def _score_cells(
@@ -319,26 +312,23 @@ def _score_cells(
     randomness is drawn once, from ``seed.child(0)``, and each cell's sample
     moments are assembled from it at the cell's noise level. Their target
     block is the same bits at every noise level, so its factor and the
-    discriminative high-SNR gain are shared by the cells. ``known_sigma2`` is
-    the generative rule's noise variance, each cell's own when ``None``. The
-    arithmetic is that of the public constructors and
-    :func:`~gendisc.estimators.affine_risk`, without their input checks.
+    discriminative high-SNR gain are kept, by :func:`_shared`, in a memo of
+    the trial that its cells share. ``known_sigma2`` is the generative rule's
+    noise variance, each cell's own when ``None``. The arithmetic is that of
+    the public constructors and :func:`~gendisc.estimators.affine_risk`,
+    without their input checks.
     """
     draw = None
     if not _TRAINED.isdisjoint(names):
         draw = draw_training(ch.prior, ch, n_t, seed.child(0))
-    factor = None
+    memo: dict = {}
     cells = []
     for k, sigma2 in enumerate(sigma2s):
         failures: dict[str, str] = {}
         with condition_events() as events:
             if draw is not None:
-                x_bar, y_bar, C_yx, C_yy, C_xx = draw.blocks(sigma2)
-                if factor is None:
-                    factor = _Once(lambda C_yy=C_yy: target_factor(C_yy, ridge))
-                    discriminative_gain = _Once(lambda C_yy=C_yy: gain_direct(ch.H, C_yy, 0.0))
-                    targets_finite = np.isfinite(y_bar).all() and np.isfinite(C_yy).all()
-                finite = targets_finite and all(np.isfinite(a).all() for a in (x_bar, C_yx, C_xx))
+                blocks = x_bar, y_bar, C_yx, C_yy, C_xx = draw.blocks(sigma2)
+                finite = all(np.isfinite(a).all() for a in blocks)
             out[k] = np.nan
             for e, name in enumerate(names):
                 if not ch.finite or (name in _TRAINED and not finite):
@@ -346,22 +336,24 @@ def _score_cells(
                     continue
                 try:
                     if name == Provenance.GENERATIVE:
-                        H_hat = _solve(factor.get(), C_yx).T  # as fit_ml fits it
+                        factor = _shared(memo, "target factor", lambda: target_factor(C_yy, ridge))
+                        H_hat = _solve(factor, C_yx).T  # as fit_ml fits it
                         s2 = sigma2 if known_sigma2 is None else known_sigma2
                         rule = _generative(H_hat, ch.known, s2, x_bar, y_bar)
                     elif name == Provenance.DISCRIMINATIVE:
                         rule = _lmmse(C_xx, C_yx, x_bar, y_bar, ridge, "input sample covariance")
                     elif name == Provenance.GENERATIVE_HIGH_SNR:
-                        G = ch.once(name, lambda: gain_direct(ch.H, ch.known.C_yy, 0.0))
+                        G = _shared(ch.memo, name, lambda: gain_direct(ch.H, ch.known.C_yy, 0.0))
                         rule = G, _generative_offset(G, ch.known.mu_y, x_bar, y_bar, ch.H)
                     elif name == Provenance.DISCRIMINATIVE_HIGH_SNR:
-                        G = discriminative_gain.get()
+                        G = _shared(memo, name, lambda: gain_direct(ch.H, C_yy, 0.0))
                         rule = G, y_bar - G @ x_bar
                     elif name == Provenance.GENERATIVE_ASYMPTOTE:
-                        args = ch.prior, ch.C_yx, ch.mu_x, sigma2
-                        rule = ch.once((name, sigma2), lambda: _generative_asymptote(*args))
+                        key, args = (name, sigma2), (ch.prior, ch.C_yx, ch.mu_x, sigma2)
+                        rule = _shared(ch.memo, key, lambda: _generative_asymptote(*args))
                     else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
-                        rule = ch.once(("population LMMSE", sigma2), lambda: _oracle(ch, sigma2))
+                        key = "population LMMSE", sigma2
+                        rule = _shared(ch.memo, key, lambda: _oracle(ch, sigma2))
                     out[k, e] = ch.risk(*rule, sigma2)
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)

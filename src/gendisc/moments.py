@@ -263,14 +263,14 @@ def condition_estimate(M: np.ndarray) -> float:
     """Spectral condition estimate of a symmetric matrix.
 
     Returns ``inf`` when the smallest eigenvalue is not strictly positive,
-    i.e. when the matrix has no SPD factorization.
+    i.e. when the matrix has no SPD factorization, and when an entry is not
+    finite, so that the matrix has no eigenvalues to read.
     """
     M = np.asarray(M, dtype=float)
-    evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first, so no overflow near 1e308
-    lo, hi = evals[0], evals[-1]
-    if lo <= 0.0:
+    if not np.isfinite(M).all():
         return float("inf")
-    return float(hi / lo)
+    evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first, so no overflow near 1e308
+    return float(evals[-1] / evals[0]) if evals[0] > 0.0 else float("inf")
 
 
 class SpdFactor:

@@ -23,7 +23,14 @@ from gendisc.estimators import (
     oracle_lmmse,
     population_moments,
 )
-from gendisc.moments import Dataset, SampleMoments, SingularMatrixError, compute_moments
+from gendisc.moments import (
+    Dataset,
+    IllConditionedWarning,
+    SampleMoments,
+    SingularMatrixError,
+    compute_moments,
+    condition_events,
+)
 from gendisc.synth import (
     Cubic,
     GaussianPrior,
@@ -277,6 +284,17 @@ class TestAsymptotes:
         asym = generative_asymptote(prior, pop, model.sigma2)
         oracle = oracle_lmmse(prior, model)
         assert affine_rel_diff(asym, oracle) <= 1e-8
+
+    def test_generative_asymptote_factors_the_prior_once(self):
+        # One factor of C_yy serves both C_yy^{-1} C_yx and C_yy^{-1}, so an
+        # ill-conditioned prior warns once per rule built.
+        prior = GaussianPrior(np.zeros(2), np.diag([1.0, 1e-13]))
+        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=0.5)
+        pop = linear_population_moments(prior, model)
+        with condition_events() as events:
+            with pytest.warns(IllConditionedWarning):
+                generative_asymptote(prior, pop, model.sigma2)
+        assert [name for name, _ in events] == ["prior covariance", "asymptotic inner matrix"]
 
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_discriminative_asymptote_is_population_lmmse(self, nonlinearity):

@@ -197,6 +197,21 @@ class TestScoring:
         rules = self._rules(prior, model, known, 60, seed)
         assert out.errors == {name: affine_risk(est, prior, model) for name, est in rules.items()}
 
+    def test_generative_rule_is_built_at_the_known_noise_variance(self):
+        # The side information may state a noise variance other than the
+        # data's: the generative rule is built at the stated one, and scored
+        # under the data's.
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
+        known = KnownStatistics(prior=prior, sigma2=2.0)
+        seed = Seed(64)
+        out = run_single_trial(prior, model, known, 60, ("generative",), seed)
+        rule = self._rules(prior, model, known, 60, seed)["generative"]
+        assert out.errors == {"generative": affine_risk(rule, prior, model)}
+        at_data = KnownStatistics(prior=prior, sigma2=model.sigma2)
+        rule_at_data = self._rules(prior, model, at_data, 60, seed)["generative"]
+        assert out.errors["generative"] != affine_risk(rule_at_data, prior, model)
+
     @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_oracle_bounds_every_rule_under_distortion(self, nonlinearity):
         # The oracle is the best affine rule under the true map, so in every
@@ -495,21 +510,21 @@ class TestSharedDraws:
 
     def test_shared_warning_counts_in_every_use(self):
         M = np.diag([1.0, 1e-13])
-        shared = harness._Once(lambda: spd_factor(M, name="probe"))
+        memo: dict = {}
         for _ in range(3):
             with condition_events() as events:
                 with pytest.warns(IllConditionedWarning):
-                    factor = shared.get()
+                    factor = harness._shared(memo, "probe", lambda: spd_factor(M, name="probe"))
             assert [name for name, _ in events] == ["probe"]
         assert np.allclose(factor.solve(np.ones(2)), [1.0, 1e13], rtol=1e-12)
 
     def test_shared_failure_is_raised_in_every_use(self):
         M = np.diag([1.0, 0.0])
-        shared = harness._Once(lambda: spd_factor(M, name="probe"))
+        memo: dict = {}
         errors = []
         for _ in range(2):
             with pytest.raises(SingularMatrixError) as excinfo:
-                shared.get()
+                harness._shared(memo, "probe", lambda: spd_factor(M, name="probe"))
             errors.append(excinfo.value)
         assert errors[0] is errors[1]
         assert errors[0].name == "probe"
@@ -517,11 +532,12 @@ class TestSharedDraws:
     def test_shared_failure_carries_only_the_frames_of_its_last_use(self):
         # Re-raising one exception object chains its traceback onto the
         # frames of every earlier use; each use must start it afresh.
-        shared = harness._Once(lambda: spd_factor(np.diag([1.0, 0.0]), name="probe"))
+        M = np.diag([1.0, 0.0])
+        memo: dict = {}
         depths = []
         for _ in range(5):
             with pytest.raises(SingularMatrixError) as excinfo:
-                shared.get()
+                harness._shared(memo, "probe", lambda: spd_factor(M, name="probe"))
             depths.append(len(traceback.extract_tb(excinfo.value.__traceback__)))
         assert len(set(depths)) == 1
 
@@ -603,6 +619,21 @@ class TestSharedDraws:
         assert report.metadata["cells"][0]["failures"] == {}
         trace = np.trace(exp_decay_prior(cfg.n_y).C_yy)
         assert report.rows[0].mean_mse == pytest.approx(trace, rel=1e-12)
+
+    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_generative_asymptote_failure_names_its_matrix_at_the_lowest_snr(self, nonlinearity):
+        # At SNR 1e-308 the term sigma2 C_yy^{-1} of the asymptotic inner
+        # matrix overflows. Its factor fails, and the failure is named after
+        # the matrix rather than after the condition estimate of an
+        # overflowed one.
+        cfg = ExperimentConfig(
+            n_x=3, n_y=7, snr_grid=(1e-308, 1.0), nt_grid=(20,), mc_trials=2, seed=Seed(1729),
+            nonlinearity=nonlinearity, estimator_set=("generative_asymptote",),
+        )
+        cells = sweep(cfg).metadata["cells"]
+        reason = {"asymptotic inner matrix": {"count": 2, "first_trial": 0}}
+        assert cells[0]["failure_reasons"] == {"generative_asymptote": reason}
+        assert cells[1]["failures"] == {}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_sample_moments_fail_the_trained_rules(self):

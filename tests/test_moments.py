@@ -301,6 +301,10 @@ class TestConditionEstimate:
     def test_indefinite_is_inf(self):
         assert condition_estimate(np.diag([1.0, -1.0])) == np.inf
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_inf(self, entry):
+        assert condition_estimate(np.array([[1.0, 0.0], [0.0, entry]])) == np.inf
+
     def test_entries_near_the_float_range_do_not_overflow(self):
         # M + M^T overflows here; halving each side first does not.
         M = np.array([[1e308, 1e307], [np.nextafter(1e307, np.inf), 1e308]])
