@@ -7,9 +7,10 @@ estimator under the fitted model. The discriminative route minimizes the
 empirical squared error directly over all affine maps, which lands on the
 sample-LMMSE estimator. Alongside them live the oracle estimator, the
 population LMMSE built from the true moments under any measurement map and
-so also the discriminative route's large-sample limit, and the closed-form
-large-sample / vanishing-noise limit estimators used as analytical
-reference points.
+so also the discriminative route's large-sample limit; the generative
+route's large-sample limit, its own plug-in rule at the population fit
+C_xy C_yy^{-1}; and the closed-form vanishing-noise limit estimators used
+as analytical reference points.
 
 All estimators share one output type, :class:`AffineEstimator`, so they can
 be evaluated and compared uniformly, by their exact risk
@@ -399,11 +400,10 @@ def _generative_offset(G, mu_y, x_bar, y_bar, H) -> np.ndarray:
     return mu_y - G @ (x_bar + H @ (mu_y - y_bar))
 
 
-def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar, form: str = "auto"):
+def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar):
     """The plug-in rule of :func:`generative_estimator` for fitted ``H``."""
-    if form == "auto":  # the smaller inverse: N_y <= N_x puts it on the target side
-        form = "b" if H.shape[1] <= H.shape[0] else "a"
-    G = (gain_direct if form == "a" else gain_lemma)(H, prior.C_yy, sigma2)
+    # The smaller inverse: N_y <= N_x puts it on the target side.
+    G = (gain_lemma if H.shape[1] <= H.shape[0] else gain_direct)(H, prior.C_yy, sigma2)
     return G, _generative_offset(G, prior.mu_y, x_bar, y_bar, H)
 
 
@@ -417,16 +417,6 @@ def _oracle(truth: _Truth, sigma2: float):
     """The population LMMSE rule: the oracle, and the discriminative asymptote, under every map."""
     C_xx, mu_y = truth.C_xx(sigma2), truth.prior.mu_y
     return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
-
-
-def _generative_asymptote(prior: GaussianPrior, C_yx, mu_x, sigma2: float):
-    L = _factor(prior.C_yy, 0.0, "prior covariance")
-    W = _solve(L, C_yx)  # C_yy^{-1} C_yx
-    inner = W @ W.T
-    if sigma2:
-        inner = inner + sigma2 * _solve(L, np.eye(prior.n_y))
-    A = _solve(_factor(inner, 0.0, "asymptotic inner matrix"), W)
-    return A, prior.mu_y - A @ mu_x
 
 
 def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
@@ -457,18 +447,15 @@ def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
 
 
 def generative_estimator(
-    fit: FittedModel,
-    known: KnownStatistics,
-    moments: SampleMoments,
-    form: str = "auto",
+    fit: FittedModel, known: KnownStatistics, moments: SampleMoments
 ) -> AffineEstimator:
     """Plug-in optimal estimator under the fitted measurement model.
 
     The rule is mu_y + G (x - x_bar - H_hat (mu_y - y_bar)) where the gain G
-    is C_yy H_hat^T (H_hat C_yy H_hat^T + sigma2 I)^{-1} (form ``"a"``), or
-    the matrix-inversion-lemma equivalent (H_hat^T H_hat + sigma2
-    C_yy^{-1})^{-1} H_hat^T (form ``"b"``). Form ``"auto"`` picks "b" when
-    N_y <= N_x, where the smaller inverse lives on the target side.
+    is C_yy H_hat^T (H_hat C_yy H_hat^T + sigma2 I)^{-1} (:func:`gain_direct`)
+    when N_y > N_x, and otherwise its matrix-inversion-lemma equivalent
+    (H_hat^T H_hat + sigma2 C_yy^{-1})^{-1} H_hat^T (:func:`gain_lemma`),
+    which inverts the smaller matrix, on the target side.
 
     Parameters
     ----------
@@ -478,10 +465,7 @@ def generative_estimator(
         True prior and (positive) noise variance.
     moments : SampleMoments
         Supplies the sample means appearing in the offset term.
-    form : {"a", "b", "auto"}, optional
     """
-    if form not in ("a", "b", "auto"):
-        raise ValueError(f"form must be 'a', 'b' or 'auto', got {form!r}")
     H = fit.H_hat
     n_x, n_y = H.shape
     if known.prior.n_y != n_y:
@@ -493,7 +477,7 @@ def generative_estimator(
             f"moments dimensions ({moments.n_x}, {moments.n_y}) do not match "
             f"fitted H_hat shape {H.shape}"
         )
-    A, b = _generative(H, known.prior, known.sigma2, moments.x_bar, moments.y_bar, form)
+    A, b = _generative(H, known.prior, known.sigma2, moments.x_bar, moments.y_bar)
     return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE)
 
 
@@ -547,11 +531,15 @@ def generative_asymptote(
 ) -> AffineEstimator:
     """Large-sample limit of the generative estimator, at population moments.
 
-    The gain is (C_yy^{-1} C_yx C_xy C_yy^{-1} + sigma2 C_yy^{-1})^{-1}
-    C_yy^{-1} C_yx and the rule is mu_y + gain (x - mu_x). When the data
-    truly follow the linear model this coincides with the optimal affine
-    estimator; under a distorted measurement map it does not, and the excess
-    of its :func:`affine_risk` over that of :func:`oracle_lmmse` (both at
+    As n_t grows the ML fit tends to the population fit H = C_xy C_yy^{-1},
+    and the sample means to mu_x and mu_y, so the limit is the rule of
+    :func:`generative_estimator` built from them, with ``prior`` as the side
+    information and ``sigma2`` as its noise variance (0 is accepted): its
+    gain form, failures and warnings are that rule's. H is solved with the
+    prior's kept Cholesky factor, so it factors nothing. When the data truly
+    follow the linear model this coincides with the optimal affine estimator;
+    under a distorted measurement map it does not, and the excess of its
+    :func:`affine_risk` over that of :func:`oracle_lmmse` (both at
     :func:`population_moments`) is the asymptotic cost of the modeling
     mismatch.
     """
@@ -561,7 +549,8 @@ def generative_asymptote(
         raise ValueError(
             f"population C_yx rows {pop.C_yx.shape[0]} do not match prior dimension {prior.n_y}"
         )
-    A, b = _generative_asymptote(prior, pop.C_yx, pop.mu_x, sigma2)
+    H = _solve(prior.L_yy, pop.C_yx).T  # C_xy C_yy^{-1}
+    A, b = _generative(H, prior, sigma2, pop.mu_x, prior.mu_y)
     return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE_ASYMPTOTE)
 
 

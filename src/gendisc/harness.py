@@ -14,11 +14,13 @@ noise is computed once and shared through one keyed memo, :func:`_shared`:
 a memo of the trial keeps the target sample covariance's factor and the
 discriminative vanishing-noise gain, and the ``memo`` of the trial's
 channel, made once per sweep when H is frozen, keeps the generative
-vanishing-noise gain and each untrained rule per noise variance; the
-channel also holds the population moments of the map. A shared result's
-failures and condition warnings are counted in every cell that uses it. The
-oracle is the population LMMSE under every map, so it is also the
-discriminative asymptote, and the two are built once for both.
+vanishing-noise gain, the population fit C_xy C_yy^{-1} and each untrained
+rule per noise variance; the channel also holds the population moments of
+the map. A shared result's failures and condition warnings are counted in
+every cell that uses it. The oracle is the population LMMSE under every
+map, so it is also the discriminative asymptote, and the two are built once
+for both. The generative asymptote is the generative rule built from the
+population fit and means, with the generative rule's side information.
 :func:`sweep` runs the sample-count cells in grid order, each cell's trials in
 index order and each trial at every SNR, serially. A trial's randomness comes
 from a counter-based child seed of (sample-count cell, trial), so results do
@@ -43,7 +45,6 @@ from .estimators import (
     MeasurementMoments,
     Provenance,
     _generative,
-    _generative_asymptote,
     _generative_offset,
     _lmmse,
     _oracle,
@@ -291,14 +292,18 @@ class _Channel(_Truth):
     ``known`` is the prior handed to the generative rules. Made once per
     trial, or once per sweep when H is frozen, so that what rests on H alone
     is computed once per H: the truth's products and, kept in ``memo`` by
-    :func:`_shared`, the generative high-SNR gain and, per noise variance,
-    each untrained rule.
+    :func:`_shared`, the generative high-SNR gain, the population fit and,
+    per noise variance, each untrained rule.
     """
 
     def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
         super().__init__(prior, H, mu_w, nonlinearity, measurement)
         self.known = known
         self.memo: dict = {}
+
+    def population_fit(self) -> np.ndarray:
+        """The ML fit's large-sample limit ``C_xy C_yy^{-1}``, solved with the prior's factor."""
+        return _solve(self.prior.L_yy, self.C_yx).T
 
 
 def _score_cells(
@@ -313,10 +318,10 @@ def _score_cells(
     moments are assembled from it at the cell's noise level. Their target
     block is the same bits at every noise level, so its factor and the
     discriminative high-SNR gain are kept, by :func:`_shared`, in a memo of
-    the trial that its cells share. ``known_sigma2`` is the generative rule's
-    noise variance, each cell's own when ``None``. The arithmetic is that of
-    the public constructors and :func:`~gendisc.estimators.affine_risk`,
-    without their input checks.
+    the trial that its cells share. ``known_sigma2`` is the noise variance
+    the generative rule and its asymptote are built at, each cell's own when
+    ``None``. The arithmetic is that of the public constructors and
+    :func:`~gendisc.estimators.affine_risk`, without their input checks.
     """
     draw = None
     if not _TRAINED.isdisjoint(names):
@@ -324,6 +329,7 @@ def _score_cells(
     memo: dict = {}
     cells = []
     for k, sigma2 in enumerate(sigma2s):
+        s2 = sigma2 if known_sigma2 is None else known_sigma2  # the generative rules' noise
         failures: dict[str, str] = {}
         with condition_events() as events:
             if draw is not None:
@@ -338,7 +344,6 @@ def _score_cells(
                     if name == Provenance.GENERATIVE:
                         factor = _shared(memo, "target factor", lambda: target_factor(C_yy, ridge))
                         H_hat = _solve(factor, C_yx).T  # as fit_ml fits it
-                        s2 = sigma2 if known_sigma2 is None else known_sigma2
                         rule = _generative(H_hat, ch.known, s2, x_bar, y_bar)
                     elif name == Provenance.DISCRIMINATIVE:
                         rule = _lmmse(C_xx, C_yx, x_bar, y_bar, ridge, "input sample covariance")
@@ -348,9 +353,10 @@ def _score_cells(
                     elif name == Provenance.DISCRIMINATIVE_HIGH_SNR:
                         G = _shared(memo, name, lambda: gain_direct(ch.H, C_yy, 0.0))
                         rule = G, y_bar - G @ x_bar
-                    elif name == Provenance.GENERATIVE_ASYMPTOTE:
-                        key, args = (name, sigma2), (ch.prior, ch.C_yx, ch.mu_x, sigma2)
-                        rule = _shared(ch.memo, key, lambda: _generative_asymptote(*args))
+                    elif name == Provenance.GENERATIVE_ASYMPTOTE:  # the generative rule's n_t limit
+                        H_inf = _shared(ch.memo, "population fit", ch.population_fit)
+                        args = H_inf, ch.known, s2, ch.mu_x, ch.prior.mu_y
+                        rule = _shared(ch.memo, (name, s2), lambda: _generative(*args))
                     else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
                         key = "population LMMSE", sigma2
                         rule = _shared(ch.memo, key, lambda: _oracle(ch, sigma2))
@@ -386,16 +392,17 @@ def run_single_trial(
 ) -> TrialOutcome:
     """Fit the requested estimators on one fresh training set and score each rule.
 
-    ``known`` supplies the generative side information and may be ``None``
-    when no estimator needs it. A construction failure (singular sample
-    covariance) is recorded under the estimator's name; remaining estimators
-    still run. The training set's sample moments are drawn from
-    ``seed.child(0)`` by :func:`~gendisc.synth.draw_training`, the only draw
-    a trial makes, and only when a requested rule is trained. A rule's error
-    is its exact risk under ``prior`` and ``model``, the true data
-    distribution, from ``measurement``: the
-    :func:`~gendisc.estimators.measurement_moments` of ``model``, computed
-    here when omitted. A sweep scores its trials with the same code, at
+    ``known`` supplies the generative rules' side information, prior and
+    noise variance, and may be ``None`` when the generative estimator is not
+    requested; the generative asymptote then reads the data's prior and
+    noise variance. A construction failure (singular sample covariance) is
+    recorded under the estimator's name; remaining estimators still run.
+    The training set's sample moments are drawn from ``seed.child(0)`` by
+    :func:`~gendisc.synth.draw_training`, the only draw a trial makes, and
+    only when a requested rule is trained. A rule's error is its exact risk
+    under ``prior`` and ``model``, the true data distribution, from
+    ``measurement``: the :func:`~gendisc.estimators.measurement_moments` of
+    ``model``, computed here when omitted. A sweep scores its trials with the same code, at
     every noise level of the trial at once.
     """
     names = tuple(Provenance(name).value for name in estimator_names)

@@ -376,13 +376,14 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
     return spd_factor(M, ridge, name).solve(B)
 
 
-def woodbury_invert(H, C, sigma2: float, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def woodbury_invert(H, C, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Compute the estimator gain ``C H^T (H C H^T + sigma2 I)^{-1}`` two ways.
 
     Form (a) inverts the ``N_x x N_x`` innovation matrix directly; form (b)
     applies the matrix inversion lemma to get the algebraically equal
     ``(H^T H + sigma2 C^{-1})^{-1} H^T``, which inverts an ``N_y x N_y``
-    matrix instead and is cheaper when ``N_y < N_x``.
+    matrix instead and is cheaper when ``N_y < N_x``. The generative
+    estimator uses form (b) when ``N_y <= N_x`` and form (a) otherwise.
 
     Parameters
     ----------
@@ -392,8 +393,6 @@ def woodbury_invert(H, C, sigma2: float, ridge: float = 0.0) -> tuple[np.ndarray
     sigma2 : float
         Nonnegative noise variance. With ``sigma2 == 0`` each form exists
         only where its inner matrix stays invertible.
-    ridge : float, optional
-        Diagonal loading forwarded to both inner solves.
 
     Returns
     -------
@@ -405,26 +404,22 @@ def woodbury_invert(H, C, sigma2: float, ridge: float = 0.0) -> tuple[np.ndarray
         raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     if C.shape[0] != C.shape[1] or C.shape[0] != H.shape[1]:
         raise ValueError(f"shape mismatch: H is {H.shape}, C is {C.shape}")
-    _check_ridge(ridge)
-    return (
-        gain_direct(H, C, sigma2, ridge=ridge),
-        gain_lemma(H, C, sigma2, ridge=ridge),
-    )
+    return gain_direct(H, C, sigma2), gain_lemma(H, C, sigma2)
 
 
 # The gains take float arrays that their callers checked or built, and check nothing.
 
 
-def gain_direct(H, C, sigma2: float, ridge: float = 0.0) -> np.ndarray:
+def gain_direct(H, C, sigma2: float) -> np.ndarray:
     """Gain via the N_x-sized inverse: ``C H^T (H C H^T + sigma2 I)^{-1}``."""
     HC = H @ C
     S = HC @ H.T + sigma2 * np.eye(H.shape[0])
     # C symmetric: C H^T S^{-1} = (S^{-1} H C)^T
-    return _solve(_factor(S, ridge, "innovation covariance"), HC).T
+    return _solve(_factor(S, 0.0, "innovation covariance"), HC).T
 
 
-def gain_lemma(H, C, sigma2: float, ridge: float = 0.0) -> np.ndarray:
+def gain_lemma(H, C, sigma2: float) -> np.ndarray:
     """Gain via the N_y-sized inverse: ``(H^T H + sigma2 C^{-1})^{-1} H^T``."""
-    C_inv = _solve(_factor(C, ridge, "prior covariance"), np.eye(C.shape[0]))
+    C_inv = _solve(_factor(C, 0.0, "prior covariance"), np.eye(C.shape[0]))
     M = H.T @ H + sigma2 * C_inv
-    return _solve(_factor(M, ridge, "lemma inner matrix"), H.T)
+    return _solve(_factor(M, 0.0, "lemma inner matrix"), H.T)

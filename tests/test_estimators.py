@@ -30,6 +30,8 @@ from gendisc.moments import (
     SingularMatrixError,
     compute_moments,
     condition_events,
+    gain_direct,
+    gain_lemma,
 )
 from gendisc.synth import (
     Cubic,
@@ -157,27 +159,16 @@ class TestGenerativeEstimator:
         assert np.allclose(est.b, 0.0, atol=1e-14)
         assert est.provenance is Provenance.GENERATIVE
 
-    def test_forms_agree_on_random_inputs(self):
-        rng = np.random.default_rng(35)
-        for _ in range(50):
-            n_x, n_y = rng.integers(1, 10, size=2)
-            fit = FittedModel(H_hat=rng.standard_normal((n_x, n_y)), mu_hat=rng.standard_normal(n_x))
-            prior = GaussianPrior(rng.standard_normal(n_y), random_spd(rng, n_y))
-            known = KnownStatistics(prior=prior, sigma2=float(10 ** rng.uniform(-2, 1)))
-            moments = _zero_mean_moments(n_x, n_y)
-            est_a = generative_estimator(fit, known, moments, form="a")
-            est_b = generative_estimator(fit, known, moments, form="b")
-            assert affine_rel_diff(est_a, est_b) <= 1e-8
-
     def test_auto_picks_matching_form(self):
+        # The gain inverts the smaller matrix: the lemma form's N_y x N_y one
+        # when N_y <= N_x, the direct form's N_x x N_x one otherwise.
         rng = np.random.default_rng(36)
-        for n_x, n_y, expected in [(5, 3, "b"), (3, 5, "a"), (4, 4, "b")]:
+        for n_x, n_y, gain in [(5, 3, gain_lemma), (3, 5, gain_direct), (4, 4, gain_lemma)]:
             fit = FittedModel(H_hat=rng.standard_normal((n_x, n_y)), mu_hat=np.zeros(n_x))
-            known = KnownStatistics(prior=GaussianPrior(np.zeros(n_y), np.eye(n_y)), sigma2=0.5)
-            moments = _zero_mean_moments(n_x, n_y)
-            auto = generative_estimator(fit, known, moments, form="auto")
-            explicit = generative_estimator(fit, known, moments, form=expected)
-            assert np.array_equal(auto.A, explicit.A)
+            prior = GaussianPrior(np.zeros(n_y), random_spd(rng, n_y))
+            known = KnownStatistics(prior=prior, sigma2=0.5)
+            est = generative_estimator(fit, known, _zero_mean_moments(n_x, n_y))
+            assert np.array_equal(est.A, gain(fit.H_hat, prior.C_yy, 0.5))
 
     def test_matches_highsnr_form_on_noiseless_fit(self):
         # With a noiseless fit (H_hat == H) and vanishing sigma2, the plug-in
@@ -196,12 +187,6 @@ class TestGenerativeEstimator:
             KnownStatistics(prior=prior, sigma2=0.0)
         with pytest.raises(ValueError, match="sigma2"):
             KnownStatistics(prior=prior, sigma2=-1.0)
-
-    def test_rejects_unknown_form(self):
-        fit = FittedModel(H_hat=np.eye(2), mu_hat=np.zeros(2))
-        known = KnownStatistics(prior=GaussianPrior(np.zeros(2), np.eye(2)), sigma2=1.0)
-        with pytest.raises(ValueError, match="form"):
-            generative_estimator(fit, known, _zero_mean_moments(2, 2), form="c")
 
     def test_rejects_mismatched_dimensions(self):
         fit = FittedModel(H_hat=np.ones((2, 3)), mu_hat=np.zeros(2))
@@ -286,15 +271,16 @@ class TestAsymptotes:
         assert affine_rel_diff(asym, oracle) <= 1e-8
 
     def test_generative_asymptote_factors_the_prior_once(self):
-        # One factor of C_yy serves both C_yy^{-1} C_yx and C_yy^{-1}, so an
-        # ill-conditioned prior warns once per rule built.
+        # The population fit C_xy C_yy^{-1} is solved with the prior's kept
+        # factor, so an ill-conditioned prior warns once per rule built, in
+        # the lemma form's inverse of C_yy, as the generative rule's does.
         prior = GaussianPrior(np.zeros(2), np.diag([1.0, 1e-13]))
         model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=0.5)
         pop = linear_population_moments(prior, model)
         with condition_events() as events:
             with pytest.warns(IllConditionedWarning):
                 generative_asymptote(prior, pop, model.sigma2)
-        assert [name for name, _ in events] == ["prior covariance", "asymptotic inner matrix"]
+        assert [name for name, _ in events] == ["prior covariance", "lemma inner matrix"]
 
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_discriminative_asymptote_is_population_lmmse(self, nonlinearity):
@@ -316,8 +302,6 @@ class TestAsymptotes:
         model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.0)
         pop = linear_population_moments(prior, model)
         asym = generative_asymptote(prior, pop, 0.0)
-        from gendisc.moments import gain_direct
-
         direct = gain_direct(H, prior.C_yy, 0.0)
         assert np.allclose(asym.A, direct, atol=1e-8)
         assert np.allclose(asym.A @ H, np.eye(4), atol=1e-8)

@@ -1,4 +1,4 @@
-"""Golden anchor: SHA-256 of results.csv for six tiny deterministic sweeps.
+"""Golden anchor: SHA-256 of results.csv for seven tiny deterministic sweeps.
 
 A change that alters any output bit changes one of these hashes. Such a
 change must be deliberate and logged in CHANGES.md together with the new
@@ -78,6 +78,26 @@ PARTIAL_FAILURE_CONFIG = {
     "estimator_set": ["generative", "discriminative"],
 }
 
+# The large-sample limits beside the rules they are the limits of, under
+# mismatched side information: the generative asymptote reads the identity
+# prior the generative rule is given, and the discriminative asymptote is
+# the oracle. With n_y > n_x both generative rules take the direct gain form.
+ASYMPTOTES_CONFIG = {
+    "n_x": 3,
+    "n_y": 5,
+    "snr_grid": [0.1, 1.0, 1e4, 1e12],
+    "nt_grid": [12],
+    "mc_trials": 20,
+    "seed": 1729,
+    "prior_mode": "identity_mismatch",
+    "estimator_set": [
+        "generative",
+        "oracle_lmmse",
+        "generative_asymptote",
+        "discriminative_asymptote",
+    ],
+}
+
 GOLDEN = {
     "linear": (
         LINEAR_CONFIG,
@@ -102,6 +122,10 @@ GOLDEN = {
     "partial_failure": (
         PARTIAL_FAILURE_CONFIG,
         "c788e5a0fcec49ed4ad0eb5afc8ee8248bf0224e72dcca5f67129fbe6a867afb",
+    ),
+    "asymptotes": (
+        ASYMPTOTES_CONFIG,
+        "981cb5b62f67737956371ec980856f564f79e9a80594a7cd90b1eba1c4399c28",
     ),
 }
 

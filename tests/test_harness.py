@@ -212,6 +212,32 @@ class TestScoring:
         rule_at_data = self._rules(prior, model, at_data, 60, seed)["generative"]
         assert out.errors["generative"] != affine_risk(rule_at_data, prior, model)
 
+    def test_generative_asymptote_is_built_at_the_known_noise_variance(self):
+        # The asymptote is the generative rule's limit, so it too reads the
+        # stated noise variance: it is the public asymptote at 2, scored under
+        # the data's 0.5.
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
+        known = KnownStatistics(prior=prior, sigma2=2.0)
+        out = run_single_trial(prior, model, known, 60, ("generative_asymptote",), Seed(64))
+        rule = generative_asymptote(prior, population_moments(prior, model), 2.0)
+        assert out.errors == {"generative_asymptote": affine_risk(rule, prior, model)}
+
+    def test_generative_rule_tends_to_its_asymptote_under_a_mismatched_prior(self):
+        # The asymptote reads the generative rule's side information, the
+        # identity prior here, so at a large n_t each trial's generative risk
+        # is close to its asymptote's.
+        cfg = _small_config(
+            n_x=6, n_y=4, snr_grid=(0.5, 5.0, 50.0), nt_grid=(10**6,), mc_trials=5,
+            prior_mode="identity_mismatch", estimator_set=("generative", "generative_asymptote"),
+        )
+        _, points = sweep_points(cfg)
+        for point in points:
+            for trial in range(cfg.mc_trials):
+                errors = run_trial(cfg, point, trial).errors
+                gen, asym = errors["generative"], errors["generative_asymptote"]
+                assert gen == pytest.approx(asym, rel=0.01)
+
     @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_oracle_bounds_every_rule_under_distortion(self, nonlinearity):
         # The oracle is the best affine rule under the true map, so in every
@@ -575,7 +601,9 @@ class TestSharedDraws:
         # is built once per SNR cell of the sweep, and its condition warnings
         # still count in every trial. The oracle and the discriminative
         # asymptote are one rule, the population LMMSE, built once for both.
-        calls = {"population LMMSE": 0, "generative asymptote": 0}
+        # The generative asymptote is the generative rule at the population
+        # fit, which is solved once per sweep.
+        calls = {"population LMMSE": 0, "population fit": 0, "generative asymptote": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -586,9 +614,12 @@ class TestSharedDraws:
 
         monkeypatch.setattr(harness, "_oracle", counted("population LMMSE", harness._oracle))
         monkeypatch.setattr(
-            harness,
-            "_generative_asymptote",
-            counted("generative asymptote", harness._generative_asymptote),
+            harness._Channel,
+            "population_fit",
+            counted("population fit", harness._Channel.population_fit),
+        )
+        monkeypatch.setattr(
+            harness, "_generative", counted("generative asymptote", harness._generative)
         )
         cfg = ExperimentConfig(
             n_x=6, n_y=3, snr_grid=(1.0, 1e12, 3e13), nt_grid=(12,), mc_trials=4, seed=Seed(11),
@@ -601,7 +632,7 @@ class TestSharedDraws:
             built = dict(calls)
             _, points = sweep_points(cfg)
             alone = [run_trial(cfg, p, 0) for p in points]
-        assert built == {"population LMMSE": 3, "generative asymptote": 3}
+        assert built == {"population LMMSE": 3, "population fit": 1, "generative asymptote": 3}
         assert any(out.warning_count for out in alone)
         cells = report.metadata["cells"]
         assert [c["condition_warnings"] for c in cells] == [4 * o.warning_count for o in alone]
@@ -621,19 +652,20 @@ class TestSharedDraws:
         assert report.rows[0].mean_mse == pytest.approx(trace, rel=1e-12)
 
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
-    def test_generative_asymptote_failure_names_its_matrix_at_the_lowest_snr(self, nonlinearity):
-        # At SNR 1e-308 the term sigma2 C_yy^{-1} of the asymptotic inner
-        # matrix overflows. Its factor fails, and the failure is named after
-        # the matrix rather than after the condition estimate of an
-        # overflowed one.
+    def test_generative_asymptote_is_scored_at_the_lowest_snr(self, nonlinearity):
+        # At SNR 1e-308 the noise variance is 1e308. With n_y > n_x the
+        # asymptote, like the generative rule, inverts the finite innovation
+        # covariance H C_yy H^T + sigma2 I, and all but ignores x: it has the
+        # prior's risk tr C_yy.
         cfg = ExperimentConfig(
             n_x=3, n_y=7, snr_grid=(1e-308, 1.0), nt_grid=(20,), mc_trials=2, seed=Seed(1729),
             nonlinearity=nonlinearity, estimator_set=("generative_asymptote",),
         )
-        cells = sweep(cfg).metadata["cells"]
-        reason = {"asymptotic inner matrix": {"count": 2, "first_trial": 0}}
-        assert cells[0]["failure_reasons"] == {"generative_asymptote": reason}
-        assert cells[1]["failures"] == {}
+        report = sweep(cfg)
+        assert [cell["failures"] for cell in report.metadata["cells"]] == [{}, {}]
+        trace = np.trace(exp_decay_prior(cfg.n_y).C_yy)
+        assert trace == 7.0
+        assert report.rows[0].mean_mse == pytest.approx(trace, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_sample_moments_fail_the_trained_rules(self):

@@ -1,10 +1,12 @@
-"""Print one SHA-256 per config of a fixed set of small sweeps, to compare two checkouts.
+"""Print SHA-256 hashes of a fixed set of small sweeps, to compare two checkouts.
 
 Each config is run by ``gendisc.harness.sweep`` in this process, with
-warnings silenced, and hashed as ``repr((rows, metadata))`` of its report:
-every mean, standard error, trial count, failure reason and condition-warning
-count, to the bit. A change meant to keep the output bytes prints the same
-lines before and after::
+warnings silenced. Each rule's rows of its report (every mean, standard
+error and trial count, to the bit) are hashed as ``repr`` on a line of their
+own, and the report's metadata (every failure reason and condition-warning
+count) on one more, so that a diff names the rule and the config that moved.
+A change meant to keep the output bytes prints the same lines before and
+after::
 
     python tools/bitwise.py > after.txt
     python tools/bitwise.py OTHER/src > before.txt
@@ -100,9 +102,13 @@ def main(src: Path = SRC) -> int:
     for name, raw in configs().items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = sweep(config_from_dict(raw))
-        digest = hashlib.sha256(repr((report.rows, report.metadata)).encode()).hexdigest()
-        print(f"{digest}  {name}")
+            cfg = config_from_dict(raw)
+            report = sweep(cfg)
+        rules = cfg.estimator_set
+        parts = {rule: [row for row in report.rows if row.estimator == rule] for rule in rules}
+        parts["metadata"] = report.metadata
+        for part, value in parts.items():
+            print(f"{hashlib.sha256(repr(value).encode()).hexdigest()}  {name}  {part}")
     return 0
 
 
