@@ -10,7 +10,9 @@ population LMMSE built from the true moments under any measurement map and
 so also the discriminative route's large-sample limit; the generative
 route's large-sample limit, its own plug-in rule at the population fit
 C_xy C_yy^{-1}; and the closed-form vanishing-noise limit estimators used
-as analytical reference points.
+as analytical reference points. The oracle and both large-sample limits
+take the data's prior and true model, ``(prior, model)``, as
+:func:`affine_risk` does, and read the true moments from them.
 
 All estimators share one output type, :class:`AffineEstimator`, so they can
 be evaluated and compared uniformly, by their exact risk
@@ -122,44 +124,6 @@ class AffineEstimator:
         if x.shape[0] != self.n_x:
             raise ValueError(f"x has length {x.shape[0]}, estimator expects {self.n_x}")
         return self.A @ x + self.b
-
-
-@dataclass(frozen=True)
-class PopulationMoments:
-    """True moments of the data distribution used by the asymptotic estimators."""
-
-    mu_x: np.ndarray
-    C_yx: np.ndarray
-    C_xx: np.ndarray
-
-    def __post_init__(self):
-        mu_x = _as_float_array(self.mu_x, "mu_x", ndim=1)
-        C_yx = _as_float_array(self.C_yx, "C_yx", ndim=2)
-        C_xx = _as_float_array(self.C_xx, "C_xx", ndim=2)
-        n_x = mu_x.shape[0]
-        if C_yx.shape[1] != n_x or C_xx.shape != (n_x, n_x):
-            raise ValueError(
-                f"inconsistent shapes: mu_x {mu_x.shape}, C_yx {C_yx.shape}, C_xx {C_xx.shape}"
-            )
-        object.__setattr__(self, "mu_x", _frozen(mu_x))
-        object.__setattr__(self, "C_yx", _frozen(C_yx))
-        object.__setattr__(self, "C_xx", _frozen(C_xx))
-
-    @classmethod
-    def from_samples(cls, moments: SampleMoments) -> "PopulationMoments":
-        """Treat large-sample moments as population values."""
-        return cls(mu_x=moments.x_bar, C_yx=moments.C_yx, C_xx=moments.C_xx)
-
-
-def linear_population_moments(prior: GaussianPrior, model: TrueModel) -> PopulationMoments:
-    """Exact population moments induced by the linear measurement model.
-
-    Under x = H y + w: mu_x = H mu_y + mu_w, C_yx = C_yy H^T and
-    C_xx = H C_yy H^T + sigma2 I.
-    """
-    if not isinstance(model.nonlinearity, Linear):
-        raise ValueError("closed-form population moments exist only for the linear model")
-    return population_moments(prior, model)
 
 
 # Trapezoid rule for E f(Z), Z ~ N(0, 1): equispaced nodes on [-_Z_MAX, _Z_MAX].
@@ -335,6 +299,11 @@ class _Truth:
     def C_xx(self, sigma2: float) -> np.ndarray:
         return self.C_xx_signal + sigma2 * np.eye(self.H.shape[0])
 
+    @cached_property
+    def population_fit(self) -> np.ndarray:
+        """The ML fit's large-sample limit ``C_xy C_yy^{-1}``, solved with the prior's factor."""
+        return _solve(self.prior.L_yy, self.C_yx).T
+
     def risk(self, A: np.ndarray, b: np.ndarray, sigma2: float) -> float:
         """:func:`affine_risk` of the rule ``x -> A x + b`` at noise variance ``sigma2``."""
         m, prior = self.measurement, self.prior
@@ -344,20 +313,6 @@ class _Truth:
         if m.Q is not None:
             risk += np.vdot(A @ m.Q, A)
         return float(risk)
-
-
-def population_moments(
-    prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
-) -> PopulationMoments:
-    """Exact population moments of the data under any measurement map.
-
-    mu_x = mu_g + mu_w, C_yx = L_yy B^T and C_xx = B B^T + Q + sigma2 I from
-    ``measurement`` (:func:`measurement_moments` of the model, computed when
-    omitted). Under the linear map B = H L_yy and there is no Q, so these are
-    C_yy H^T and H C_yy H^T + sigma2 I.
-    """
-    truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
-    return PopulationMoments(mu_x=truth.mu_x, C_yx=truth.C_yx, C_xx=truth.C_xx(model.sigma2))
 
 
 def affine_risk(
@@ -417,6 +372,11 @@ def _oracle(truth: _Truth, sigma2: float):
     """The population LMMSE rule: the oracle, and the discriminative asymptote, under every map."""
     C_xx, mu_y = truth.C_xx(sigma2), truth.prior.mu_y
     return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
+
+
+def _generative_asymptote(truth: _Truth, known: GaussianPrior, sigma2: float):
+    """The generative rule at the population fit and true means, with ``known`` at ``sigma2``."""
+    return _generative(truth.population_fit, known, sigma2, truth.mu_x, truth.prior.mu_y)
 
 
 def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
@@ -500,21 +460,10 @@ def discriminative_estimator(moments: SampleMoments, ridge: float = 0.0) -> Affi
     return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE)
 
 
-def oracle_lmmse(
+def _truth(
     prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
-) -> AffineEstimator:
-    """Optimal affine estimator with full knowledge of the true model: the population LMMSE.
-
-    Under every measurement map it is the best affine rule A = C_yx
-    C_xx^{-1}, b = mu_y - A mu_x, at the true moments of
-    :func:`population_moments` (``measurement`` is passed on to it), and so
-    the large-sample limit of the discriminative estimator,
-    :func:`discriminative_asymptote` at those moments. Under the linear map
-    A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1}, computed as L_yy B^T (B B^T +
-    sigma2 I)^{-1} with B = H L_yy; for the jointly Gaussian linear model it
-    is the minimum-MSE estimator, and with sigma2 == 0 it needs a
-    nonsingular H C_yy H^T.
-    """
+) -> _Truth:
+    """The :class:`_Truth` of ``model``, checked for the constructors of the untrained rules."""
     if prior.n_y != model.n_y:
         raise ValueError(
             f"prior dimension {prior.n_y} does not match model target dimension {model.n_y}"
@@ -522,49 +471,63 @@ def oracle_lmmse(
     truth = _Truth(prior, model.H, model.mu_w, model.nonlinearity, measurement)
     if not truth.finite:
         raise ValueError("the measurement moments contain non-finite entries")
-    A, b = _oracle(truth, model.sigma2)
+    return truth
+
+
+def oracle_lmmse(
+    prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
+) -> AffineEstimator:
+    """Optimal affine estimator with full knowledge of the true model: the population LMMSE.
+
+    Under every measurement map it is the best affine rule A = C_yx
+    C_xx^{-1}, b = mu_y - A mu_x, at the true moments mu_x = mu_g + mu_w,
+    C_yx = L_yy B^T and C_xx = B B^T + Q + sigma2 I, with B, mu_g and Q from
+    ``measurement`` (:func:`measurement_moments` of the model, computed when
+    omitted). It is therefore also the large-sample limit of the
+    discriminative estimator, :func:`discriminative_asymptote`. Under the
+    linear map A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1}, computed as L_yy
+    B^T (B B^T + sigma2 I)^{-1} with B = H L_yy; for the jointly Gaussian
+    linear model it is the minimum-MSE estimator, and with sigma2 == 0 it
+    needs a nonsingular H C_yy H^T.
+    """
+    A, b = _oracle(_truth(prior, model, measurement), model.sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.ORACLE_LMMSE)
 
 
 def generative_asymptote(
-    prior: GaussianPrior, pop: PopulationMoments, sigma2: float
+    prior: GaussianPrior, model: TrueModel, known: Optional[KnownStatistics] = None
 ) -> AffineEstimator:
-    """Large-sample limit of the generative estimator, at population moments.
+    """Large-sample limit of the generative estimator on data drawn from ``prior`` and ``model``.
 
     As n_t grows the ML fit tends to the population fit H = C_xy C_yy^{-1},
     and the sample means to mu_x and mu_y, so the limit is the rule of
-    :func:`generative_estimator` built from them, with ``prior`` as the side
-    information and ``sigma2`` as its noise variance (0 is accepted): its
-    gain form, failures and warnings are that rule's. H is solved with the
-    prior's kept Cholesky factor, so it factors nothing. When the data truly
-    follow the linear model this coincides with the optimal affine estimator;
-    under a distorted measurement map it does not, and the excess of its
-    :func:`affine_risk` over that of :func:`oracle_lmmse` (both at
-    :func:`population_moments`) is the asymptotic cost of the modeling
-    mismatch.
+    :func:`generative_estimator` built from them with ``known`` as the side
+    information: its gain form, failures and warnings are that rule's. The
+    side information defaults to the data's prior at ``model.sigma2``, 0
+    included. H is solved with the data prior's kept Cholesky factor, so it
+    factors nothing. When the data truly follow the linear model and
+    ``known`` is the truth, this coincides with :func:`oracle_lmmse`; under a
+    distorted measurement map or a mismatched prior it does not, and the
+    excess of its :func:`affine_risk` over the oracle's is the asymptotic
+    cost of the modeling mismatch.
     """
-    if not 0.0 <= sigma2 < np.inf:
-        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
-    if pop.C_yx.shape[0] != prior.n_y:
+    side, sigma2 = (prior, model.sigma2) if known is None else (known.prior, known.sigma2)
+    if side.n_y != prior.n_y:
         raise ValueError(
-            f"population C_yx rows {pop.C_yx.shape[0]} do not match prior dimension {prior.n_y}"
+            f"known prior dimension {side.n_y} does not match prior dimension {prior.n_y}"
         )
-    H = _solve(prior.L_yy, pop.C_yx).T  # C_xy C_yy^{-1}
-    A, b = _generative(H, prior, sigma2, pop.mu_x, prior.mu_y)
+    A, b = _generative_asymptote(_truth(prior, model), side, sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE_ASYMPTOTE)
 
 
-def discriminative_asymptote(prior: GaussianPrior, pop: PopulationMoments) -> AffineEstimator:
+def discriminative_asymptote(prior: GaussianPrior, model: TrueModel) -> AffineEstimator:
     """Large-sample limit of the discriminative estimator: the population LMMSE.
 
-    A = C_yx C_xx^{-1}, b = mu_y - A mu_x, with true moments of whatever
-    distribution actually generated the data.
+    A = C_yx C_xx^{-1}, b = mu_y - A mu_x at the true moments of the data
+    drawn from ``prior`` and ``model``: the rule of :func:`oracle_lmmse`, bit
+    for bit.
     """
-    if pop.C_yx.shape[0] != prior.n_y:
-        raise ValueError(
-            f"population C_yx rows {pop.C_yx.shape[0]} do not match prior dimension {prior.n_y}"
-        )
-    A, b = _lmmse(pop.C_xx, pop.C_yx, pop.mu_x, prior.mu_y, 0.0, "population input covariance")
+    A, b = _oracle(_truth(prior, model), model.sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE_ASYMPTOTE)
 
 

@@ -173,6 +173,8 @@ def read_dataset_csv(path) -> Dataset:
                 f"{path}: first line must be 'n_t,n_x,n_y', got {header!r}"
             ) from None
         rows = [line.strip() for line in fh if line.strip()]
+    if min(n_t, n_x, n_y) < 1:
+        raise ValueError(f"{path}: header counts n_t,n_x,n_y must be >= 1, got {header!r}")
     if len(rows) != n_t:
         raise ValueError(f"{path}: header promises {n_t} samples, found {len(rows)}")
     table = np.array([[float(tok) for tok in line.split(",")] for line in rows])

@@ -14,13 +14,15 @@ noise is computed once and shared through one keyed memo, :func:`_shared`:
 a memo of the trial keeps the target sample covariance's factor and the
 discriminative vanishing-noise gain, and the ``memo`` of the trial's
 channel, made once per sweep when H is frozen, keeps the generative
-vanishing-noise gain, the population fit C_xy C_yy^{-1} and each untrained
-rule per noise variance; the channel also holds the population moments of
-the map. A shared result's failures and condition warnings are counted in
-every cell that uses it. The oracle is the population LMMSE under every
-map, so it is also the discriminative asymptote, and the two are built once
-for both. The generative asymptote is the generative rule built from the
-population fit and means, with the generative rule's side information.
+vanishing-noise gain and each untrained rule per noise variance; the
+channel also holds the population moments of the map and the population
+fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A shared
+result's failures and condition warnings are counted in every cell that
+uses it. The oracle is the population LMMSE under every map, so it is also
+the discriminative asymptote, and the two are built once for both. The
+generative asymptote is the generative rule built from the population fit
+and means, with the generative rule's side information, by the helper its
+public constructor uses.
 :func:`sweep` runs the sample-count cells in grid order, each cell's trials in
 index order and each trial at every SNR, serially. A trial's randomness comes
 from a counter-based child seed of (sample-count cell, trial), so results do
@@ -45,6 +47,7 @@ from .estimators import (
     MeasurementMoments,
     Provenance,
     _generative,
+    _generative_asymptote,
     _generative_offset,
     _lmmse,
     _oracle,
@@ -291,19 +294,15 @@ class _Channel(_Truth):
 
     ``known`` is the prior handed to the generative rules. Made once per
     trial, or once per sweep when H is frozen, so that what rests on H alone
-    is computed once per H: the truth's products and, kept in ``memo`` by
-    :func:`_shared`, the generative high-SNR gain, the population fit and,
-    per noise variance, each untrained rule.
+    is computed once per H: the truth's products, the population fit among
+    them, and, kept in ``memo`` by :func:`_shared`, the generative high-SNR
+    gain and, per noise variance, each untrained rule.
     """
 
     def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
         super().__init__(prior, H, mu_w, nonlinearity, measurement)
         self.known = known
         self.memo: dict = {}
-
-    def population_fit(self) -> np.ndarray:
-        """The ML fit's large-sample limit ``C_xy C_yy^{-1}``, solved with the prior's factor."""
-        return _solve(self.prior.L_yy, self.C_yx).T
 
 
 def _score_cells(
@@ -353,10 +352,10 @@ def _score_cells(
                     elif name == Provenance.DISCRIMINATIVE_HIGH_SNR:
                         G = _shared(memo, name, lambda: gain_direct(ch.H, C_yy, 0.0))
                         rule = G, y_bar - G @ x_bar
-                    elif name == Provenance.GENERATIVE_ASYMPTOTE:  # the generative rule's n_t limit
-                        H_inf = _shared(ch.memo, "population fit", ch.population_fit)
-                        args = H_inf, ch.known, s2, ch.mu_x, ch.prior.mu_y
-                        rule = _shared(ch.memo, (name, s2), lambda: _generative(*args))
+                    elif name == Provenance.GENERATIVE_ASYMPTOTE:
+                        rule = _shared(
+                            ch.memo, (name, s2), lambda: _generative_asymptote(ch, ch.known, s2)
+                        )
                     else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
                         key = "population LMMSE", sigma2
                         rule = _shared(ch.memo, key, lambda: _oracle(ch, sigma2))

@@ -151,6 +151,8 @@ class Dataset:
             )
         if xs.shape[0] == 0:
             raise ValueError("dataset must contain at least one sample")
+        if xs.shape[1] == 0 or ys.shape[1] == 0:
+            raise ValueError(f"xs and ys must have at least one column, got {xs.shape}, {ys.shape}")
         object.__setattr__(self, "xs", _frozen(xs))
         object.__setattr__(self, "ys", _frozen(ys))
 

@@ -136,8 +136,7 @@ def test_criterion_3_asymptotic_coincidence():
             rel = np.linalg.norm(learned.A - oracle.A) / np.linalg.norm(oracle.A)
             assert rel <= 0.05
 
-        pop = g.linear_population_moments(prior, model)
-        asym = g.generative_asymptote(prior, pop, sigma2)
+        asym = g.generative_asymptote(prior, model)
         assert affine_rel_diff(asym, oracle) <= 1e-8
         assert time.perf_counter() - start < 30.0
 

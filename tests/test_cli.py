@@ -395,6 +395,15 @@ class TestEstimateCommand:
         assert main(argv) == 2
         assert "--ridge must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["0,2,1", "3,0,1", "3,1,0"])
+    def test_empty_dimension_is_a_data_file_error(self, tmp_path, capsys, header):
+        # The rows agree with the header, so only its zero count is at fault.
+        n_t, n_x, n_y = (int(tok) for tok in header.split(","))
+        rows = "".join(",".join(["1.0"] * (n_x + n_y)) + "\n" for _ in range(n_t))
+        data = _write(tmp_path / "d.csv", header + "\n" + rows)
+        assert main(["estimate", "--data", data, "--method", "discriminative"]) == 2
+        assert "error: data file:" in capsys.readouterr().err
+
     def test_generative_requires_prior(self, tmp_path, capsys):
         data = _write(tmp_path / "d.csv", WORKED_CSV)
         assert main(["estimate", "--data", data, "--method", "generative"]) == 2

@@ -8,7 +8,6 @@ from gendisc.estimators import (
     AffineEstimator,
     FittedModel,
     KnownStatistics,
-    PopulationMoments,
     Provenance,
     affine_risk,
     discriminative_asymptote,
@@ -18,10 +17,8 @@ from gendisc.estimators import (
     generative_asymptote,
     generative_estimator,
     generative_highsnr,
-    linear_population_moments,
     measurement_moments,
     oracle_lmmse,
-    population_moments,
 )
 from gendisc.moments import (
     Dataset,
@@ -255,7 +252,7 @@ class TestOracleLmmse:
         H = random_measurement_matrix(4, 5, Seed(37))
         model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.3, nonlinearity=nonlinearity)
         oracle = oracle_lmmse(prior, model)
-        asym = discriminative_asymptote(prior, population_moments(prior, model))
+        asym = discriminative_asymptote(prior, model)
         assert oracle.provenance is Provenance.ORACLE_LMMSE
         assert affine_rel_diff(asym, oracle) <= 1e-10
 
@@ -265,8 +262,7 @@ class TestAsymptotes:
         prior = exp_decay_prior(6)
         H = random_measurement_matrix(4, 6, Seed(40))
         model = TrueModel(H=H, mu_w=np.full(4, 0.3), sigma2=0.5)
-        pop = linear_population_moments(prior, model)
-        asym = generative_asymptote(prior, pop, model.sigma2)
+        asym = generative_asymptote(prior, model)
         oracle = oracle_lmmse(prior, model)
         assert affine_rel_diff(asym, oracle) <= 1e-8
 
@@ -276,20 +272,19 @@ class TestAsymptotes:
         # the lemma form's inverse of C_yy, as the generative rule's does.
         prior = GaussianPrior(np.zeros(2), np.diag([1.0, 1e-13]))
         model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=0.5)
-        pop = linear_population_moments(prior, model)
         with condition_events() as events:
             with pytest.warns(IllConditionedWarning):
-                generative_asymptote(prior, pop, model.sigma2)
+                generative_asymptote(prior, model)
         assert [name for name, _ in events] == ["prior covariance", "lemma inner matrix"]
 
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_discriminative_asymptote_is_population_lmmse(self, nonlinearity):
-        # One rule under every map: the oracle is the discriminative asymptote
-        # at the population moments, bit for bit.
+        # One rule under every map: the oracle is the discriminative asymptote,
+        # bit for bit.
         prior = exp_decay_prior(5)
         H = random_measurement_matrix(4, 5, Seed(41))
         model = TrueModel(H=H, mu_w=np.full(4, 0.2), sigma2=0.3, nonlinearity=nonlinearity)
-        asym = discriminative_asymptote(prior, population_moments(prior, model))
+        asym = discriminative_asymptote(prior, model)
         oracle = oracle_lmmse(prior, model)
         assert np.array_equal(asym.A, oracle.A)
         assert np.array_equal(asym.b, oracle.b)
@@ -300,8 +295,7 @@ class TestAsymptotes:
         prior = exp_decay_prior(4)
         H = random_measurement_matrix(4, 4, Seed(42))
         model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.0)
-        pop = linear_population_moments(prior, model)
-        asym = generative_asymptote(prior, pop, 0.0)
+        asym = generative_asymptote(prior, model)
         direct = gain_direct(H, prior.C_yy, 0.0)
         assert np.allclose(asym.A, direct, atol=1e-8)
         assert np.allclose(asym.A @ H, np.eye(4), atol=1e-8)
@@ -313,12 +307,27 @@ class TestAsymptotes:
         prior = exp_decay_prior(5)
         H = 2.0 * random_measurement_matrix(6, 5, Seed(43))
         model = TrueModel(H=H, mu_w=np.zeros(6), sigma2=0.25, nonlinearity=Tanh(scale=1.0))
-        data = sample_pairs(prior, model, 1_000_000, Seed(44))
-        pop = PopulationMoments.from_samples(compute_moments(data))
-        gen = generative_asymptote(prior, pop, model.sigma2)
-        disc = discriminative_asymptote(prior, pop)
+        gen = generative_asymptote(prior, model)
+        disc = discriminative_asymptote(prior, model)
         assert np.linalg.norm(gen.A - disc.A) > 1e-3
 
+    @pytest.mark.parametrize("asymptote", [generative_asymptote, discriminative_asymptote])
+    def test_asymptotes_check_their_inputs(self, asymptote):
+        prior = exp_decay_prior(5)
+        H = random_measurement_matrix(4, 5, Seed(40))
+        with pytest.raises(ValueError, match="prior dimension"):
+            asymptote(exp_decay_prior(4), TrueModel(H=H, mu_w=np.zeros(4), sigma2=1.0))
+        overflow = TrueModel(H=H, mu_w=np.zeros(4), sigma2=1.0, nonlinearity=Cubic(alpha=1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                asymptote(prior, overflow)
+
+    def test_generative_asymptote_rejects_a_mismatched_known_prior(self):
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(40)), mu_w=np.zeros(4), sigma2=1.0)
+        known = KnownStatistics(prior=exp_decay_prior(4), sigma2=1.0)
+        with pytest.raises(ValueError, match="known prior dimension"):
+            generative_asymptote(prior, model, known)
 
     def test_tanh_generative_asymptote_pays_for_the_mismatch(self):
         # The generative limit fits the linear model to tanh data, so its
@@ -326,8 +335,7 @@ class TestAsymptotes:
         prior = exp_decay_prior(5)
         H = random_measurement_matrix(6, 5, Seed(45))
         model = TrueModel(H=H, mu_w=np.zeros(6), sigma2=0.25, nonlinearity=Tanh(scale=1.0))
-        pop = population_moments(prior, model)
-        gen = affine_risk(generative_asymptote(prior, pop, model.sigma2), prior, model)
+        gen = affine_risk(generative_asymptote(prior, model), prior, model)
         oracle = affine_risk(oracle_lmmse(prior, model), prior, model)
         assert gen > oracle * (1.0 + 1e-3)
 
@@ -467,8 +475,7 @@ class TestAffineRisk:
         expected = np.trace(C) - np.trace(oracle.A @ model.H @ C)
         assert affine_risk(oracle, prior, model) == pytest.approx(expected, rel=1e-10)
         # Criterion 3 as a risk identity: the generative asymptote is the oracle.
-        pop = linear_population_moments(prior, model)
-        asym = generative_asymptote(prior, pop, model.sigma2)
+        asym = generative_asymptote(prior, model)
         assert affine_risk(asym, prior, model) == pytest.approx(expected, rel=1e-10)
 
     def test_oracle_risk_bounds_learned_rules(self):
@@ -511,14 +518,16 @@ class TestAffineRisk:
         # tr C_yy - 2 <A, C_yx> + <A C_xx, A> + ||bias||^2 expands the same risk.
         prior, linear = self._offset_model()
         model = dataclasses.replace(linear, nonlinearity=nonlinearity)
-        pop = population_moments(prior, model)
+        m = measurement_moments(prior, model.H, nonlinearity)
+        mu_x = m.mu_g + model.mu_w
+        C_yx = prior.L_yy @ m.B.T
+        C_xx = m.B @ m.B.T + m.Q + model.sigma2 * np.eye(3)
         rng = np.random.default_rng(68)
         A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
         est = AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE)
-        bias = prior.mu_y - A @ pop.mu_x - b
+        bias = prior.mu_y - A @ mu_x - b
         expected = (
-            np.trace(prior.C_yy) - 2.0 * np.vdot(A, pop.C_yx)
-            + np.vdot(A @ pop.C_xx, A) + bias @ bias
+            np.trace(prior.C_yy) - 2.0 * np.vdot(A, C_yx) + np.vdot(A @ C_xx, A) + bias @ bias
         )
         assert affine_risk(est, prior, model) == pytest.approx(expected, rel=1e-12)
 
@@ -539,21 +548,18 @@ class TestMeasurementMoments:
         HL = H @ prior.L_yy
         return prior, H, H @ prior.mu_y, HL @ HL.T
 
-    def test_linear_moments_reproduce_linear_population_moments(self):
+    def test_linear_moments_reproduce_the_linear_closed_forms(self):
+        # mu_x = H mu_y + mu_w, C_yx = L_yy B^T = C_yy H^T and
+        # C_xx = B B^T + sigma2 I = H C_yy H^T + sigma2 I.
         rng = np.random.default_rng(70)
         prior = GaussianPrior(mu_y=rng.standard_normal(5), C_yy=random_spd(rng, 5))
         H = random_measurement_matrix(4, 5, Seed(71))
-        model = TrueModel(H=H, mu_w=np.full(4, 0.3), sigma2=0.7)
-        m = measurement_moments(prior, H, model.nonlinearity)
+        m = measurement_moments(prior, H, Linear())
         assert m.Q is None
-        pop = linear_population_moments(prior, model)
-        assert np.allclose(H @ prior.mu_y + model.mu_w, pop.mu_x, rtol=0, atol=1e-12)
-        assert np.allclose(m.mu_g + model.mu_w, pop.mu_x, rtol=0, atol=1e-12)
-        assert np.allclose(prior.L_yy @ m.B.T, pop.C_yx, rtol=0, atol=1e-12)
-        assert np.allclose(m.B @ m.B.T + 0.7 * np.eye(4), pop.C_xx, rtol=0, atol=1e-12)
+        assert np.allclose(m.mu_g, H @ prior.mu_y, rtol=0, atol=1e-12)
         # The closed forms in H and C_yy, independent of the factor L_yy.
-        assert np.allclose(prior.C_yy @ H.T, pop.C_yx, rtol=0, atol=1e-12)
-        assert np.allclose(H @ prior.C_yy @ H.T + 0.7 * np.eye(4), pop.C_xx, rtol=0, atol=1e-12)
+        assert np.allclose(prior.L_yy @ m.B.T, prior.C_yy @ H.T, rtol=0, atol=1e-12)
+        assert np.allclose(m.B @ m.B.T, H @ prior.C_yy @ H.T, rtol=0, atol=1e-12)
 
     def test_cubic_matches_isserlis(self):
         # Zero mean: d = 1 + 3 alpha S_ii and Q = 6 alpha^2 S∘S∘S.

@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import traceback
 import tracemalloc
@@ -22,10 +23,10 @@ from gendisc.estimators import (
     generative_estimator,
     generative_highsnr,
     oracle_lmmse,
-    population_moments,
 )
 from gendisc.harness import (
     H_MODES,
+    PRIOR_MODES,
     ExperimentConfig,
     SweepPoint,
     compute_mse,
@@ -220,7 +221,7 @@ class TestScoring:
         model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
         known = KnownStatistics(prior=prior, sigma2=2.0)
         out = run_single_trial(prior, model, known, 60, ("generative_asymptote",), Seed(64))
-        rule = generative_asymptote(prior, population_moments(prior, model), 2.0)
+        rule = generative_asymptote(prior, model, known)
         assert out.errors == {"generative_asymptote": affine_risk(rule, prior, model)}
 
     def test_generative_rule_tends_to_its_asymptote_under_a_mismatched_prior(self):
@@ -613,13 +614,15 @@ class TestSharedDraws:
             return wrapper
 
         monkeypatch.setattr(harness, "_oracle", counted("population LMMSE", harness._oracle))
-        monkeypatch.setattr(
-            harness._Channel,
-            "population_fit",
-            counted("population fit", harness._Channel.population_fit),
+        fit = functools.cached_property(
+            counted("population fit", estimators._Truth.population_fit.func)
         )
+        fit.__set_name__(estimators._Truth, "population_fit")
+        monkeypatch.setattr(estimators._Truth, "population_fit", fit)
         monkeypatch.setattr(
-            harness, "_generative", counted("generative asymptote", harness._generative)
+            harness,
+            "_generative_asymptote",
+            counted("generative asymptote", harness._generative_asymptote),
         )
         cfg = ExperimentConfig(
             n_x=6, n_y=3, snr_grid=(1.0, 1e12, 3e13), nt_grid=(12,), mc_trials=4, seed=Seed(11),
@@ -689,23 +692,27 @@ def _public_outcome(cfg, point, trial):
 
     The rules are fitted on ``sample_moments`` of the trial's training stream,
     with H drawn from the trial's or the sweep's stream as ``run_trial`` does.
+    The generative rules read the identity prior under ``identity_mismatch``.
     """
     prior = exp_decay_prior(cfg.n_y)
+    if cfg.prior_mode == "identity_mismatch":
+        known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
+    else:
+        known_prior = prior
     sweep_name, _ = sweep_points(cfg)
     seed = cfg.seed.child(0, point.index if sweep_name == "nt" else 0, trial)
     H_seed = cfg.seed.child(1) if cfg.h_mode == "fixed_once" else seed.child(2)
     H = random_measurement_matrix(cfg.n_x, cfg.n_y, H_seed)
     model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity)
-    known = KnownStatistics(prior=prior, sigma2=point.sigma2)
+    known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
     m = sample_moments(prior, model, point.n_t, seed.child(0))
-    pop = population_moments(prior, model)
     build = {
         "generative": lambda: generative_estimator(fit_ml(m, cfg.ridge), known, m),
         "discriminative": lambda: discriminative_estimator(m, cfg.ridge),
         "oracle_lmmse": lambda: oracle_lmmse(prior, model),
-        "generative_asymptote": lambda: generative_asymptote(prior, pop, point.sigma2),
-        "discriminative_asymptote": lambda: discriminative_asymptote(prior, pop),
-        "generative_high_snr": lambda: generative_highsnr(prior, H, m),
+        "generative_asymptote": lambda: generative_asymptote(prior, model, known),
+        "discriminative_asymptote": lambda: discriminative_asymptote(prior, model),
+        "generative_high_snr": lambda: generative_highsnr(known_prior, H, m),
         "discriminative_high_snr": lambda: discriminative_highsnr(H, m),
     }
     errors, failures = {}, {}
@@ -719,10 +726,13 @@ def _public_outcome(cfg, point, trial):
 
 class TestOnePath:
     @pytest.mark.filterwarnings("ignore::gendisc.moments.IllConditionedWarning")
+    @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
     @pytest.mark.parametrize("h_mode", H_MODES)
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
     @pytest.mark.parametrize("n_x, n_y", [(5, 4), (4, 5)])
-    def test_trial_scores_equal_the_public_constructors(self, n_x, n_y, nonlinearity, h_mode):
+    def test_trial_scores_equal_the_public_constructors(
+        self, n_x, n_y, nonlinearity, h_mode, prior_mode
+    ):
         # Every rule the sweep scores on plain arrays has the risk, bit for bit,
         # and the failure reason of the public constructor fed the same draw.
         # The grids reach far enough (n_t = 5, SNR 1e15) that some rules fail.
@@ -730,7 +740,8 @@ class TestOnePath:
         for grids in (dict(snr_grid=(0.5, 1e15), nt_grid=(8,)), dict(snr_grid=(2.0,), nt_grid=(5, 30))):
             cfg = ExperimentConfig(
                 n_x=n_x, n_y=n_y, mc_trials=3, seed=Seed(31), h_mode=h_mode,
-                nonlinearity=nonlinearity, estimator_set=ALL_RULES, **grids,
+                prior_mode=prior_mode, nonlinearity=nonlinearity, estimator_set=ALL_RULES,
+                **grids,
             )
             for point in sweep_points(cfg)[1]:
                 for trial in range(cfg.mc_trials):

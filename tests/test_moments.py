@@ -57,6 +57,11 @@ class TestComputeMoments:
         with pytest.raises(ValueError, match="at least one sample"):
             Dataset(xs=np.empty((0, 2)), ys=np.empty((0, 3)))
 
+    @pytest.mark.parametrize("n_x, n_y", [(0, 1), (1, 0)])
+    def test_zero_width_dataset_rejected(self, n_x, n_y):
+        with pytest.raises(ValueError, match="at least one column"):
+            Dataset(xs=np.ones((3, n_x)), ys=np.ones((3, n_y)))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="pair up"):
             Dataset(xs=[[1.0], [2.0]], ys=[[1.0]])
