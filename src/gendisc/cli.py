@@ -69,8 +69,11 @@ def _print_matrix(name: str, arr) -> None:
         print("  " + ", ".join(repr(float(v)) for v in row))
 
 
-def _environment() -> dict:
-    """The interpreter, library versions, BLAS build and CPU resources of this process."""
+def _environment(workers: int) -> dict:
+    """The interpreter, library versions, BLAS build and CPU resources of this process.
+
+    ``workers`` is the number of processes the sweep's trials ran in.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 cannot report its build as a dict
@@ -81,6 +84,7 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
+        "workers": workers,
         "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
     }
 
@@ -136,7 +140,7 @@ def cmd_run(args) -> int:
             "master_seed": cfg.seed.master,
             "sweep": report.metadata["sweep"],
             "duration_seconds": duration,
-            "environment": _environment(),
+            "environment": _environment(report.workers),
             "cells": report.metadata["cells"],
             "outputs": {
                 "results": os.path.abspath(results_path),
@@ -246,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="accepted for compatibility and ignored: sweeps run serially",
+        help="accepted for compatibility and ignored: a sweep splits its trials "
+        "across one process per usable CPU",
     )
     run_p.set_defaults(func=cmd_run)
 

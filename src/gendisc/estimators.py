@@ -38,6 +38,7 @@ from .moments import (
     _check_ridge,
     _factor,
     _frozen,
+    _lemma_form,
     _solve,
     compute_moments,
     gain_direct,
@@ -355,10 +356,16 @@ def _generative_offset(G, mu_y, x_bar, y_bar, H) -> np.ndarray:
     return mu_y - G @ (x_bar + H @ (mu_y - y_bar))
 
 
-def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar):
-    """The plug-in rule of :func:`generative_estimator` for fitted ``H``."""
-    # The smaller inverse: N_y <= N_x puts it on the target side.
-    G = (gain_lemma if H.shape[1] <= H.shape[0] else gain_direct)(H, prior.C_yy, sigma2)
+def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar, C_inv=None):
+    """The plug-in rule of :func:`generative_estimator` for fitted ``H``.
+
+    ``C_inv`` is the prior's inverse that :func:`gain_lemma` reads, computed
+    there when omitted.
+    """
+    if _lemma_form(H):
+        G = gain_lemma(H, prior.C_yy, sigma2, C_inv)
+    else:
+        G = gain_direct(H, prior.C_yy, sigma2)
     return G, _generative_offset(G, prior.mu_y, x_bar, y_bar, H)
 
 
@@ -374,9 +381,9 @@ def _oracle(truth: _Truth, sigma2: float):
     return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
 
 
-def _generative_asymptote(truth: _Truth, known: GaussianPrior, sigma2: float):
+def _generative_asymptote(truth: _Truth, known: GaussianPrior, sigma2: float, C_inv=None):
     """The generative rule at the population fit and true means, with ``known`` at ``sigma2``."""
-    return _generative(truth.population_fit, known, sigma2, truth.mu_x, truth.prior.mu_y)
+    return _generative(truth.population_fit, known, sigma2, truth.mu_x, truth.prior.mu_y, C_inv)
 
 
 def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:
@@ -495,7 +502,10 @@ def oracle_lmmse(
 
 
 def generative_asymptote(
-    prior: GaussianPrior, model: TrueModel, known: Optional[KnownStatistics] = None
+    prior: GaussianPrior,
+    model: TrueModel,
+    known: Optional[KnownStatistics] = None,
+    measurement: Optional[MeasurementMoments] = None,
 ) -> AffineEstimator:
     """Large-sample limit of the generative estimator on data drawn from ``prior`` and ``model``.
 
@@ -509,25 +519,28 @@ def generative_asymptote(
     ``known`` is the truth, this coincides with :func:`oracle_lmmse`; under a
     distorted measurement map or a mismatched prior it does not, and the
     excess of its :func:`affine_risk` over the oracle's is the asymptotic
-    cost of the modeling mismatch.
+    cost of the modeling mismatch. ``measurement`` is as for
+    :func:`oracle_lmmse`.
     """
     side, sigma2 = (prior, model.sigma2) if known is None else (known.prior, known.sigma2)
     if side.n_y != prior.n_y:
         raise ValueError(
             f"known prior dimension {side.n_y} does not match prior dimension {prior.n_y}"
         )
-    A, b = _generative_asymptote(_truth(prior, model), side, sigma2)
+    A, b = _generative_asymptote(_truth(prior, model, measurement), side, sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE_ASYMPTOTE)
 
 
-def discriminative_asymptote(prior: GaussianPrior, model: TrueModel) -> AffineEstimator:
+def discriminative_asymptote(
+    prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
+) -> AffineEstimator:
     """Large-sample limit of the discriminative estimator: the population LMMSE.
 
     A = C_yx C_xx^{-1}, b = mu_y - A mu_x at the true moments of the data
     drawn from ``prior`` and ``model``: the rule of :func:`oracle_lmmse`, bit
-    for bit.
+    for bit. ``measurement`` is as for :func:`oracle_lmmse`.
     """
-    A, b = _oracle(_truth(prior, model), model.sigma2)
+    A, b = _oracle(_truth(prior, model, measurement), model.sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE_ASYMPTOTE)
 
 

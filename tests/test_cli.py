@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,10 +218,13 @@ class TestRunCommand:
         cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
         env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "thread_env"}
+        assert set(env) == {
+            "python", "numpy", "scipy", "blas", "cpu_count", "workers", "thread_env"
+        }
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] >= 1
+        assert env["workers"] >= 1
         assert set(env["thread_env"]) == {
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
         }
@@ -242,6 +247,42 @@ class TestRunCommand:
         # --threads is accepted and ignored: the manifest records no thread count.
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
         assert "threads" not in manifest
+
+    def test_forked_run_writes_and_prints_once(self, tmp_path):
+        # Three worker processes inherit the parent's unflushed stdout buffer
+        # (a pipe is block-buffered); none may flush it, print, or write files.
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        out_dir = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from gendisc import harness\n"
+            "from gendisc.cli import main\n"
+            "harness._worker_count = lambda cfg, n_items: 3\n"
+            "print('started')\n"
+            "sys.exit(main(['run', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")
+        ])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cfg_path, str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "started",
+            f"wrote 6 rows to {out_dir / 'results.csv'}",
+            f"wrote {out_dir / 'manifest.json'} and {out_dir / 'plot_results.py'}",
+        ]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["environment"]["workers"] == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "manifest.json", "plot_results.py", "results.csv"
+        ]
+        serial = tmp_path / "serial"
+        assert main(["run", cfg_path, "--out", str(serial)]) == 0
+        assert (serial / "results.csv").read_bytes() == (out_dir / "results.csv").read_bytes()
 
     def test_manifest_config_reproduces_csv(self, tmp_path):
         # The manifest's config echo, fed back as a config file, must

@@ -277,6 +277,32 @@ class TestAsymptotes:
                 generative_asymptote(prior, model)
         assert [name for name, _ in events] == ["prior covariance", "lemma inner matrix"]
 
+    def test_asymptotes_read_the_measurement_moments_they_are_given(self, monkeypatch):
+        # Given the model's measurement moments, each asymptote is the same
+        # rule bit for bit, and one tanh quadrature serves both rules, the
+        # oracle and their risks.
+        prior = exp_decay_prior(5)
+        H = 2.0 * random_measurement_matrix(6, 5, Seed(43))
+        model = TrueModel(H=H, mu_w=np.zeros(6), sigma2=0.3, nonlinearity=Tanh(scale=1.0))
+        known = KnownStatistics(GaussianPrior(np.zeros(5), np.eye(5)), 0.5)
+        builds = {
+            "generative": lambda m=None: generative_asymptote(prior, model, known, m),
+            "discriminative": lambda m=None: discriminative_asymptote(prior, model, m),
+            "oracle": lambda m=None: oracle_lmmse(prior, model, m),
+        }
+        alone = {name: build() for name, build in builds.items()}
+        calls = []
+        quadrature = estimators._hermite_moments
+        monkeypatch.setattr(
+            estimators, "_hermite_moments", lambda *a, **k: calls.append(1) or quadrature(*a, **k)
+        )
+        m = measurement_moments(prior, H, model.nonlinearity)
+        for name, build in builds.items():
+            est = build(m)
+            assert np.array_equal(est.A, alone[name].A) and np.array_equal(est.b, alone[name].b)
+            affine_risk(est, prior, model, m)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_discriminative_asymptote_is_population_lmmse(self, nonlinearity):
         # One rule under every map: the oracle is the discriminative asymptote,

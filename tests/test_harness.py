@@ -1,9 +1,16 @@
 import collections
 import functools
 import gc
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import traceback
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +61,11 @@ from gendisc.synth import (
     random_measurement_matrix,
     sample_moments,
 )
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    """Make every sweep ask for ``workers`` processes, whatever its size and the CPUs."""
+    monkeypatch.setattr(harness, "_worker_count", lambda cfg, n_items: workers)
 
 
 def _small_config(**overrides):
@@ -524,6 +536,7 @@ class TestSharedDraws:
 
             return wrapper
 
+        _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
         monkeypatch.setattr(harness, "draw_training", counted("draw", harness.draw_training))
         monkeypatch.setattr(harness, "target_factor", counted("factor", harness.target_factor))
         monkeypatch.setattr(harness, "gain_direct", counted("gain", harness.gain_direct))
@@ -534,6 +547,25 @@ class TestSharedDraws:
         report = sweep(cfg)
         assert all(row.trials_ok == 6 for row in report.rows)
         assert calls == {"draw": 6, "factor": 6, "gain": 1 + 6}
+
+    @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+    def test_known_prior_is_inverted_once_per_sweep(self, monkeypatch, prior_mode):
+        # With N_y <= N_x both generative rules take the lemma form, which
+        # reads the known prior's inverse: one per sweep, under a fresh H per
+        # trial too. TestOnePath checks the rules against the public
+        # constructors, which invert the prior per rule, bit for bit.
+        cfg = _small_config(
+            n_x=6, n_y=4, snr_grid=(0.5, 5.0, 50.0), mc_trials=5, prior_mode=prior_mode,
+            estimator_set=("generative", "generative_asymptote"),
+        )
+        calls = []
+        inverse = harness._prior_inverse
+        monkeypatch.setattr(harness, "_prior_inverse", lambda C: calls.append(1) or inverse(C))
+        _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
+        assert all(row.trials_ok == 5 for row in sweep(cfg).rows)
+        assert len(calls) == 1
+        outcome = run_trial(cfg, sweep_points(cfg)[1][2], 4)
+        assert not outcome.failures and len(calls) == 2
 
     def test_shared_warning_counts_in_every_use(self):
         M = np.diag([1.0, 1e-13])
@@ -613,6 +645,7 @@ class TestSharedDraws:
 
             return wrapper
 
+        _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
         monkeypatch.setattr(harness, "_oracle", counted("population LMMSE", harness._oracle))
         fit = functools.cached_property(
             counted("population fit", estimators._Truth.population_fit.func)
@@ -779,6 +812,7 @@ class TestBoundary:
 
             return wrapper
 
+        _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
         monkeypatch.setattr(harness, "sweep_constants", constants)
         for cls in (SampleMoments, FittedModel, AffineEstimator, TrueModel, KnownStatistics):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
@@ -800,6 +834,173 @@ class TestBoundary:
         ))
         assert counts["SampleMoments"] == counts["AffineEstimator"] == 1
         assert counts["_as_float_array"] > 0
+
+
+# Configs whose reports must not depend on the number of worker processes.
+WORKER_CONFIGS = {
+    # The partial_failure golden config: at SNR 1e14 the discriminative rule
+    # fails in some trials, not all.
+    "partial_failure": dict(
+        n_x=6, n_y=3, snr_grid=(1e12, 1e14), nt_grid=(30,), mc_trials=20, seed=Seed(1729),
+        estimator_set=("generative", "discriminative"),
+    ),
+    # One frozen H under tanh, mismatched side information, the lemma gain form.
+    "fixed_once_tanh": dict(
+        n_x=5, n_y=3, snr_grid=(0.1, 1.0, 1e4, 1e12), nt_grid=(12,), mc_trials=7,
+        seed=Seed(1729), h_mode="fixed_once", prior_mode="identity_mismatch",
+        nonlinearity=Tanh(scale=1.0), estimator_set=ALL_RULES,
+    ),
+    # A sample-count sweep whose smallest cell fails every learned rule, so
+    # chunks start and end inside cells with failures to merge.
+    "nt_smallest_cell_fails": dict(
+        n_x=6, n_y=4, snr_grid=(10.0,), nt_grid=(3, 5, 10, 30), mc_trials=5, seed=Seed(1729),
+        estimator_set=ALL_RULES,
+    ),
+    # The extreme SNR grid, where rules fail on non-finite moments and warn.
+    "extreme_snr_3x7": dict(
+        n_x=3, n_y=7, snr_grid=(1e-308, 1e-12, 1.0, 1e15, 1e300), nt_grid=(20,), mc_trials=4,
+        seed=Seed(1729), estimator_set=ALL_RULES,
+    ),
+}
+
+
+class TestWorkers:
+    @pytest.mark.filterwarnings("ignore::gendisc.moments.IllConditionedWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at SNR 1e-308
+    @pytest.mark.parametrize("name", sorted(WORKER_CONFIGS))
+    def test_report_is_the_same_bits_for_any_worker_count(self, monkeypatch, name):
+        cfg = ExperimentConfig(**WORKER_CONFIGS[name])
+        n_items = len(cfg.nt_grid) * cfg.mc_trials
+        reports = {}
+        for workers in (1, 2, 3, n_items + 5):
+            _force_workers(monkeypatch, workers)
+            reports[workers] = sweep(cfg)
+            assert reports[workers].workers == min(workers, n_items)
+        serial = reports.pop(1)
+        assert any(cell["failures"] for cell in serial.metadata["cells"])
+        for report in reports.values():
+            # repr keeps every float's bits and every dict's order
+            assert repr(report.rows) == repr(serial.rows)
+            assert repr(report.metadata) == repr(serial.metadata)
+
+    @pytest.mark.parametrize("n_t, fit", [(30_000_000, 2), (60_000_000, 1)])
+    def test_workers_and_the_scores_fit_the_byte_budget(self, monkeypatch, n_t, fit):
+        # Each worker holds a training draw in flight: at 16 * n_t bytes each,
+        # two fit in the 1 GiB budget with the scores at 30 million samples,
+        # and one at 60 million. The linear map draws moments, not pairs, so
+        # the draws themselves stay small here.
+        cfg = ExperimentConfig(
+            n_x=1, n_y=1, snr_grid=(1.0,), nt_grid=(n_t,), mc_trials=6, seed=Seed(3)
+        )
+        assert cfg.violations() == []
+        _force_workers(monkeypatch, 6)
+        report = sweep(cfg)
+        assert report.workers == fit
+        draw, scores = harness._draw_bytes(cfg), harness._score_bytes(cfg)
+        assert fit * draw + scores <= harness._BYTE_BUDGET < (fit + 1) * draw + scores
+        assert all(row.trials_ok == 6 for row in report.rows)
+
+    def test_affinity_work_threads_and_fork_bound_the_worker_count(self, monkeypatch):
+        cfg = _small_config(snr_grid=(1.0,), mc_trials=1000)
+        cpus = len(os.sched_getaffinity(0))
+        assert harness._worker_count(cfg, 1000) == min(cpus, 1000 * 4 // harness._FORK_COST)
+        assert harness._worker_count(cfg, 1) == 1  # a trial does not pay for a fork
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert harness._worker_count(cfg, 1000) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert harness._worker_count(cfg, 1000) == 1
+
+    @pytest.mark.parametrize(
+        "where", ["worker raises", "worker dies", "parent raises", "parent interrupted"]
+    )
+    def test_a_failed_chunk_raises_and_leaves_no_child(self, monkeypatch, where):
+        cfg = _small_config(mc_trials=6)
+        real = harness._score_cells
+        last = cfg.seed.child(harness._NS_TRIAL, 0, cfg.mc_trials - 1)  # in the last chunk
+
+        def failing(ch, names, ridge, n_t, seed, *args):
+            first = seed == cfg.seed.child(harness._NS_TRIAL, 0, 0)  # in the parent's chunk
+            if where == "parent raises" and first:
+                raise ValueError("boom in trial 0")
+            if where == "parent interrupted" and first:
+                raise KeyboardInterrupt
+            if where == "worker raises" and seed == last:
+                raise ValueError("boom in the last trial")
+            if where == "worker dies" and seed == last:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(ch, names, ridge, n_t, seed, *args)
+
+        monkeypatch.setattr(harness, "_score_cells", failing)
+        _force_workers(monkeypatch, 3)
+        expected = {
+            "worker raises": (RuntimeError, "boom in the last trial"),
+            "worker dies": (RuntimeError, "failed"),
+            "parent raises": (ValueError, "boom in trial 0"),
+            "parent interrupted": (KeyboardInterrupt, None),
+        }[where]
+        with pytest.raises(expected[0], match=expected[1]):
+            sweep(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_orphaned_worker_exits_within_a_trial(self, tmp_path):
+        # Kill a sweep's parent process; its worker must notice before its
+        # next trial and exit, rather than finish its chunk.
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("reads process states from /proc")
+        log = tmp_path / "pids"
+        script = (
+            "import os, sys\n"
+            "from gendisc import harness\n"
+            "real = harness._score_cells\n"
+            "def logged(*args):\n"
+            "    with open(sys.argv[1], 'a') as fh:\n"
+            "        fh.write(f'{os.getpid()}\\n')\n"
+            "    return real(*args)\n"
+            "harness._score_cells = logged\n"
+            "harness._worker_count = lambda cfg, n_items: 2\n"
+            "harness.sweep(harness.ExperimentConfig(\n"
+            "    n_x=2, n_y=2, snr_grid=(1.0,), nt_grid=(10,), mc_trials=10**6))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(harness.__file__).parent.parent), os.environ.get("PYTHONPATH")
+        ])))
+        proc = subprocess.Popen([sys.executable, "-c", script, str(log)], env=env)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while worker is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = set(log.read_text().split()) if log.exists() else set()
+                worker = next((int(p) for p in pids if int(p) != proc.pid), None)
+            assert worker is not None, "the sweep started no worker"
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestConfigValidation:
@@ -833,6 +1034,13 @@ class TestConfigValidation:
         assert ExperimentConfig(mc_trials=10**7, snr_grid=(1.0,)).violations() == []
         (problem,) = ExperimentConfig(mc_trials=10**7).violations()
         assert "len(snr_grid)" in problem
+
+    def test_budget_counts_the_scores_of_every_sample_count_cell(self):
+        # The worker processes write every cell's scores to one shared array.
+        one = dict(mc_trials=10**7, snr_grid=(1.0,))  # 0.24 GB of scores per cell
+        assert ExperimentConfig(**one, nt_grid=(100,)).violations() == []
+        (problem,) = ExperimentConfig(**one, nt_grid=(40, 60, 100, 200, 500)).violations()
+        assert "len(nt_grid)" in problem
 
     def test_nonlinear_maps_accept_every_estimator(self):
         cfg = ExperimentConfig(

@@ -15,8 +15,9 @@ after::
 ``SRC`` (default: ``src/`` of this checkout) is the source tree imported.
 The set covers both orientations of a small geometry under every
 measurement map, ``h_mode`` and ``prior_mode`` with every rule, an SNR grid
-from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, and the paper's
-28 x 30 SNR geometry.
+from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, the paper's
+28 x 30 SNR geometry, and a sample-count sweep large enough that
+:func:`gendisc.harness.sweep` splits its trials across processes.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def configs() -> dict[str, dict]:
         "estimator_set": EVERY_RULE,
     }
     out["6x4-nt-ridge"] = dict(out["6x4-nt-3-to-30"], ridge=0.05)
+    # Enough work that a sweep splits it across processes when it has two CPUs
+    # or more, so that chunks meet inside cells with failures to merge.
+    out["6x4-nt-3-to-30-forked"] = dict(out["6x4-nt-3-to-30"], mc_trials=40)
     out["28x30-snr"] = {
         "n_x": 28,
         "n_y": 30,
