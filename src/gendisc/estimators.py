@@ -38,7 +38,6 @@ from .moments import (
     _check_ridge,
     _factor,
     _frozen,
-    _lemma_form,
     _solve,
     compute_moments,
     gain_direct,
@@ -356,16 +355,10 @@ def _generative_offset(G, mu_y, x_bar, y_bar, H) -> np.ndarray:
     return mu_y - G @ (x_bar + H @ (mu_y - y_bar))
 
 
-def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar, C_inv=None):
-    """The plug-in rule of :func:`generative_estimator` for fitted ``H``.
-
-    ``C_inv`` is the prior's inverse that :func:`gain_lemma` reads, computed
-    there when omitted.
-    """
-    if _lemma_form(H):
-        G = gain_lemma(H, prior.C_yy, sigma2, C_inv)
-    else:
-        G = gain_direct(H, prior.C_yy, sigma2)
+def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar):
+    """The plug-in rule of :func:`generative_estimator` for fitted ``H``."""
+    # The smaller inverse: N_y <= N_x puts it on the target side.
+    G = (gain_lemma if H.shape[1] <= H.shape[0] else gain_direct)(H, prior.C_yy, sigma2)
     return G, _generative_offset(G, prior.mu_y, x_bar, y_bar, H)
 
 
@@ -381,9 +374,9 @@ def _oracle(truth: _Truth, sigma2: float):
     return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
 
 
-def _generative_asymptote(truth: _Truth, known: GaussianPrior, sigma2: float, C_inv=None):
+def _generative_asymptote(truth: _Truth, known: GaussianPrior, sigma2: float):
     """The generative rule at the population fit and true means, with ``known`` at ``sigma2``."""
-    return _generative(truth.population_fit, known, sigma2, truth.mu_x, truth.prior.mu_y, C_inv)
+    return _generative(truth.population_fit, known, sigma2, truth.mu_x, truth.prior.mu_y)
 
 
 def fit_ml(data: Dataset | SampleMoments, ridge: float = 0.0) -> FittedModel:

@@ -16,33 +16,33 @@ discriminative vanishing-noise gain, and the ``memo`` of the trial's
 channel, made once per sweep when H is frozen, keeps the generative
 vanishing-noise gain and each untrained rule per noise variance; the
 channel also holds the population moments of the map and the population
-fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A memo of the
-sweep keeps the known prior's inverse, which the lemma gain form reads. A
-shared result's failures and condition warnings are counted in every cell
-that uses it. The oracle is the population LMMSE under every map, so it is
-also the discriminative asymptote, and the two are built once for both. The
+fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A shared
+result's failures and condition warnings are counted in every cell that
+uses it. The oracle is the population LMMSE under every map, so it is also
+the discriminative asymptote, and the two are built once for both. The
 generative asymptote is the generative rule built from the population fit
 and means, with the generative rule's side information, by the helper its
 public constructor uses.
-:func:`sweep` lists its work as (sample-count cell, trial) items, in grid
-order and then trial order, cuts the list into contiguous chunks, one per
-usable CPU, and scores the first itself and each other in a forked worker
-process; each trial is scored at every SNR. The workers write their scores
-into memory the processes share and send back only per-cell failure and
-condition-warning counts, merged in chunk order, so the report is the same
-bits for any number of workers. A trial's randomness comes from a
-counter-based child seed of (sample-count cell, trial), so results do not
-depend on the order trials run in, nor on which other SNRs share the grid;
-construction failures (singular sample covariances at small sample counts,
-non-finite moments) are recorded per cell rather than aborting the sweep.
-Memory is one float64 score per trial, estimator and cell, kept at the
-trial's index with NaN for a failure, plus failure counts grouped by reason,
-each with the first trial it struck so that it can be replayed with
-:func:`run_trial`, the one-SNR case of the same code.
+:func:`sweep` runs the sample-count cells in grid order and cuts each cell's
+trials into contiguous chunks, one per usable CPU: it scores the first chunk
+itself and each other in a worker process, forked once per sweep; each trial
+is scored at every SNR. The workers write their scores into memory the
+processes share and send back only the failures and condition-warning
+counts, which are tallied in trial order, so the report is the same bits
+for any number of workers. A trial's randomness comes from a counter-based
+child seed of (sample-count cell, trial), so results do not depend on the
+order trials run in, nor on which other SNRs share the grid; construction
+failures (singular sample covariances at small sample counts, non-finite
+moments) are recorded per cell rather than aborting the sweep. Memory is
+one float64 score per trial, estimator and SNR cell of one sample-count
+cell, kept at the trial's index with NaN for a failure, plus failure counts
+grouped by reason, each with the first trial it struck so that it can be
+replayed with :func:`run_trial`, the one-SNR case of the same code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import pickle
@@ -70,8 +70,6 @@ from .estimators import (
 from .moments import (
     SingularMatrixError,
     _check_ridge,
-    _lemma_form,
-    _prior_inverse,
     _solve,
     condition_events,
     gain_direct,
@@ -104,17 +102,18 @@ _NS_FIXED_H = 1
 
 # Memory budget of a sweep: one trial's float64 training draw, n_t x (N_x + N_y)
 # (drawn as pairs under tanh and cubic), its (N_x + N_y)^2-sized sample and
-# population moment matrices, and the float64 scores of every cell, one per
-# trial and estimator, held together because the trials are split across
-# processes that write to one array. Configs past it are rejected before
-# anything is allocated; :func:`sweep` runs no more processes, each with a
-# draw in flight, than fit in it.
+# population moment matrices, and the float64 scores of the SNR cells of one
+# sample-count cell, one per trial and estimator, scored together. Configs past
+# it are rejected before anything is allocated; :func:`sweep` runs no more
+# processes, each with a draw in flight, than fit in it beside the scores.
 _BYTE_BUDGET = 2**30
 
 # What a forked worker adds to a sweep's wall time, about 10 ms on a 2-CPU VM
 # (the fork and pipe round trip, the copy-on-write faults both processes then
 # take, the worker's exit), in units of the cheapest work measured: a trial's
-# draw or one (rule, cell) pair, at least about 50 us each.
+# draw or one (rule, cell) pair, at least about 50 us each. Timed there, two
+# processes broke even with one at 100 to 250 units a process for linear
+# sweeps from 1 x 1 to 28 x 30.
 _FORK_COST = 200
 
 
@@ -169,9 +168,9 @@ class ExperimentConfig:
             if need > _BYTE_BUDGET:
                 problems.append(
                     f"a sweep needs about {need:.3g} bytes for a trial's n_t x (n_x + n_y) "
-                    "training draw and (n_x + n_y)^2 moment matrices and the mc_trials x "
-                    "len(estimator_set) x len(snr_grid) x len(nt_grid) scores of the cells, "
-                    f"over the {_BYTE_BUDGET:.3g} budget"
+                    "training draw and (n_x + n_y)^2 moment matrices and the "
+                    "mc_trials x len(estimator_set) x len(snr_grid) scores of the SNR cells "
+                    f"scored together, over the {_BYTE_BUDGET:.3g} budget"
                 )
         if len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
             problems.append(
@@ -214,9 +213,8 @@ def _draw_bytes(cfg: ExperimentConfig) -> int:
 
 
 def _score_bytes(cfg: ExperimentConfig) -> int:
-    """Bytes of the float64 scores of every cell, estimator and trial."""
-    cells = len(cfg.snr_grid) * len(cfg.nt_grid)
-    return 8 * max(cfg.mc_trials, 0) * len(cfg.estimator_set) * cells
+    """Bytes of the float64 scores of one sample-count cell: per SNR, estimator and trial."""
+    return 8 * max(cfg.mc_trials, 0) * len(cfg.estimator_set) * len(cfg.snr_grid)
 
 
 @dataclass(frozen=True)
@@ -332,22 +330,13 @@ class _Channel(_Truth):
     trial, or once per sweep when H is frozen, so that what rests on H alone
     is computed once per H: the truth's products, the population fit among
     them, and, kept in ``memo`` by :func:`_shared`, the generative high-SNR
-    gain and, per noise variance, each untrained rule. ``known_memo`` keeps
-    what rests on ``known`` alone, its inverse, and may be shared by every
-    channel of a sweep.
+    gain and, per noise variance, each untrained rule.
     """
 
-    def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None, known_memo=None):
+    def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
         super().__init__(prior, H, mu_w, nonlinearity, measurement)
         self.known = known
         self.memo: dict = {}
-        self.known_memo = {} if known_memo is None else known_memo
-
-    def known_inverse(self):
-        """The inverse of ``known.C_yy`` when the generative gain reads it, else ``None``."""
-        if not _lemma_form(self.H):
-            return None
-        return _shared(self.known_memo, "prior inverse", lambda: _prior_inverse(self.known.C_yy))
 
 
 def _score_cells(
@@ -391,7 +380,7 @@ def _score_cells(
                     if name == Provenance.GENERATIVE:
                         factor = _shared(memo, "target factor", lambda: target_factor(C_yy, ridge))
                         H_hat = _solve(factor, C_yx).T  # as fit_ml fits it
-                        rule = _generative(H_hat, ch.known, s2, x_bar, y_bar, ch.known_inverse())
+                        rule = _generative(H_hat, ch.known, s2, x_bar, y_bar)
                     elif name == Provenance.DISCRIMINATIVE:
                         rule = _lmmse(C_xx, C_yx, x_bar, y_bar, ridge, "input sample covariance")
                     elif name == Provenance.GENERATIVE_HIGH_SNR:
@@ -402,9 +391,7 @@ def _score_cells(
                         rule = G, y_bar - G @ x_bar
                     elif name == Provenance.GENERATIVE_ASYMPTOTE:
                         rule = _shared(
-                            ch.memo,
-                            (name, s2),
-                            lambda: _generative_asymptote(ch, ch.known, s2, ch.known_inverse()),
+                            ch.memo, (name, s2), lambda: _generative_asymptote(ch, ch.known, s2)
                         )
                     else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
                         key = "population LMMSE", sigma2
@@ -465,33 +452,26 @@ def run_single_trial(
 
 
 def sweep_constants(cfg: ExperimentConfig) -> tuple:
-    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, known_memo, fixed_channel)``.
+    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_channel)``.
 
     ``prior`` generates the data, ``known_prior`` is the generative side
-    information, ``known_memo`` keeps what rests on it alone for every
-    channel of the sweep (see :class:`_Channel`), and ``fixed_channel`` is
-    the frozen measurement map under ``h_mode == "fixed_once"``, with what
-    rests on it alone (``None`` otherwise).
+    information, and ``fixed_channel`` is the frozen measurement map under
+    ``h_mode == "fixed_once"``, with what rests on it alone (``None`` otherwise).
     """
     prior = exp_decay_prior(cfg.n_y)
     if cfg.prior_mode == "identity_mismatch":
         known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
     else:
         known_prior = prior
-    known_memo: dict = {}
-    fixed = None
     if cfg.h_mode == "fixed_once":
-        fixed = _channel(cfg, (prior, known_prior, known_memo, None), cfg.seed.child(_NS_FIXED_H))
-    return prior, known_prior, known_memo, fixed
+        return prior, known_prior, _channel(cfg, prior, known_prior, cfg.seed.child(_NS_FIXED_H))
+    return prior, known_prior, None
 
 
-def _channel(cfg: ExperimentConfig, constants, seed: Seed) -> _Channel:
+def _channel(cfg: ExperimentConfig, prior, known_prior, seed: Seed) -> _Channel:
     """The channel of a measurement matrix drawn from ``seed``."""
-    prior, known_prior, known_memo, _ = constants
     H = random_measurement_matrix(cfg.n_x, cfg.n_y, seed)
-    return _Channel(
-        prior, known_prior, H, np.zeros(cfg.n_x), cfg.nonlinearity, known_memo=known_memo
-    )
+    return _Channel(prior, known_prior, H, np.zeros(cfg.n_x), cfg.nonlinearity)
 
 
 def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
@@ -509,8 +489,9 @@ def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
 
 def _trial(cfg: ExperimentConfig, nt_index: int, trial_index: int, constants) -> tuple:
     """The channel and seed of trial ``trial_index`` of sample-count cell ``nt_index``."""
+    prior, known_prior, ch = constants
     seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
-    return constants[3] or _channel(cfg, constants, seed.child(2)), seed
+    return ch or _channel(cfg, prior, known_prior, seed.child(2)), seed
 
 
 def run_trial(
@@ -533,144 +514,154 @@ def run_trial(
     return _outcome(ch, cfg.estimator_set, cfg.ridge, point.n_t, seed, point.sigma2)
 
 
-def _worker_count(cfg: ExperimentConfig, n_items: int) -> int:
-    """How many processes to split ``n_items`` (sample-count cell, trial) items across.
+def _worker_count(cfg: ExperimentConfig) -> int:
+    """How many processes to split each sample-count cell's trials across.
 
-    One per usable CPU, but few enough that each share costs more than a
-    fork (:data:`_FORK_COST`); 1 where ``os.fork`` is missing, or while
-    another thread runs, since a fork copies only the calling thread.
+    One per usable CPU, but few enough that each share of the sweep costs
+    more than a fork (:data:`_FORK_COST`); 1 where ``os.fork`` is missing,
+    or while another thread runs, since a fork copies only the calling thread.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    work = n_items * (1 + len(cfg.snr_grid) * len(cfg.estimator_set))
+    work = len(cfg.nt_grid) * cfg.mc_trials * (1 + len(cfg.snr_grid) * len(cfg.estimator_set))
     return max(1, min(cpus or 1, work // _FORK_COST))
 
 
-def _score_items(cfg: ExperimentConfig, constants, sigma2s, scores, start, stop, parent=None):
-    """Score items ``start`` to ``stop - 1`` of the sweep into ``scores``.
+def _score_trials(
+    cfg: ExperimentConfig, constants, j: int, sigma2s, scores, start, stop, parent=None
+) -> tuple[list[int], list[list]]:
+    """Score trials ``start`` to ``stop - 1`` of sample-count cell ``j`` into ``scores``.
 
-    Item ``i`` is trial ``i % mc_trials`` of sample-count cell ``i //
-    mc_trials``, scored by :func:`_score_cells` into ``scores[cell, :, :,
-    trial]``. Returns, per sample-count cell touched, its SNR cells' failure
-    reasons (as in :class:`MseReport`) and condition-warning counts. With
-    ``parent``, a worker's, raises ``RuntimeError`` before any item once
-    that process is no longer its parent.
+    Trial ``t`` is scored by :func:`_score_cells` into ``scores[:, :, t]``.
+    Returns the SNR cells' condition-warning counts and their failures as
+    runs ``(k, failures, first_trial, count)``, in trial order: ``count``
+    failing trials of SNR cell ``k`` with the failure reasons ``failures``
+    (see :class:`TrialOutcome`), the first of them ``first_trial``. A trial
+    failing as the run before it at ``k`` did extends that run, so a cell
+    that fails the same way in every trial costs one run. With ``parent``, a
+    worker's, raises ``RuntimeError`` before any trial once that process is
+    no longer its parent.
     """
-    cells: dict[int, tuple[list[dict], list[int]]] = {}
-    for i in range(start, stop):
+    warning_counts = [0] * len(sigma2s)
+    runs: list[list] = []
+    last: list = [None] * len(sigma2s)  # each SNR cell's latest run
+    for trial in range(start, stop):
         if parent is not None and os.getppid() != parent:
             raise RuntimeError("the sweep's parent process exited")
-        j, trial = divmod(i, cfg.mc_trials)
-        reasons, warning_counts = cells.setdefault(j, ([{} for _ in sigma2s], [0] * len(sigma2s)))
         ch, seed = _trial(cfg, j, trial, constants)
-        scored = _score_cells(
-            ch, cfg.estimator_set, cfg.ridge, cfg.nt_grid[j], seed, sigma2s, scores[j, :, :, trial]
+        cells = _score_cells(
+            ch, cfg.estimator_set, cfg.ridge, cfg.nt_grid[j], seed, sigma2s, scores[:, :, trial]
         )
-        for k, (failures, warning_count) in enumerate(scored):
+        for k, (failures, warning_count) in enumerate(cells):
             warning_counts[k] += warning_count
-            for name, why in failures.items():
-                _count(reasons[k], name, why, 1, trial)
-    return cells
+            if not failures:
+                continue
+            if last[k] is not None and last[k][1] == failures:
+                last[k][3] += 1
+            else:
+                last[k] = [k, failures, trial, 1]
+                runs.append(last[k])
+    return warning_counts, runs
 
 
-def _count(reasons: dict, name: str, why: str, count: int, first_trial: int) -> None:
-    """Add ``count`` failures of ``name`` for reason ``why`` to a cell's ``reasons``."""
-    reason = reasons.setdefault(name, {}).setdefault(why, {"count": 0, "first_trial": first_trial})
-    reason["count"] += count
+def _work(score: Callable, cells: int, go: int, results: int) -> None:
+    """Run a forked worker: send ``score(j)`` for each sample-count cell ``j``, then exit.
 
-
-def _merge(cells: dict, later: dict) -> None:
-    """Add the aggregates of :func:`_score_items` over later items to ``cells``, in place.
-
-    Counts add and each reason keeps its earliest first trial, in the order
-    the reasons first struck, so merging in item order gives the aggregates
-    of one serial pass.
+    Sends ``(True, score(j))`` over the pipe ``results``, and before each
+    cell but the first waits for a byte on the pipe ``go``, stopping at its
+    end. On an exception it sends ``(False, traceback)`` instead. Leaves
+    only through ``os._exit``, so the worker never returns into its caller,
+    flushes no buffer it inherited and runs no exit hook. SIGINT, blocked
+    across the fork, is unblocked only inside the ``try``.
     """
-    for j, (reasons, warning_counts) in later.items():
-        into_reasons, into_counts = cells.setdefault(j, ([{} for _ in reasons], [0] * len(reasons)))
-        for k, by_name in enumerate(reasons):
-            into_counts[k] += warning_counts[k]
-            for name, by_why in by_name.items():
-                for why, reason in by_why.items():
-                    _count(into_reasons[k], name, why, reason["count"], reason["first_trial"])
-
-
-def _work(write_fd: int, score) -> None:
-    """Run ``score()`` in a forked worker, send its result or traceback, and exit.
-
-    Exits with status 0 once the result is sent, 1 once the traceback is,
-    and 2 when neither could be. Leaves only through ``os._exit``, so the
-    worker never returns into its caller, flushes no buffer it inherited and
-    runs no exit hook. SIGINT, blocked across the fork, is unblocked only
-    inside the ``try``.
-    """
-    code = 2
+    code = 1
     try:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        try:
-            message, sent = score(), 0
-        except BaseException:
-            message, sent = traceback.format_exc(), 1
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(message, pipe)
-        code = sent
+        with os.fdopen(results, "wb") as pipe:
+            try:
+                for j in range(cells):
+                    if j and not os.read(go, 1):
+                        break  # the sweep ended early
+                    pickle.dump((True, score(j)), pipe)
+                    pipe.flush()
+                code = 0
+            except BaseException:
+                pickle.dump((False, traceback.format_exc()), pipe)
     finally:
         os._exit(code)
 
 
-def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int) -> dict:
-    """Score every item of the sweep in ``workers`` processes and merge their aggregates.
+def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int, take) -> None:
+    """Score the sweep's sample-count cells in grid order, each split across ``workers`` processes.
 
-    The items are cut into ``workers`` contiguous chunks. ``workers - 1``
-    forked workers score all but the first, writing to ``scores``, which
-    must be backed by shared memory, and send their aggregates over a pipe;
-    this process scores the first. The aggregates are merged in chunk order,
-    so the result is that of one serial pass. Every worker is reaped before
-    this returns or raises; a worker that fails or dies raises
-    ``RuntimeError`` here.
+    Each cell's trials are cut into ``workers`` contiguous chunks. This
+    process scores the first; ``workers - 1`` workers, forked once, score
+    the others into ``scores``, which must be backed by shared memory. Once
+    every chunk of cell ``j`` is scored, ``take(j, chunks)`` is called with
+    the chunks' :func:`_score_trials` results in chunk order, and the
+    workers wait for it to return before they overwrite ``scores`` with the
+    next cell. Every worker is reaped before this returns or raises; a
+    worker that fails or dies raises ``RuntimeError`` here.
     """
-    n_items = len(cfg.nt_grid) * cfg.mc_trials
-    bounds = [n_items * c // workers for c in range(workers + 1)]
+    bounds = [cfg.mc_trials * c // workers for c in range(workers + 1)]
     parent = os.getpid()
-    pending: dict[int, Optional[int]] = {}  # worker pid -> read end of its pipe, until read
+    procs: list = []  # (pid, results pipe, go pipe) of each worker, in chunk order
     try:
         for c in range(1, workers):
-            chunk = bounds[c], bounds[c + 1]
-            score = partial(_score_items, cfg, constants, sigma2s, scores, *chunk, parent)
-            read_fd, write_fd = os.pipe()
+            score = partial(
+                _score_trials, cfg, constants, sigma2s=sigma2s, scores=scores,
+                start=bounds[c], stop=bounds[c + 1], parent=parent,
+            )
+            # SIGINT is blocked until every pipe end is owned or closed, so
+            # that an interrupt can leak neither a pipe end nor a worker.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            pid = None
+            ends: list[int] = []  # pipe ends that this process closes below
+            results = None
             try:
+                ends += os.pipe()  # the worker's results, read here
+                ends += os.pipe()  # its go-ahead for each cell, written here
+                results = os.fdopen(ends[0], "rb")
+                del ends[0]
+                results_w, go_r, go_w = ends
                 pid = os.fork()
                 if pid == 0:
-                    _work(write_fd, score)
-                pending[pid] = read_fd
+                    for _, pipe, go in procs + [(pid, results, go_w)]:
+                        pipe.close()
+                        os.close(go)
+                    _work(score, len(cfg.nt_grid), go_r, results_w)
+                procs.append((pid, results, go_w))
+                results = None
+                ends.remove(go_w)
             finally:  # in this process only: a worker leaves _work through os._exit
+                for fd in ends:
+                    os.close(fd)
+                if results is not None:
+                    results.close()
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                os.close(write_fd)
-                if pid not in pending:  # the fork failed
-                    os.close(read_fd)
-        cells = _score_items(cfg, constants, sigma2s, scores, bounds[0], bounds[1])
-        for c, pid in enumerate(list(pending), start=1):
-            read_fd, pending[pid] = pending[pid], None  # closed by the with block below
-            with os.fdopen(read_fd, "rb") as pipe:
-                data = pipe.read()  # until the worker exits
-            _, status = os.waitpid(pid, 0)
-            del pending[pid]
-            if status != 0:
-                sent = os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1
-                raise RuntimeError(
-                    f"sweep worker for items {bounds[c]} to {bounds[c + 1] - 1} failed: "
-                    + (pickle.loads(data) if sent else f"wait status {status}")
-                )
-            _merge(cells, pickle.loads(data))
-        return cells
+        for j in range(len(cfg.nt_grid)):
+            if j:
+                for _, _, go in procs:
+                    with contextlib.suppress(BrokenPipeError):  # a dead worker is reported below
+                        os.write(go, b"\0")
+            chunks = [_score_trials(cfg, constants, j, sigma2s, scores, bounds[0], bounds[1])]
+            for c, (_, results, _) in enumerate(procs, start=1):
+                try:
+                    ok, message = pickle.load(results)
+                except EOFError:
+                    ok, message = False, "it exited without a result"
+                if not ok:
+                    raise RuntimeError(
+                        f"sweep worker for trials {bounds[c]} to {bounds[c + 1] - 1} of "
+                        f"sample-count cell {j} failed: {message}"
+                    )
+                chunks.append(message)
+            take(j, chunks)
     finally:
-        for pid, read_fd in pending.items():
+        for pid, results, go in procs:
             os.kill(pid, signal.SIGKILL)
-            if read_fd is not None:
-                os.close(read_fd)
+            results.close()
+            os.close(go)
             os.waitpid(pid, 0)
 
 
@@ -680,9 +671,9 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     ``nt_grid`` is swept at the single SNR when it has several entries,
     otherwise ``snr_grid`` at the single sample count. Each trial of a
     sample-count cell is drawn once and scored at every SNR, so the SNR
-    cells of a trial share its H and training randomness. The (sample-count
-    cell, trial) items are split across processes, one per usable CPU when
-    the work pays for the forks (:func:`_worker_count`) and no more than the
+    cells of a trial share its H and training randomness. Each sample-count
+    cell's trials are split across processes, one per usable CPU when the
+    work pays for the forks (:func:`_worker_count`) and no more than the
     memory budget holds with a training draw in flight in each; the result
     is the same bits for any number of them. Raises ``ValueError`` listing
     every violation when the config is not runnable, and ``RuntimeError``
@@ -693,24 +684,34 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     constants = sweep_constants(cfg)
     sigma2s = [1.0 / snr for snr in cfg.snr_grid]
     names = cfg.estimator_set
-    n_items = len(cfg.nt_grid) * cfg.mc_trials
     draws_in_budget = (_BYTE_BUDGET - _score_bytes(cfg)) // _draw_bytes(cfg)
-    workers = max(1, min(_worker_count(cfg, n_items), n_items, draws_in_budget))
-    # Each trial's scores go to its own index of one row per cell and
+    workers = max(1, min(_worker_count(cfg), cfg.mc_trials, draws_in_budget))
+    # Each trial's scores go to its own index of one row per SNR cell and
     # estimator, NaN where the rule failed, in memory the workers share.
-    shape = (len(cfg.nt_grid), len(sigma2s), len(names), cfg.mc_trials)
+    shape = (len(sigma2s), len(names), cfg.mc_trials)
     scores = np.frombuffer(mmap.mmap(-1, _score_bytes(cfg)), dtype=float).reshape(shape)
-    cells = _score_split(cfg, constants, sigma2s, scores, workers)
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
-    for j in range(len(cfg.nt_grid)):
-        reasons, warning_counts = cells[j]
+
+    def take(j: int, chunks: list) -> None:
+        """Tally sample-count cell ``j``'s chunks in trial order and summarize its SNR cells."""
+        reasons: list[dict[str, dict[str, dict]]] = [{} for _ in sigma2s]
+        warning_counts = [0] * len(sigma2s)
+        for chunk_warnings, runs in chunks:
+            for k, count in enumerate(chunk_warnings):
+                warning_counts[k] += count
+            for k, failures, first_trial, count in runs:
+                for name, why in failures.items():
+                    reason = reasons[k].setdefault(name, {}).setdefault(
+                        why, {"count": 0, "first_trial": first_trial}
+                    )
+                    reason["count"] += count
         for k in range(len(sigma2s)):
             point = points[j + k]  # one of the grids has a single entry, so j or k is 0
             value = point.n_t if sweep_name == "nt" else point.snr
             failed = {}
             for e, name in enumerate(names):
-                row = scores[j, k, e]
+                row = scores[k, e]
                 ok = row[~np.isnan(row)]
                 stat = compute_mse(ok)
                 mean, se = stat if stat is not None else (None, None)
@@ -735,5 +736,7 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
                     "failure_reasons": reasons[k],
                 }
             )
+
+    _score_split(cfg, constants, sigma2s, scores, workers, take)
     metadata = {"sweep": sweep_name, "cells": cells_meta}
     return MseReport(rows=tuple(rows), metadata=metadata, workers=workers)

@@ -420,26 +420,8 @@ def gain_direct(H, C, sigma2: float) -> np.ndarray:
     return _solve(_factor(S, 0.0, "innovation covariance"), HC).T
 
 
-def _prior_inverse(C: np.ndarray) -> np.ndarray:
-    """``C^{-1}`` of a prior covariance, factored under the name ``prior covariance``."""
-    return _solve(_factor(C, 0.0, "prior covariance"), np.eye(C.shape[0]))
-
-
-def _lemma_form(H) -> bool:
-    """Whether the generative gain of a fitted ``H`` takes :func:`gain_lemma`'s form.
-
-    The smaller inverse: N_y <= N_x puts it on the target side.
-    """
-    return H.shape[1] <= H.shape[0]
-
-
-def gain_lemma(H, C, sigma2: float, C_inv: np.ndarray | None = None) -> np.ndarray:
-    """Gain via the N_y-sized inverse: ``(H^T H + sigma2 C^{-1})^{-1} H^T``.
-
-    ``C_inv`` is ``C^{-1}`` as :func:`_prior_inverse` computes it, computed
-    here when omitted.
-    """
-    if C_inv is None:
-        C_inv = _prior_inverse(C)
+def gain_lemma(H, C, sigma2: float) -> np.ndarray:
+    """Gain via the N_y-sized inverse: ``(H^T H + sigma2 C^{-1})^{-1} H^T``."""
+    C_inv = _solve(_factor(C, 0.0, "prior covariance"), np.eye(C.shape[0]))
     M = H.T @ H + sigma2 * C_inv
     return _solve(_factor(M, 0.0, "lemma inner matrix"), H.T)

@@ -257,7 +257,7 @@ class TestRunCommand:
             "import sys\n"
             "from gendisc import harness\n"
             "from gendisc.cli import main\n"
-            "harness._worker_count = lambda cfg, n_items: 3\n"
+            "harness._worker_count = lambda cfg: 3\n"
             "print('started')\n"
             "sys.exit(main(['run', sys.argv[1], '--out', sys.argv[2]]))\n"
         )

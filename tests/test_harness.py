@@ -65,7 +65,7 @@ from gendisc.synth import (
 
 def _force_workers(monkeypatch, workers: int) -> None:
     """Make every sweep ask for ``workers`` processes, whatever its size and the CPUs."""
-    monkeypatch.setattr(harness, "_worker_count", lambda cfg, n_items: workers)
+    monkeypatch.setattr(harness, "_worker_count", lambda cfg: workers)
 
 
 def _small_config(**overrides):
@@ -548,25 +548,6 @@ class TestSharedDraws:
         assert all(row.trials_ok == 6 for row in report.rows)
         assert calls == {"draw": 6, "factor": 6, "gain": 1 + 6}
 
-    @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
-    def test_known_prior_is_inverted_once_per_sweep(self, monkeypatch, prior_mode):
-        # With N_y <= N_x both generative rules take the lemma form, which
-        # reads the known prior's inverse: one per sweep, under a fresh H per
-        # trial too. TestOnePath checks the rules against the public
-        # constructors, which invert the prior per rule, bit for bit.
-        cfg = _small_config(
-            n_x=6, n_y=4, snr_grid=(0.5, 5.0, 50.0), mc_trials=5, prior_mode=prior_mode,
-            estimator_set=("generative", "generative_asymptote"),
-        )
-        calls = []
-        inverse = harness._prior_inverse
-        monkeypatch.setattr(harness, "_prior_inverse", lambda C: calls.append(1) or inverse(C))
-        _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
-        assert all(row.trials_ok == 5 for row in sweep(cfg).rows)
-        assert len(calls) == 1
-        outcome = run_trial(cfg, sweep_points(cfg)[1][2], 4)
-        assert not outcome.failures and len(calls) == 2
-
     def test_shared_warning_counts_in_every_use(self):
         M = np.diag([1.0, 1e-13])
         memo: dict = {}
@@ -851,7 +832,7 @@ WORKER_CONFIGS = {
         nonlinearity=Tanh(scale=1.0), estimator_set=ALL_RULES,
     ),
     # A sample-count sweep whose smallest cell fails every learned rule, so
-    # chunks start and end inside cells with failures to merge.
+    # chunks start and end inside cells with failures to tally.
     "nt_smallest_cell_fails": dict(
         n_x=6, n_y=4, snr_grid=(10.0,), nt_grid=(3, 5, 10, 30), mc_trials=5, seed=Seed(1729),
         estimator_set=ALL_RULES,
@@ -870,12 +851,11 @@ class TestWorkers:
     @pytest.mark.parametrize("name", sorted(WORKER_CONFIGS))
     def test_report_is_the_same_bits_for_any_worker_count(self, monkeypatch, name):
         cfg = ExperimentConfig(**WORKER_CONFIGS[name])
-        n_items = len(cfg.nt_grid) * cfg.mc_trials
         reports = {}
-        for workers in (1, 2, 3, n_items + 5):
+        for workers in (1, 2, 3, cfg.mc_trials + 5):
             _force_workers(monkeypatch, workers)
             reports[workers] = sweep(cfg)
-            assert reports[workers].workers == min(workers, n_items)
+            assert reports[workers].workers == min(workers, cfg.mc_trials)
         serial = reports.pop(1)
         assert any(cell["failures"] for cell in serial.metadata["cells"])
         for report in reports.values():
@@ -901,29 +881,43 @@ class TestWorkers:
         assert all(row.trials_ok == 6 for row in report.rows)
 
     def test_affinity_work_threads_and_fork_bound_the_worker_count(self, monkeypatch):
-        cfg = _small_config(snr_grid=(1.0,), mc_trials=1000)
+        # 2 sample-count cells of 500 trials, each a draw and 3 rules at 1 SNR.
+        cfg = _small_config(snr_grid=(1.0,), nt_grid=(60, 80), mc_trials=500)
         cpus = len(os.sched_getaffinity(0))
-        assert harness._worker_count(cfg, 1000) == min(cpus, 1000 * 4 // harness._FORK_COST)
-        assert harness._worker_count(cfg, 1) == 1  # a trial does not pay for a fork
+        assert harness._worker_count(cfg) == min(cpus, 2 * 500 * 4 // harness._FORK_COST)
+        one_trial = _small_config(snr_grid=(1.0,), mc_trials=1)
+        assert harness._worker_count(one_trial) == 1  # a trial does not pay for a fork
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert harness._worker_count(cfg, 1000) == 1
+            assert harness._worker_count(cfg) == 1
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         monkeypatch.delattr(os, "fork")
-        assert harness._worker_count(cfg, 1000) == 1
+        assert harness._worker_count(cfg) == 1
+
+    def test_a_cell_failing_alike_in_every_trial_sends_one_run(self):
+        # What a worker sends does not grow with the trials that fail alike.
+        cfg = ExperimentConfig(**WORKER_CONFIGS["nt_smallest_cell_fails"])
+        sigma2s = [1.0 / s for s in cfg.snr_grid]
+        scores = np.empty((len(sigma2s), len(cfg.estimator_set), cfg.mc_trials))
+        constants = harness.sweep_constants(cfg)
+        _, runs = harness._score_trials(cfg, constants, 0, sigma2s, scores, 1, cfg.mc_trials)
+        ((k, failures, first_trial, count),) = runs
+        assert (k, first_trial, count) == (0, 1, cfg.mc_trials - 1)
+        assert set(failures) == harness._TRAINED
 
     @pytest.mark.parametrize(
         "where", ["worker raises", "worker dies", "parent raises", "parent interrupted"]
     )
     def test_a_failed_chunk_raises_and_leaves_no_child(self, monkeypatch, where):
-        cfg = _small_config(mc_trials=6)
+        cfg = _small_config(snr_grid=(1.0,), nt_grid=(60, 80), mc_trials=6)
         real = harness._score_cells
-        last = cfg.seed.child(harness._NS_TRIAL, 0, cfg.mc_trials - 1)  # in the last chunk
+        # In the last chunk of the second sample-count cell.
+        last = cfg.seed.child(harness._NS_TRIAL, 1, cfg.mc_trials - 1)
 
         def failing(ch, names, ridge, n_t, seed, *args):
             first = seed == cfg.seed.child(harness._NS_TRIAL, 0, 0)  # in the parent's chunk
@@ -965,7 +959,7 @@ class TestWorkers:
             "        fh.write(f'{os.getpid()}\\n')\n"
             "    return real(*args)\n"
             "harness._score_cells = logged\n"
-            "harness._worker_count = lambda cfg, n_items: 2\n"
+            "harness._worker_count = lambda cfg: 2\n"
             "harness.sweep(harness.ExperimentConfig(\n"
             "    n_x=2, n_y=2, snr_grid=(1.0,), nt_grid=(10,), mc_trials=10**6))\n"
         )
@@ -1035,12 +1029,11 @@ class TestConfigValidation:
         (problem,) = ExperimentConfig(mc_trials=10**7).violations()
         assert "len(snr_grid)" in problem
 
-    def test_budget_counts_the_scores_of_every_sample_count_cell(self):
-        # The worker processes write every cell's scores to one shared array.
-        one = dict(mc_trials=10**7, snr_grid=(1.0,))  # 0.24 GB of scores per cell
-        assert ExperimentConfig(**one, nt_grid=(100,)).violations() == []
-        (problem,) = ExperimentConfig(**one, nt_grid=(40, 60, 100, 200, 500)).violations()
-        assert "len(nt_grid)" in problem
+    def test_budget_counts_one_sample_count_cell_at_a_time(self):
+        # 0.24 GB of scores per sample-count cell, 1.2 GB for five; the cells
+        # are scored one after another, so only one cell's scores are held.
+        cfg = ExperimentConfig(mc_trials=10**7, snr_grid=(1.0,), nt_grid=(40, 60, 100, 200, 500))
+        assert cfg.violations() == []
 
     def test_nonlinear_maps_accept_every_estimator(self):
         cfg = ExperimentConfig(

@@ -85,7 +85,7 @@ def configs() -> dict[str, dict]:
     }
     out["6x4-nt-ridge"] = dict(out["6x4-nt-3-to-30"], ridge=0.05)
     # Enough work that a sweep splits it across processes when it has two CPUs
-    # or more, so that chunks meet inside cells with failures to merge.
+    # or more, so that chunks meet inside cells with failures to tally.
     out["6x4-nt-3-to-30-forked"] = dict(out["6x4-nt-3-to-30"], mc_trials=40)
     out["28x30-snr"] = {
         "n_x": 28,
