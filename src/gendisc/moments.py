@@ -10,13 +10,63 @@ their inputs, then call the same unchecked routine the sweep calls.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+
+
+def _scipy_extension(name: str, directory: str):
+    """scipy.linalg's compiled module ``name``, or ``None`` when ``directory`` lacks its file.
+
+    The module already imported under ``scipy.linalg.<name>`` is reused;
+    otherwise the file is loaded from ``directory`` under that name, so that
+    a later ``import scipy.linalg`` finds and shares it.
+    """
+    qualname = f"scipy.linalg.{name}"
+    module = sys.modules.get(qualname)
+    if module is not None:
+        return module
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(qualname, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[qualname] = module
+            return module
+    return None
+
+
+def _linalg_routines(directory: str) -> tuple:
+    """scipy's LAPACK ``dpotrf``, ``dpotrs``, ``dpocon`` and BLAS ``dnrm2``.
+
+    They are bound from scipy.linalg's compiled ``_flapack`` and ``_fblas``
+    modules in ``directory``, without importing ``scipy.linalg``: that
+    import also loads array-API, f2py, testing and masked-array modules
+    that no routine here uses, and more than doubles the time to import
+    gendisc. Where either file is missing they come from
+    ``scipy.linalg.lapack`` and ``scipy.linalg.blas``; either way they are
+    scipy's own objects.
+    """
+    flapack = _scipy_extension("_flapack", directory)
+    fblas = _scipy_extension("_fblas", directory)
+    if flapack is None or fblas is None:
+        from scipy.linalg.blas import dnrm2
+        from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+
+        return dpotrf, dpotrs, dpocon, dnrm2
+    return flapack.dpotrf, flapack.dpotrs, flapack.dpocon, fblas.dnrm2
+
+
+dpotrf, dpotrs, dpocon, dnrm2 = _linalg_routines(
+    importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
+)
 
 # Condition estimates above this trigger an IllConditionedWarning rather than
 # an error, so sweeps can chart the degradation regime near n_t ~ N_x.

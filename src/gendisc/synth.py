@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+import numpy.random  # imported with the package, not on the first draw inside a sweep
 
 from .moments import (
     _SYMMETRY_RTOL,

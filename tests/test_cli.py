@@ -219,12 +219,15 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
         env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
         assert set(env) == {
-            "python", "numpy", "scipy", "blas", "cpu_count", "workers", "thread_env"
+            "python", "numpy", "scipy", "blas", "cpu_count", "workers", "blas_threads",
+            "thread_env",
         }
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] >= 1
         assert env["workers"] >= 1
+        assert set(env["blas_threads"]) <= {"numpy", "scipy"}
+        assert all(count >= 1 for count in env["blas_threads"].values())
         assert set(env["thread_env"]) == {
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
         }
@@ -283,6 +286,37 @@ class TestRunCommand:
         serial = tmp_path / "serial"
         assert main(["run", cfg_path, "--out", str(serial)]) == 0
         assert (serial / "results.csv").read_bytes() == (out_dir / "results.csv").read_bytes()
+
+    def test_a_run_imports_no_module_the_cli_did_not(self, tmp_path):
+        # A module first imported during a run is charged to the sweep's
+        # timing, so importing gendisc.cli must bring in all that a forked
+        # linear sweep and a tanh sweep with a fixed H use.
+        linear = _write(tmp_path / "linear.json", json.dumps(TINY_CONFIG))
+        tanh = _write(tmp_path / "tanh.json", json.dumps(dict(
+            TINY_CONFIG, nonlinearity={"kind": "tanh", "scale": 1.0}, h_mode="fixed_once"
+        )))
+        script = (
+            "import sys\n"
+            "from gendisc import cli, harness\n"
+            "before = set(sys.modules)\n"
+            "harness._worker_count = lambda cfg: 2\n"
+            "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert cli.main(['run', config, '--out', out]) == 0\n"
+            "    print('added', sorted(set(sys.modules) - before))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")
+        ])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, linear, str(tmp_path / "a"), tanh, str(tmp_path / "b")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = [line for line in proc.stdout.splitlines() if line.startswith("added")]
+        assert added == ["added []", "added []"]
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["environment"]["workers"] == 2
 
     def test_manifest_config_reproduces_csv(self, tmp_path):
         # The manifest's config echo, fed back as a config file, must
