@@ -69,11 +69,10 @@ def _print_matrix(name: str, arr) -> None:
         print("  " + ", ".join(repr(float(v)) for v in row))
 
 
-def _environment(report) -> dict:
+def _environment(workers: int) -> dict:
     """The interpreter, library versions, BLAS build and CPU resources of this process.
 
-    ``report``'s sweep gives the number of processes its trials ran in and
-    the OpenBLAS thread count each of them scored with.
+    ``workers`` is the number of processes the sweep's trials ran in.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -85,8 +84,7 @@ def _environment(report) -> dict:
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
-        "workers": report.workers,
-        "blas_threads": report.blas_threads,
+        "workers": workers,
         "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
     }
 
@@ -142,7 +140,7 @@ def cmd_run(args) -> int:
             "master_seed": cfg.seed.master,
             "sweep": report.metadata["sweep"],
             "duration_seconds": duration,
-            "environment": _environment(report),
+            "environment": _environment(report.workers),
             "cells": report.metadata["cells"],
             "outputs": {
                 "results": os.path.abspath(results_path),

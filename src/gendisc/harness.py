@@ -43,12 +43,10 @@ replayed with :func:`run_trial`, the one-SNR case of the same code.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import mmap
 import os
 import pickle
 import signal
-import sys
 import threading
 import traceback
 from dataclasses import dataclass, field
@@ -117,14 +115,6 @@ _BYTE_BUDGET = 2**30
 # processes broke even with one at 100 to 250 units a process for linear
 # sweeps from 1 x 1 to 28 x 30.
 _FORK_COST = 200
-
-# The OpenBLAS that numpy's and scipy's wheels each bundle in the directory
-# ``<package>.libs`` beside the package: its file name's prefix and the
-# suffix of its symbol names (numpy's build takes 64-bit integers).
-_OPENBLAS_BUILDS = {
-    "numpy": ("libscipy_openblas64_-", "64_"),
-    "scipy": ("libscipy_openblas-", ""),
-}
 
 
 @dataclass(frozen=True)
@@ -273,16 +263,13 @@ class MseReport:
     the condition-warning count, the failure count per estimator and
     ``failure_reasons``: per estimator and reason (see :class:`TrialOutcome`),
     the ``count`` of trials it failed and the ``first_trial`` index among them.
-    ``workers`` is the number of processes the trials were split across and
-    ``blas_threads`` the OpenBLAS thread count each of them scored with, per
-    package whose bundled OpenBLAS is loaded; ``rows`` and ``metadata``
-    depend on neither.
+    ``workers`` is the number of processes the trials were split across;
+    ``rows`` and ``metadata`` do not depend on it.
     """
 
     rows: tuple[MseRow, ...]
     metadata: dict
     workers: int = 1
-    blas_threads: dict = field(default_factory=dict)
 
 
 def compute_mse(errors) -> Optional[tuple[float, float]]:
@@ -541,51 +528,6 @@ def _worker_count(cfg: ExperimentConfig) -> int:
     return max(1, min(cpus or 1, work // _FORK_COST))
 
 
-def _openblas_controls() -> dict:
-    """The thread-count functions of each bundled OpenBLAS loaded here.
-
-    Returns ``{package: (get, set)}``. A package whose OpenBLAS is not
-    loaded, or lacks either function, is left out.
-    """
-    controls = {}
-    for package, (prefix, suffix) in _OPENBLAS_BUILDS.items():
-        module = sys.modules.get(package)
-        if module is None:
-            continue
-        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), f"{package}.libs")
-        try:
-            name = next(name for name in os.listdir(libs) if name.startswith(prefix))
-            lib = ctypes.CDLL(os.path.join(libs, name), mode=getattr(os, "RTLD_NOLOAD", 0))
-            get = lib[f"scipy_openblas_get_num_threads{suffix}"]
-            set_ = lib[f"scipy_openblas_set_num_threads{suffix}"]
-        except (OSError, StopIteration, AttributeError):  # no such file or function, or not loaded
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        controls[package] = (get, set_)
-    return controls
-
-
-@contextlib.contextmanager
-def _blas_threads(count: Optional[int]):
-    """Run the block with ``count`` threads in each bundled OpenBLAS loaded here.
-
-    ``None`` keeps the counts as they are. Yields the count in effect per
-    package and restores the previous counts on exit. A process forked
-    inside the block inherits the counts in effect.
-    """
-    controls = _openblas_controls()
-    saved = {package: get() for package, (get, _) in controls.items()}
-    threads = saved if count is None else dict.fromkeys(saved, count)
-    try:
-        for package, (_, set_) in controls.items():
-            set_(threads[package])
-        yield threads
-    finally:
-        for package, (_, set_) in controls.items():
-            set_(saved[package])
-
-
 def _score_trials(
     cfg: ExperimentConfig, constants, j: int, sigma2s, scores, start, stop, parent=None
 ) -> tuple[list[int], list[list]]:
@@ -795,11 +737,6 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
                 }
             )
 
-    # Split trials already take one CPU per process, so each process runs
-    # one BLAS thread rather than contending for them with a thread pool.
-    with _blas_threads(1 if workers > 1 else None) as blas_threads:
-        _score_split(cfg, constants, sigma2s, scores, workers, take)
+    _score_split(cfg, constants, sigma2s, scores, workers, take)
     metadata = {"sweep": sweep_name, "cells": cells_meta}
-    return MseReport(
-        rows=tuple(rows), metadata=metadata, workers=workers, blas_threads=blas_threads
-    )
+    return MseReport(rows=tuple(rows), metadata=metadata, workers=workers)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import os
 import sys
 import warnings
 from contextvars import ContextVar
@@ -32,15 +31,13 @@ def _scipy_extension(name: str, directory: str):
     module = sys.modules.get(qualname)
     if module is not None:
         return module
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, name + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(qualname, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[qualname] = module
-            return module
-    return None
+    spec = importlib.machinery.PathFinder.find_spec(qualname, [directory])
+    if spec is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[qualname] = module
+    return module
 
 
 def _linalg_routines(directory: str) -> tuple:
@@ -52,7 +49,9 @@ def _linalg_routines(directory: str) -> tuple:
     that no routine here uses, and more than doubles the time to import
     gendisc. Where either file is missing they come from
     ``scipy.linalg.lapack`` and ``scipy.linalg.blas``; either way they are
-    scipy's own objects.
+    scipy's own objects. Every scipy release this package supports ships
+    both files, so the fallback only guards against scipy renaming or
+    moving these private modules.
     """
     flapack = _scipy_extension("_flapack", directory)
     fblas = _scipy_extension("_fblas", directory)

@@ -219,15 +219,12 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
         env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
         assert set(env) == {
-            "python", "numpy", "scipy", "blas", "cpu_count", "workers", "blas_threads",
-            "thread_env",
+            "python", "numpy", "scipy", "blas", "cpu_count", "workers", "thread_env"
         }
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] >= 1
         assert env["workers"] >= 1
-        assert set(env["blas_threads"]) <= {"numpy", "scipy"}
-        assert all(count >= 1 for count in env["blas_threads"].values())
         assert set(env["thread_env"]) == {
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
         }
@@ -290,10 +287,19 @@ class TestRunCommand:
     def test_a_run_imports_no_module_the_cli_did_not(self, tmp_path):
         # A module first imported during a run is charged to the sweep's
         # timing, so importing gendisc.cli must bring in all that a forked
-        # linear sweep and a tanh sweep with a fixed H use.
+        # linear sweep, a tanh sweep with a fixed H and the mismatched-prior
+        # sweep with the vanishing-noise estimators use.
         linear = _write(tmp_path / "linear.json", json.dumps(TINY_CONFIG))
-        tanh = _write(tmp_path / "tanh.json", json.dumps(dict(
+        tanh_fixed = dict(
             TINY_CONFIG, nonlinearity={"kind": "tanh", "scale": 1.0}, h_mode="fixed_once"
+        )
+        tanh = _write(tmp_path / "tanh.json", json.dumps(tanh_fixed))
+        misspec = _write(tmp_path / "misspec.json", json.dumps(dict(
+            tanh_fixed,
+            prior_mode="identity_mismatch",
+            estimator_set=[
+                "generative", "discriminative", "generative_high_snr", "discriminative_high_snr"
+            ],
         )))
         script = (
             "import sys\n"
@@ -309,12 +315,15 @@ class TestRunCommand:
             src, os.environ.get("PYTHONPATH")
         ])))
         proc = subprocess.run(
-            [sys.executable, "-c", script, linear, str(tmp_path / "a"), tanh, str(tmp_path / "b")],
+            [
+                sys.executable, "-c", script, linear, str(tmp_path / "a"),
+                tanh, str(tmp_path / "b"), misspec, str(tmp_path / "c"),
+            ],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         added = [line for line in proc.stdout.splitlines() if line.startswith("added")]
-        assert added == ["added []", "added []"]
+        assert added == ["added []"] * 3
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["environment"]["workers"] == 2
 

@@ -899,41 +899,6 @@ class TestWorkers:
         monkeypatch.delattr(os, "fork")
         assert harness._worker_count(cfg) == 1
 
-    def test_split_sweeps_score_with_one_blas_thread_per_process(self, monkeypatch, tmp_path):
-        # Each process of a split sweep, forked workers and parent alike,
-        # scores with one thread in each bundled OpenBLAS; the parent gets its
-        # counts back after the sweep, and a serial sweep keeps them.
-        controls = harness._openblas_controls()
-        if not controls:
-            pytest.skip("no bundled OpenBLAS with thread-count functions is loaded")
-
-        def counts():
-            return {package: get() for package, (get, _) in controls.items()}
-
-        defaults = counts()
-        log = tmp_path / "threads"
-        real = harness._score_cells
-
-        def logged(*args):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {counts()}\n")
-            return real(*args)
-
-        monkeypatch.setattr(harness, "_score_cells", logged)
-        cfg = _small_config(mc_trials=6)
-        for workers, expected in ((3, dict.fromkeys(controls, 1)), (1, defaults)):
-            _force_workers(monkeypatch, workers)
-            log.write_text("", encoding="utf-8")
-            report = sweep(cfg)
-            seen = collections.defaultdict(set)
-            for line in log.read_text(encoding="utf-8").splitlines():
-                pid, logged_counts = line.split(" ", 1)
-                seen[int(pid)].add(logged_counts)
-            assert len(seen) == workers and os.getpid() in seen
-            assert all(logged_counts == {str(expected)} for logged_counts in seen.values())
-            assert report.blas_threads == expected
-            assert counts() == defaults
-
     def test_a_cell_failing_alike_in_every_trial_sends_one_run(self):
         # What a worker sends does not grow with the trials that fail alike.
         cfg = ExperimentConfig(**WORKER_CONFIGS["nt_smallest_cell_fails"])
