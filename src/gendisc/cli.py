@@ -94,13 +94,14 @@ def _resolved_config(args):
     or ``(None, exit code)`` after printing why it cannot be run."""
     try:
         raw = _load_config_dict(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    if getattr(args, "trials", None) is not None:
-        raw["mc_trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
+    if isinstance(raw, dict):  # config_from_dict rejects any other JSON value
+        if getattr(args, "trials", None) is not None:
+            raw["mc_trials"] = args.trials
+        if getattr(args, "seed", None) is not None:
+            raw["seed"] = args.seed
     try:
         cfg = config_from_dict(raw)
     except ConfigError as exc:
@@ -125,7 +126,11 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     start = time.perf_counter()
-    report = sweep(cfg)
+    try:
+        report = sweep(cfg)
+    except RuntimeError as exc:  # a worker process failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     duration = time.perf_counter() - start
 
     results_path = os.path.join(out_dir, "results.csv")

@@ -189,13 +189,15 @@ def read_prior_json(path) -> KnownStatistics:
     """Read generative side information: {"mu_y": [...], "C_yy": [[...]], "sigma2": s}."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"prior file {path} must hold a JSON object, got {type(raw).__name__}")
     for fieldname in ("mu_y", "C_yy", "sigma2"):
         if fieldname not in raw:
             raise ValueError(f"prior file {path} is missing field {fieldname!r}")
     try:
         prior = GaussianPrior(mu_y=np.asarray(raw["mu_y"], dtype=float),
                               C_yy=np.asarray(raw["C_yy"], dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"prior file {path}: {exc}") from None
     try:
         return KnownStatistics(prior=prior, sigma2=float(raw["sigma2"]))

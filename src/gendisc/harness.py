@@ -56,8 +56,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .estimators import (
-    KnownStatistics,
-    MeasurementMoments,
     Provenance,
     _generative,
     _generative_asymptote,
@@ -69,7 +67,6 @@ from .estimators import (
 )
 from .moments import (
     SingularMatrixError,
-    _check_ridge,
     _solve,
     condition_events,
     gain_direct,
@@ -80,7 +77,6 @@ from .synth import (
     Linear,
     Nonlinearity,
     Seed,
-    TrueModel,
     draw_training,
     exp_decay_prior,
     random_measurement_matrix,
@@ -333,14 +329,14 @@ class _Channel(_Truth):
     gain and, per noise variance, each untrained rule.
     """
 
-    def __init__(self, prior, known, H, mu_w, nonlinearity, measurement=None):
-        super().__init__(prior, H, mu_w, nonlinearity, measurement)
+    def __init__(self, prior, known, H, mu_w, nonlinearity):
+        super().__init__(prior, H, mu_w, nonlinearity)
         self.known = known
         self.memo: dict = {}
 
 
 def _score_cells(
-    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2s, out, known_sigma2=None
+    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2s, out
 ) -> list[tuple[dict[str, str], int]]:
     """Score one trial at each noise variance in ``sigma2s``, on plain arrays.
 
@@ -352,9 +348,8 @@ def _score_cells(
     block is the same bits at every noise level, so it is checked for
     overflow once, and its factor and the discriminative high-SNR gain are
     kept, by :func:`_shared`, in a memo of the trial that its cells share.
-    ``known_sigma2`` is the noise variance the generative rule and its
-    asymptote are built at, each cell's own when ``None``. The arithmetic is
-    that of the public constructors and
+    The generative rule and its asymptote are built at the cell's own noise
+    variance. The arithmetic is that of the public constructors and
     :func:`~gendisc.estimators.affine_risk`, without their input checks.
     """
     draw = None
@@ -363,7 +358,6 @@ def _score_cells(
     memo: dict = {}
     cells = []
     for k, sigma2 in enumerate(sigma2s):
-        s2 = sigma2 if known_sigma2 is None else known_sigma2  # the generative rules' noise
         failures: dict[str, str] = {}
         with condition_events() as events:
             if draw is not None:
@@ -380,7 +374,7 @@ def _score_cells(
                     if name == Provenance.GENERATIVE:
                         factor = _shared(memo, "target factor", lambda: target_factor(C_yy, ridge))
                         H_hat = _solve(factor, C_yx).T  # as fit_ml fits it
-                        rule = _generative(H_hat, ch.known, s2, x_bar, y_bar)
+                        rule = _generative(H_hat, ch.known, sigma2, x_bar, y_bar)
                     elif name == Provenance.DISCRIMINATIVE:
                         rule = _lmmse(C_xx, C_yx, x_bar, y_bar, ridge, "input sample covariance")
                     elif name == Provenance.GENERATIVE_HIGH_SNR:
@@ -390,9 +384,9 @@ def _score_cells(
                         G = _shared(memo, name, lambda: gain_direct(ch.H, C_yy, 0.0))
                         rule = G, y_bar - G @ x_bar
                     elif name == Provenance.GENERATIVE_ASYMPTOTE:
-                        rule = _shared(
-                            ch.memo, (name, s2), lambda: _generative_asymptote(ch, ch.known, s2)
-                        )
+                        key = name, sigma2
+                        build = partial(_generative_asymptote, ch, ch.known, sigma2)
+                        rule = _shared(ch.memo, key, build)
                     else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
                         key = "population LMMSE", sigma2
                         rule = _shared(ch.memo, key, lambda: _oracle(ch, sigma2))
@@ -402,53 +396,6 @@ def _score_cells(
                     exc.with_traceback(None)  # a shared error outlives this frame; unpin it
         cells.append((failures, len(events)))
     return cells
-
-
-def _outcome(
-    ch: _Channel, names, ridge: float, n_t: int, seed: Seed, sigma2: float, known_sigma2=None
-) -> TrialOutcome:
-    """:func:`_score_cells` at the one noise variance ``sigma2``, as a :class:`TrialOutcome`."""
-    out = np.empty((1, len(names)))
-    ((failures, warning_count),) = _score_cells(
-        ch, names, ridge, n_t, seed, [sigma2], out, known_sigma2
-    )
-    errors = {name: float(r) for name, r in zip(names, out[0]) if name not in failures}
-    return TrialOutcome(errors=errors, failures=failures, warning_count=warning_count)
-
-
-def run_single_trial(
-    prior: GaussianPrior,
-    model: TrueModel,
-    known: Optional[KnownStatistics],
-    n_t: int,
-    estimator_names,
-    seed: Seed,
-    ridge: float = 0.0,
-    measurement: Optional[MeasurementMoments] = None,
-) -> TrialOutcome:
-    """Fit the requested estimators on one fresh training set and score each rule.
-
-    ``known`` supplies the generative rules' side information, prior and
-    noise variance, and may be ``None`` when the generative estimator is not
-    requested; the generative asymptote then reads the data's prior and
-    noise variance. A construction failure (singular sample covariance) is
-    recorded under the estimator's name; remaining estimators still run.
-    The training set's sample moments are drawn from ``seed.child(0)`` by
-    :func:`~gendisc.synth.draw_training`, the only draw a trial makes, and
-    only when a requested rule is trained. A rule's error is its exact risk
-    under ``prior`` and ``model``, the true data distribution, from
-    ``measurement``: the :func:`~gendisc.estimators.measurement_moments` of
-    ``model``, computed here when omitted. A sweep scores its trials with the same code, at
-    every noise level of the trial at once.
-    """
-    names = tuple(Provenance(name).value for name in estimator_names)
-    if known is None and Provenance.GENERATIVE.value in names:
-        raise ValueError("the generative estimator needs KnownStatistics")
-    _check_ridge(ridge)
-    ch = _Channel(
-        prior, known.prior if known else prior, model.H, model.mu_w, model.nonlinearity, measurement
-    )
-    return _outcome(ch, names, ridge, n_t, seed, model.sigma2, known and known.sigma2)
 
 
 def sweep_constants(cfg: ExperimentConfig) -> tuple:
@@ -507,11 +454,20 @@ def run_trial(
     cell shares the trial's draws. The frozen measurement matrix (when
     ``h_mode == "fixed_once"``) is drawn once from (master, 1).
     ``constants`` is ``sweep_constants(cfg)``, built here when omitted.
+    Raises ``ValueError`` listing every violation when the config is not
+    runnable.
     """
+    cfg.validate()
     sweep_name, _ = sweep_points(cfg)
     nt_index = point.index if sweep_name == "nt" else 0
     ch, seed = _trial(cfg, nt_index, trial_index, constants or sweep_constants(cfg))
-    return _outcome(ch, cfg.estimator_set, cfg.ridge, point.n_t, seed, point.sigma2)
+    names = cfg.estimator_set
+    out = np.empty((1, len(names)))
+    ((failures, warning_count),) = _score_cells(
+        ch, names, cfg.ridge, point.n_t, seed, [point.sigma2], out
+    )
+    errors = {name: float(r) for name, r in zip(names, out[0]) if name not in failures}
+    return TrialOutcome(errors=errors, failures=failures, warning_count=warning_count)
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:

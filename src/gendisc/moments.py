@@ -1,11 +1,10 @@
 """Sample moments and numerically safe symmetric-positive-definite linear algebra.
 
 Every matrix inverse in the estimator formulas is routed through one Cholesky
-routine, public as :func:`spd_factor` (and :func:`spd_solve`, which factors
-and solves once), which screens the condition number from the factor and
-fails loudly (no silent pseudo-inverses) when the matrix is not positive
-definite after optional ridge regularization. The public functions check
-their inputs, then call the same unchecked routine the sweep calls.
+routine, public as :func:`spd_solve`, which screens the condition number from
+the factor and fails loudly (no silent pseudo-inverses) when the matrix is not
+positive definite after optional ridge regularization. The public functions
+check their inputs, then call the same unchecked routine the sweep calls.
 """
 
 from __future__ import annotations
@@ -121,8 +120,8 @@ class condition_events:
     """Collect (name, condition estimate) pairs for ill-conditioned solves.
 
     ``with condition_events() as events:`` records in the list ``events``
-    every :func:`spd_factor` call in the block whose condition estimate
-    exceeds ``CONDITION_WARN_THRESHOLD``; the matching
+    every Cholesky factorization in the block (see :func:`spd_solve`) whose
+    condition estimate exceeds ``CONDITION_WARN_THRESHOLD``; the matching
     :class:`IllConditionedWarning` is still emitted. A nested block's events
     are also added to the enclosing block's list when it exits.
     """
@@ -142,10 +141,11 @@ class condition_events:
 def report_condition(name: str, cond: float) -> None:
     """Record an ill-conditioning event and emit its :class:`IllConditionedWarning`.
 
-    :func:`spd_factor` calls it for a matrix whose spectral condition
-    estimate ``cond`` exceeds ``CONDITION_WARN_THRESHOLD``; a caller that
-    reuses a factor, or a result solved with one, calls it again for each
-    use that should count as a solve of its own.
+    Each Cholesky factorization (see :func:`spd_solve`) calls it for a
+    matrix whose spectral condition estimate ``cond`` exceeds
+    ``CONDITION_WARN_THRESHOLD``; a caller that reuses a factor, or a result
+    solved with one, calls it again for each use that should count as a
+    solve of its own.
     """
     sink = _condition_sink.get()
     if sink is not None:
@@ -324,67 +324,13 @@ def condition_estimate(M: np.ndarray) -> float:
     return float(evals[-1] / evals[0]) if evals[0] > 0.0 else float("inf")
 
 
-class SpdFactor:
-    """Lower Cholesky factor of a symmetric positive definite ``M + ridge*I``.
-
-    Made by :func:`spd_factor`, which has already screened the matrix;
-    :meth:`solve` is one LAPACK ``dpotrs`` per call.
-    """
-
-    def __init__(self, lower: np.ndarray, name: str):
-        self.lower = lower
-        self.name = name
-
-    def solve(self, B) -> np.ndarray:
-        """Solve ``(M + ridge*I) X = B``; ``B`` is ``(n,)`` or ``(n, k)``, as is the result."""
-        B = _as_float_array(B, "right-hand side")
-        n = self.lower.shape[0]
-        if B.ndim not in (1, 2) or B.shape[0] != n:
-            raise ValueError(
-                f"right-hand side shape {B.shape} does not match {self.name} of shape {(n, n)}"
-            )
-        return _solve(self.lower, B)
-
-
 def _check_ridge(ridge: float) -> None:
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
 
 
-def spd_factor(M, ridge: float = 0.0, name: str = "matrix") -> SpdFactor:
-    """Cholesky factor of ``M + ridge*I`` for symmetric positive definite ``M``.
-
-    A matrix equal to its transpose bit for bit (every ``F @ F.T`` product)
-    is factored as given; any other is checked against a relative-asymmetry
-    guard of 1e-10 and symmetrized. The condition of ``M + ridge*I`` is
-    screened with the LAPACK 1-norm estimate from the factor, and the exact
-    spectral :func:`condition_estimate` is computed only when the screen
-    cannot rule out ``CONDITION_WARN_THRESHOLD``. Spectral values above the
-    threshold emit an :class:`IllConditionedWarning` (see
-    :func:`report_condition`). A failed factorization, or one whose 1-norm
-    estimate marks the matrix singular to working precision (reciprocal
-    condition below machine epsilon), raises :class:`SingularMatrixError`
-    carrying the spectral estimate. Every check runs once per factor,
-    however many right-hand sides it then solves.
-
-    Parameters
-    ----------
-    M : (n, n) array_like
-        Symmetric matrix.
-    ridge : float, optional
-        Finite, nonnegative diagonal loading added before factorization.
-    name : str, optional
-        Name used in error and warning messages.
-    """
-    M = _as_float_array(M, name, ndim=2)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    _check_ridge(ridge)
-    return SpdFactor(_factor(M, ridge, name), name)
-
-
 def _factor(M: np.ndarray, ridge: float, name: str) -> np.ndarray:
-    """The lower factor of :func:`spd_factor`, with all its checks but those of its inputs."""
+    """The lower factor of :func:`spd_solve`, with all its checks but those of its inputs."""
     if M.tobytes() == M.T.tobytes():
         A = M
     elif _symmetry_defect(M) > _SYMMETRY_RTOL:
@@ -413,18 +359,38 @@ def _factor(M: np.ndarray, ridge: float, name: str) -> np.ndarray:
 
 
 def _solve(lower: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve with a lower factor of :func:`_factor`, as :meth:`SpdFactor.solve` does."""
+    """Solve with a lower factor of :func:`_factor`: one LAPACK ``dpotrs``."""
     return dpotrs(lower, B, lower=1)[0]
 
 
 def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
     """Solve ``(M + ridge*I) X = B`` for symmetric positive definite ``M``.
 
-    ``spd_factor(M, ridge, name).solve(B)``: see :func:`spd_factor` for the
-    checks, warnings and errors. ``B`` is ``(n,)`` or ``(n, k)``, and the
-    solution has the same shape.
+    ``M`` is ``(n, n)`` and ``B`` is ``(n,)`` or ``(n, k)``, and the solution
+    has the shape of ``B``; ``ridge`` is a finite, nonnegative diagonal
+    loading and ``name`` names ``M`` in errors and warnings. A matrix equal
+    to its transpose bit for bit (every ``F @ F.T`` product) is factored as
+    given; any other is checked against a relative-asymmetry guard of 1e-10
+    and symmetrized. The condition of ``M + ridge*I`` is screened with the
+    LAPACK 1-norm estimate from its Cholesky factor, and the exact spectral
+    :func:`condition_estimate` is computed only when the screen cannot rule
+    out ``CONDITION_WARN_THRESHOLD``. Spectral values above the threshold
+    emit an :class:`IllConditionedWarning` (see :func:`report_condition`). A
+    failed factorization, or one whose 1-norm estimate marks the matrix
+    singular to working precision (reciprocal condition below machine
+    epsilon), raises :class:`SingularMatrixError` carrying the spectral
+    estimate.
     """
-    return spd_factor(M, ridge, name).solve(B)
+    M = _as_float_array(M, name, ndim=2)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    _check_ridge(ridge)
+    B = _as_float_array(B, "right-hand side")
+    if B.ndim not in (1, 2) or B.shape[0] != M.shape[0]:
+        raise ValueError(
+            f"right-hand side shape {B.shape} does not match {name} of shape {M.shape}"
+        )
+    return _solve(_factor(M, ridge, name), B)
 
 
 def woodbury_invert(H, C, sigma2: float) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ provided to generate data that a linear model misspecifies, each reducing
 to the linear map in a parameter limit.
 
 Estimators read a training set only through its sample means and scatter,
-:class:`~gendisc.moments.SampleMoments`. :func:`sample_moments` draws those
+:class:`~gendisc.moments.SampleMoments`, and
+``draw_training(prior, model, n, seed).moments(sigma2)`` draws those
 directly. Under the linear map ``(y, x)`` is jointly Gaussian, so the sample
 means and the scatter are independent, with laws ``N(mu, Sigma/n)`` and
 ``Wishart(n - 1, Sigma)``; they are drawn from those laws at a cost that does
@@ -331,20 +332,6 @@ def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) ->
     if isinstance(model.nonlinearity, Linear):
         return _MomentDraw(prior, model, n, seed)
     return _PairDraw(prior, model, n, seed)
-
-
-def sample_moments(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> SampleMoments:
-    """The sample moments of ``n`` i.i.d. (x, y) pairs drawn as by :func:`sample_pairs`.
-
-    ``draw_training(prior, model, n, seed).moments(model.sigma2)``. Under a
-    :class:`Linear` map they are drawn from their joint law, with no pair
-    materialized: the mean from ``N(0, I_d)`` and the scatter from
-    ``Wishart(n - 1, I_d)``, ``d = N_y + N_x``, both mapped through
-    ``[[L_yy, 0], [H L_yy, sigma I]]`` (see :class:`_MomentDraw`). The cost is
-    O(d^3) whatever ``n`` is. Under tanh and cubic maps this is
-    ``compute_moments(sample_pairs(prior, model, n, seed))``, bit for bit.
-    """
-    return draw_training(prior, model, n, seed).moments(model.sigma2)
 
 
 def exp_decay_prior(n_y: int, length_scale: float = 5.0) -> GaussianPrior:

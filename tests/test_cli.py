@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gendisc import harness
 from gendisc.cli import main
 from gendisc.fileio import (
     ConfigError,
@@ -187,6 +188,40 @@ class TestValidateCommand:
         assert main(["validate", "no_such_config"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "5"])
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("validate", []),
+            ("run", ["--trials", "3"]),
+            ("run", ["--seed", "6"]),
+            ("replay", ["--cell", "0", "--trial", "0", "--trials", "3"]),
+            ("replay", ["--cell", "0", "--trial", "0", "--seed", "6"]),
+        ],
+    )
+    def test_config_that_is_not_a_json_object_is_invalid(
+        self, tmp_path, capsys, command, flags, text
+    ):
+        # The overrides are applied to a JSON object only, so any other value
+        # is reported as the invalid config it is.
+        path = _write(tmp_path / "c.json", text)
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, path, *flags, *out]) == 1
+        assert "error: config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("validate", []), ("run", ["--trials", "3"]), ("replay", ["--cell", "0", "--trial", "0"])],
+    )
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys, command, flags):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"n_x": "\xff"}')
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *flags, *out]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunCommand:
     def test_smoke_run_outputs(self, tmp_path, capsys):
@@ -349,6 +384,25 @@ class TestRunCommand:
         manifest_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest_b["master_seed"] == 6
 
+    def test_failed_worker_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # A worker process that raises fails the run with exit code 2 and a
+        # message naming its chunk of trials, and no results are written.
+        score_trials = harness._score_trials
+
+        def failing(*args, parent=None, **kwargs):
+            if parent is not None:
+                raise MemoryError("no room for the training draw")
+            return score_trials(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_worker_count", lambda cfg: 2)
+        monkeypatch.setattr(harness, "_score_trials", failing)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: sweep worker for trials 7 to 14 of sample-count cell 0 failed" in err
+        assert "MemoryError: no room for the training draw" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_invalid_config_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, n_x=0)))
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 1
@@ -504,6 +558,26 @@ class TestEstimateCommand:
         ) == 1
         err = capsys.readouterr().err
         assert "C_yy" in err and "ys" in err
+
+    @pytest.mark.parametrize("text", ["5", "null", "[0.0]"])
+    def test_prior_that_is_not_a_json_object_is_a_prior_file_error(self, tmp_path, capsys, text):
+        data = _write(tmp_path / "d.csv", WORKED_CSV)
+        prior = _write(tmp_path / "p.json", text)
+        assert main(
+            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error: prior file:" in err and "must hold a JSON object" in err
+
+    @pytest.mark.parametrize("field", ["mu_y", "C_yy"])
+    def test_prior_field_that_is_a_json_object_is_a_prior_file_error(self, tmp_path, capsys, field):
+        data = _write(tmp_path / "d.csv", WORKED_CSV)
+        fields = dict(json.loads(PRIOR_JSON), **{field: {"a": 1.0}})
+        prior = _write(tmp_path / "p.json", json.dumps(fields))
+        assert main(
+            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
+        ) == 2
+        assert "error: prior file:" in capsys.readouterr().err
 
     def test_singular_moment_is_named(self, tmp_path, capsys):
         constant_targets = "3,1,1\n1.0,5.0\n2.0,5.0\n3.0,5.0\n"

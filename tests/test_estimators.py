@@ -37,6 +37,7 @@ from gendisc.synth import (
     Seed,
     Tanh,
     TrueModel,
+    draw_training,
     exp_decay_prior,
     random_measurement_matrix,
     sample_pairs,
@@ -177,6 +178,19 @@ class TestGenerativeEstimator:
         est = generative_estimator(fit, known, moments)
         limit = generative_highsnr(prior, model.H, moments)
         assert affine_rel_diff(est, limit) <= 1e-6
+
+    def test_built_at_the_known_noise_variance(self):
+        # The side information may state a noise variance other than the
+        # data's: the rule is built at the stated one, and scored under the
+        # data's it differs from the rule built at the data's.
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
+        moments = draw_training(prior, model, 60, Seed(64)).moments(model.sigma2)
+        fit = fit_ml(moments)
+        stated = generative_estimator(fit, KnownStatistics(prior=prior, sigma2=2.0), moments)
+        at_data = generative_estimator(fit, KnownStatistics(prior=prior, sigma2=0.5), moments)
+        assert np.array_equal(stated.A, gain_direct(fit.H_hat, prior.C_yy, 2.0))
+        assert affine_risk(stated, prior, model) != affine_risk(at_data, prior, model)
 
     def test_sigma2_must_be_positive(self):
         prior = GaussianPrior(np.zeros(2), np.eye(2))
@@ -347,6 +361,18 @@ class TestAsymptotes:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 asymptote(prior, overflow)
+
+    def test_generative_asymptote_is_built_at_the_known_noise_variance(self):
+        # The asymptote is the generative rule's limit, so it too reads the
+        # stated noise variance: for a linear model it is the generative rule
+        # at H built at 2, not the data's 0.5, and so risks more than the
+        # oracle, which the asymptote at the data's noise variance is.
+        prior = exp_decay_prior(5)
+        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
+        stated = generative_asymptote(prior, model, KnownStatistics(prior=prior, sigma2=2.0))
+        assert np.allclose(stated.A, gain_direct(model.H, prior.C_yy, 2.0), rtol=1e-10, atol=1e-12)
+        oracle = affine_risk(oracle_lmmse(prior, model), prior, model)
+        assert affine_risk(stated, prior, model) > oracle * (1.0 + 1e-3)
 
     def test_generative_asymptote_rejects_a_mismatched_known_prior(self):
         prior = exp_decay_prior(5)

@@ -37,7 +37,6 @@ from gendisc.harness import (
     ExperimentConfig,
     SweepPoint,
     compute_mse,
-    run_single_trial,
     run_trial,
     sweep,
     sweep_points,
@@ -47,7 +46,6 @@ from gendisc.moments import (
     SampleMoments,
     SingularMatrixError,
     condition_events,
-    spd_factor,
 )
 from gendisc.synth import (
     Cubic,
@@ -59,7 +57,6 @@ from gendisc.synth import (
     draw_training,
     exp_decay_prior,
     random_measurement_matrix,
-    sample_moments,
 )
 
 
@@ -81,6 +78,9 @@ def _small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+ALL_RULES = tuple(p.value for p in Provenance)
+
+
 class TestComputeMse:
     def test_constant_errors(self):
         assert compute_mse([1.0, 1.0, 1.0]) == (1.0, 0.0)
@@ -98,64 +98,60 @@ class TestComputeMse:
         assert compute_mse([3.0]) == (3.0, 0.0)
 
 
-class TestRunSingleTrial:
+class TestTrialScores:
     def test_oracle_error_matches_closed_form_trace(self):
-        # For H = I, C_yy = I, sigma2 = 1 in two dimensions the oracle error
-        # covariance is C_yy - A H C_yy = I/2, whose trace is 1.0; each trial
-        # scores the oracle by its exact risk, so every trial gives 1.0.
-        prior = GaussianPrior(np.zeros(2), np.eye(2))
-        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0)
-        known = KnownStatistics(prior=prior, sigma2=1.0)
-        seed = Seed(55)
-        for t in range(3):
-            out = run_single_trial(prior, model, known, 1, ("oracle_lmmse",), seed.child(t))
-            assert out.errors["oracle_lmmse"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_noise_square_identity_channel(self):
-        # Noiseless test mode: every constructible estimator reproduces the
-        # target exactly. The finite-SNR generative constructor requires
-        # sigma2 > 0 so the high-SNR forms stand in for it here.
-        n = 3
-        prior = exp_decay_prior(n)
-        model = TrueModel(H=np.eye(n), mu_w=np.zeros(n), sigma2=0.0)
-        names = (
-            "discriminative",
-            "oracle_lmmse",
-            "generative_high_snr",
-            "discriminative_high_snr",
+        # Under a frozen H every trial scores the oracle by its exact risk,
+        # tr(C_yy - A H C_yy) with A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1},
+        # even with a single training pair.
+        cfg = _small_config(
+            n_x=2, n_y=2, snr_grid=(1.0,), nt_grid=(1,), h_mode="fixed_once",
+            estimator_set=("oracle_lmmse",),
         )
-        out = run_single_trial(prior, model, None, 50, names, Seed(56))
-        assert not out.failures
-        for name in names:
-            assert out.errors[name] <= 1e-6
+        H = random_measurement_matrix(2, 2, cfg.seed.child(1))
+        C = exp_decay_prior(2).C_yy
+        A = C @ H.T @ np.linalg.inv(H @ C @ H.T + np.eye(2))
+        point = sweep_points(cfg)[1][0]
+        for t in range(3):
+            out = run_trial(cfg, point, t)
+            assert out.errors["oracle_lmmse"] == pytest.approx(np.trace(C - A @ H @ C), rel=1e-12)
+
+    def test_nearly_noiseless_square_channel(self):
+        # At SNR 1e300 every rule that exists without noise reproduces the
+        # target on a square channel: the high-SNR forms stand in for the
+        # finite-SNR generative rule, which needs a positive noise variance.
+        names = ("discriminative", "oracle_lmmse", "generative_high_snr", "discriminative_high_snr")
+        cfg = _small_config(n_x=3, n_y=3, snr_grid=(1e300,), nt_grid=(50,), estimator_set=names)
+        point = sweep_points(cfg)[1][0]
+        for t in range(3):
+            out = run_trial(cfg, point, t)
+            assert not out.failures
+            for name in names:
+                assert out.errors[name] <= 1e-6
 
     def test_failures_recorded_without_aborting(self):
         # n_t = 5 < N_y = 8 leaves the target sample covariance singular: the
         # generative fit fails, the others still produce errors.
-        prior = exp_decay_prior(8)
-        model = TrueModel(H=random_measurement_matrix(3, 8, Seed(4)), mu_w=np.zeros(3), sigma2=1.0)
-        known = KnownStatistics(prior=prior, sigma2=1.0)
-        out = run_single_trial(
-            prior, model, known, 5, ("generative", "discriminative", "oracle_lmmse"), Seed(57)
+        cfg = _small_config(
+            n_x=3, n_y=8, snr_grid=(1.0,), nt_grid=(5,),
+            estimator_set=("generative", "discriminative", "oracle_lmmse"),
         )
+        out = run_trial(cfg, sweep_points(cfg)[1][0], 0)
         assert set(out.failures) == {"generative"}
         assert "target sample covariance" in out.failures["generative"]
         assert set(out.errors) == {"discriminative", "oracle_lmmse"}
 
     def test_unknown_estimator_name_rejected(self):
-        prior = exp_decay_prior(2)
-        model = TrueModel(H=np.eye(2), mu_w=np.zeros(2), sigma2=1.0)
+        cfg = _small_config(estimator_set=("oracle_lmmse", "bogus"))
         with pytest.raises(ValueError, match="bogus"):
-            run_single_trial(prior, model, None, 10, ("oracle_lmmse", "bogus"), Seed(63))
+            run_trial(cfg, SweepPoint(index=0, snr=1.0, n_t=60), 0)
 
     def test_all_provenances_constructible(self):
-        prior = exp_decay_prior(4)
-        model = TrueModel(H=random_measurement_matrix(3, 4, Seed(5)), mu_w=np.zeros(3), sigma2=0.5)
-        known = KnownStatistics(prior=prior, sigma2=0.5)
-        names = tuple(p.value for p in Provenance)
-        out = run_single_trial(prior, model, known, 100, names, Seed(58))
+        cfg = _small_config(
+            n_x=3, n_y=4, snr_grid=(2.0,), nt_grid=(100,), estimator_set=ALL_RULES
+        )
+        out = run_trial(cfg, sweep_points(cfg)[1][0], 0)
         assert not out.failures
-        assert set(out.errors) == set(names)
+        assert set(out.errors) == set(ALL_RULES)
 
 
 class TestScoring:
@@ -171,70 +167,29 @@ class TestScoring:
         monkeypatch.setattr(harness, "draw_training", counting)
         return seeds
 
-    @staticmethod
-    def _rules(prior, model, known, n_t, seed):
-        """The learned rules a trial fits, rebuilt from its training stream."""
-        moments = sample_moments(prior, model, n_t, seed.child(0))
-        return {
-            "generative": generative_estimator(fit_ml(moments), known, moments),
-            "discriminative": discriminative_estimator(moments),
-        }
-
     def test_linear_trial_scores_exact_risk_under_data_prior(self, monkeypatch):
         # The generative rule gets mismatched side information, but every
         # rule's risk is taken under the prior that generated the data.
-        prior = exp_decay_prior(5)
-        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
-        known = KnownStatistics(prior=GaussianPrior(np.zeros(5), np.eye(5)), sigma2=0.5)
-        seed = Seed(59)
-        seeds = self._count_draws(monkeypatch)
-        out = run_single_trial(
-            prior, model, known, 60, ("generative", "discriminative", "oracle_lmmse"), seed
+        cfg = _small_config(
+            snr_grid=(2.0,), prior_mode="identity_mismatch",
+            estimator_set=("generative", "discriminative", "oracle_lmmse"),
         )
-        assert seeds == [seed.child(0)]
-        rules = self._rules(prior, model, known, 60, seed)
-        rules["oracle_lmmse"] = oracle_lmmse(prior, model)
-        assert out.errors == {name: affine_risk(est, prior, model) for name, est in rules.items()}
+        point = sweep_points(cfg)[1][0]
+        seeds = self._count_draws(monkeypatch)
+        out = run_trial(cfg, point, 3)
+        assert seeds == [cfg.seed.child(0, 0, 3).child(0)]
+        assert out.errors == _public_outcome(cfg, point, 3)[0]
 
     def test_tanh_trial_scores_exact_risk(self, monkeypatch):
-        prior = exp_decay_prior(5)
-        model = TrueModel(
-            H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5,
-            nonlinearity=Tanh(scale=1.0),
+        cfg = _small_config(
+            snr_grid=(2.0,), nonlinearity=Tanh(scale=1.0),
+            estimator_set=("generative", "discriminative"),
         )
-        known = KnownStatistics(prior=prior, sigma2=0.5)
-        seed = Seed(60)
+        point = sweep_points(cfg)[1][0]
         seeds = self._count_draws(monkeypatch)
-        out = run_single_trial(prior, model, known, 60, ("generative", "discriminative"), seed)
-        assert seeds == [seed.child(0)]
-        rules = self._rules(prior, model, known, 60, seed)
-        assert out.errors == {name: affine_risk(est, prior, model) for name, est in rules.items()}
-
-    def test_generative_rule_is_built_at_the_known_noise_variance(self):
-        # The side information may state a noise variance other than the
-        # data's: the generative rule is built at the stated one, and scored
-        # under the data's.
-        prior = exp_decay_prior(5)
-        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
-        known = KnownStatistics(prior=prior, sigma2=2.0)
-        seed = Seed(64)
-        out = run_single_trial(prior, model, known, 60, ("generative",), seed)
-        rule = self._rules(prior, model, known, 60, seed)["generative"]
-        assert out.errors == {"generative": affine_risk(rule, prior, model)}
-        at_data = KnownStatistics(prior=prior, sigma2=model.sigma2)
-        rule_at_data = self._rules(prior, model, at_data, 60, seed)["generative"]
-        assert out.errors["generative"] != affine_risk(rule_at_data, prior, model)
-
-    def test_generative_asymptote_is_built_at_the_known_noise_variance(self):
-        # The asymptote is the generative rule's limit, so it too reads the
-        # stated noise variance: it is the public asymptote at 2, scored under
-        # the data's 0.5.
-        prior = exp_decay_prior(5)
-        model = TrueModel(H=random_measurement_matrix(4, 5, Seed(6)), mu_w=np.zeros(4), sigma2=0.5)
-        known = KnownStatistics(prior=prior, sigma2=2.0)
-        out = run_single_trial(prior, model, known, 60, ("generative_asymptote",), Seed(64))
-        rule = generative_asymptote(prior, model, known)
-        assert out.errors == {"generative_asymptote": affine_risk(rule, prior, model)}
+        out = run_trial(cfg, point, 4)
+        assert seeds == [cfg.seed.child(0, 0, 4).child(0)]
+        assert out.errors == _public_outcome(cfg, point, 4)[0]
 
     def test_generative_rule_tends_to_its_asymptote_under_a_mismatched_prior(self):
         # The asymptote reads the generative rule's side information, the
@@ -255,13 +210,12 @@ class TestScoring:
     def test_oracle_bounds_every_rule_under_distortion(self, nonlinearity):
         # The oracle is the best affine rule under the true map, so in every
         # trial its exact risk is at most that of any other rule scored.
-        prior = exp_decay_prior(5)
-        names = tuple(p.value for p in Provenance)
-        for t in range(5):
-            H = random_measurement_matrix(4, 5, Seed(61, (t,)))
-            model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.2, nonlinearity=nonlinearity)
-            known = KnownStatistics(prior=prior, sigma2=0.2)
-            out = run_single_trial(prior, model, known, 60, names, Seed(62, (t,)))
+        cfg = _small_config(
+            snr_grid=(5.0,), mc_trials=5, nonlinearity=nonlinearity, estimator_set=ALL_RULES
+        )
+        point = sweep_points(cfg)[1][0]
+        for t in range(cfg.mc_trials):
+            out = run_trial(cfg, point, t)
             assert not out.failures
             oracle = out.errors["oracle_lmmse"]
             for name, err in out.errors.items():
@@ -291,8 +245,8 @@ class TestRunTrial:
         prior = exp_decay_prior(cfg.n_y)
         model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=1.0)
         known = KnownStatistics(prior=prior, sigma2=1.0)
-        expected = run_single_trial(prior, model, known, 60, cfg.estimator_set, trial_seed)
-        assert out.errors == expected.errors
+        expected, _ = _public_scores(prior, model, known, 60, cfg.estimator_set, trial_seed)
+        assert out.errors == expected
 
     def test_fixed_once_draws_h_from_reserved_stream(self):
         cfg = _small_config(h_mode="fixed_once")
@@ -303,16 +257,15 @@ class TestRunTrial:
         prior = exp_decay_prior(cfg.n_y)
         model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=1.0)
         known = KnownStatistics(prior=prior, sigma2=1.0)
-        expected = run_single_trial(prior, model, known, 60, cfg.estimator_set, trial_seed)
-        assert out.errors == expected.errors
+        expected, _ = _public_scores(prior, model, known, 60, cfg.estimator_set, trial_seed)
+        assert out.errors == expected
 
     @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
     def test_fixed_once_moments_are_the_trial_moments(self, nonlinearity):
         # The sweep-constant moments of the frozen H score exactly as the
-        # moments a trial computes for itself.
+        # moments the public constructors compute for the trial.
         cfg = _small_config(
-            h_mode="fixed_once", nonlinearity=nonlinearity,
-            estimator_set=tuple(p.value for p in Provenance),
+            h_mode="fixed_once", nonlinearity=nonlinearity, estimator_set=ALL_RULES
         )
         point = SweepPoint(index=0, snr=1.0, n_t=60)
         out = run_trial(cfg, point, 3)
@@ -320,10 +273,9 @@ class TestRunTrial:
         prior = exp_decay_prior(cfg.n_y)
         model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=1.0, nonlinearity=nonlinearity)
         known = KnownStatistics(prior=prior, sigma2=1.0)
-        expected = run_single_trial(
-            prior, model, known, 60, cfg.estimator_set, cfg.seed.child(0, 0, 3)
-        )
-        assert out.errors == expected.errors
+        trial_seed = cfg.seed.child(0, 0, 3)
+        expected = _public_scores(prior, model, known, 60, cfg.estimator_set, trial_seed)
+        assert (out.errors, out.failures) == expected
         assert not out.failures
 
     def test_identity_mismatch_changes_only_generative(self):
@@ -551,12 +503,13 @@ class TestSharedDraws:
     def test_shared_warning_counts_in_every_use(self):
         M = np.diag([1.0, 1e-13])
         memo: dict = {}
+        probe = functools.partial(moments._factor, M, 0.0, "probe")
         for _ in range(3):
             with condition_events() as events:
                 with pytest.warns(IllConditionedWarning):
-                    factor = harness._shared(memo, "probe", lambda: spd_factor(M, name="probe"))
+                    factor = harness._shared(memo, "probe", probe)
             assert [name for name, _ in events] == ["probe"]
-        assert np.allclose(factor.solve(np.ones(2)), [1.0, 1e13], rtol=1e-12)
+        assert np.allclose(moments._solve(factor, np.ones(2)), [1.0, 1e13], rtol=1e-12)
 
     def test_shared_failure_is_raised_in_every_use(self):
         M = np.diag([1.0, 0.0])
@@ -564,7 +517,7 @@ class TestSharedDraws:
         errors = []
         for _ in range(2):
             with pytest.raises(SingularMatrixError) as excinfo:
-                harness._shared(memo, "probe", lambda: spd_factor(M, name="probe"))
+                harness._shared(memo, "probe", lambda: moments._factor(M, 0.0, "probe"))
             errors.append(excinfo.value)
         assert errors[0] is errors[1]
         assert errors[0].name == "probe"
@@ -577,7 +530,7 @@ class TestSharedDraws:
         depths = []
         for _ in range(5):
             with pytest.raises(SingularMatrixError) as excinfo:
-                harness._shared(memo, "probe", lambda: spd_factor(M, name="probe"))
+                harness._shared(memo, "probe", lambda: moments._factor(M, 0.0, "probe"))
             depths.append(len(traceback.extract_tb(excinfo.value.__traceback__)))
         assert len(set(depths)) == 1
 
@@ -698,14 +651,10 @@ class TestSharedDraws:
         assert cells[1]["failures"] == {}
 
 
-ALL_RULES = tuple(p.value for p in Provenance)
-
-
 def _public_outcome(cfg, point, trial):
-    """A trial's errors and failure reasons from the public constructors and affine_risk.
+    """A trial's errors and failure reasons, by :func:`_public_scores`.
 
-    The rules are fitted on ``sample_moments`` of the trial's training stream,
-    with H drawn from the trial's or the sweep's stream as ``run_trial`` does.
+    H is drawn from the trial's or the sweep's stream as ``run_trial`` does.
     The generative rules read the identity prior under ``identity_mismatch``.
     """
     prior = exp_decay_prior(cfg.n_y)
@@ -719,18 +668,28 @@ def _public_outcome(cfg, point, trial):
     H = random_measurement_matrix(cfg.n_x, cfg.n_y, H_seed)
     model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity)
     known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
-    m = sample_moments(prior, model, point.n_t, seed.child(0))
+    return _public_scores(prior, model, known, point.n_t, cfg.estimator_set, seed, cfg.ridge)
+
+
+def _public_scores(prior, model, known, n_t, names, seed, ridge=0.0):
+    """Each rule's exact risk and failure reason, from the public constructors and affine_risk.
+
+    The trained rules are fitted on the sample moments at ``model.sigma2`` of
+    ``draw_training(prior, model, n_t, seed.child(0))``, the draw of the trial
+    whose stream is ``seed``; ``known`` is the generative rules' side information.
+    """
+    m = draw_training(prior, model, n_t, seed.child(0)).moments(model.sigma2)
     build = {
-        "generative": lambda: generative_estimator(fit_ml(m, cfg.ridge), known, m),
-        "discriminative": lambda: discriminative_estimator(m, cfg.ridge),
+        "generative": lambda: generative_estimator(fit_ml(m, ridge), known, m),
+        "discriminative": lambda: discriminative_estimator(m, ridge),
         "oracle_lmmse": lambda: oracle_lmmse(prior, model),
         "generative_asymptote": lambda: generative_asymptote(prior, model, known),
         "discriminative_asymptote": lambda: discriminative_asymptote(prior, model),
-        "generative_high_snr": lambda: generative_highsnr(known_prior, H, m),
-        "discriminative_high_snr": lambda: discriminative_highsnr(H, m),
+        "generative_high_snr": lambda: generative_highsnr(known.prior, model.H, m),
+        "discriminative_high_snr": lambda: discriminative_highsnr(model.H, m),
     }
     errors, failures = {}, {}
-    for name in cfg.estimator_set:
+    for name in names:
         try:
             errors[name] = affine_risk(build[name](), prior, model)
         except SingularMatrixError as exc:
@@ -810,9 +769,9 @@ class TestBoundary:
         assert armed and all(row.trials_ok == 3 for row in report.rows)
         assert counts == {}
         # The counters do see the public boundary.
-        discriminative_estimator(sample_moments(
+        discriminative_estimator(draw_training(
             exp_decay_prior(2), TrueModel(np.eye(2), np.zeros(2), 1.0), 10, Seed(1)
-        ))
+        ).moments(1.0))
         assert counts["SampleMoments"] == counts["AffineEstimator"] == 1
         assert counts["_as_float_array"] > 0
 

@@ -14,7 +14,6 @@ from gendisc.moments import (
     compute_moments,
     condition_estimate,
     condition_events,
-    spd_factor,
     spd_solve,
     woodbury_invert,
 )
@@ -238,8 +237,6 @@ class TestSpdSolve:
             spd_solve(np.diag([1.0, 0.0]), np.ones(2))
         assert calls == [1]
 
-
-class TestSpdFactor:
     def test_exactly_symmetric_input_skips_the_symmetry_guard(self, monkeypatch):
         calls = []
         guard = moments._symmetry_defect
@@ -259,42 +256,41 @@ class TestSpdFactor:
         M_far = M.copy()
         M_far[0, 1] += 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            spd_factor(M_far)
+            spd_solve(M_far, B)
 
-    def test_solves_as_spd_solve_with_checks_once(self, monkeypatch):
+    def test_checks_run_once_per_solve_whatever_the_right_hand_sides(self, monkeypatch):
+        # Several right-hand sides share one factor, so one condition check,
+        # one warning and one recorded event, and each column is solved
+        # with the factor that a one-column solve uses.
         rng = np.random.default_rng(10)
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         M = (Q * np.logspace(0, 13, 4)) @ Q.T
         M = 0.5 * (M + M.T)
-        rhs = (np.ones(4), rng.standard_normal((4, 3)))
+        B = rng.standard_normal((4, 3))
         with pytest.warns(IllConditionedWarning):
-            expected = [spd_solve(M, B, name="probe") for B in rhs]
-        with condition_events() as events, pytest.warns(IllConditionedWarning):
-            factor = spd_factor(M, name="probe")
-        assert [name for name, _ in events] == ["probe"]
-        # Solving runs none of the checks again and emits nothing.
+            columns = [spd_solve(M, b, name="probe") for b in B.T]
         calls = []
-        monkeypatch.setattr(moments, "condition_estimate", lambda A: calls.append(1))
-        with warnings.catch_warnings(), condition_events() as events:
-            warnings.simplefilter("error")
-            for B, x in zip(rhs, expected):
-                assert np.array_equal(factor.solve(B), x)
-        assert calls == [] and events == []
+        estimate = moments.condition_estimate
+        monkeypatch.setattr(moments, "condition_estimate", lambda A: calls.append(1) or estimate(A))
+        with condition_events() as events, pytest.warns(IllConditionedWarning) as caught:
+            X = spd_solve(M, B, name="probe")
+        assert calls == [1] and len(caught) == 1
+        assert [name for name, _ in events] == ["probe"]
+        assert np.allclose(X, np.column_stack(columns), rtol=1e-12, atol=0)
 
     def test_right_hand_side_shape_checked(self):
-        factor = spd_factor(np.eye(3), name="probe")
         with pytest.raises(ValueError, match="right-hand side shape"):
-            factor.solve(np.ones(2))
+            spd_solve(np.eye(3), np.ones(2), name="probe")
         with pytest.raises(ValueError, match="right-hand side shape"):
-            factor.solve(np.ones((3, 2, 1)))
+            spd_solve(np.eye(3), np.ones((3, 2, 1)), name="probe")
 
     def test_nested_condition_events_reach_the_enclosing_context(self):
         M = np.diag([1.0, 1e-13])
         with condition_events() as outer:
             with condition_events() as inner, pytest.warns(IllConditionedWarning):
-                spd_factor(M, name="inner")
+                spd_solve(M, np.ones(2), name="inner")
             with pytest.warns(IllConditionedWarning):
-                spd_factor(M, name="outer")
+                spd_solve(M, np.ones(2), name="outer")
         assert [name for name, _ in inner] == ["inner"]
         assert [name for name, _ in outer] == ["inner", "outer"]
 
@@ -314,7 +310,7 @@ class TestConditionEstimate:
         # M + M^T overflows here; halving each side first does not.
         M = np.array([[1e308, 1e307], [np.nextafter(1e307, np.inf), 1e308]])
         assert condition_estimate(M) == pytest.approx(1.1e308 / 0.9e308, rel=1e-12)
-        L = np.tril(spd_factor(M, name="probe").lower)
+        L = np.tril(moments._factor(M, 0.0, "probe"))
         assert np.allclose(L @ L.T, M, rtol=1e-14, atol=0)
 
 

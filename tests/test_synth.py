@@ -16,7 +16,6 @@ from gendisc.synth import (
     draw_training,
     exp_decay_prior,
     random_measurement_matrix,
-    sample_moments,
     sample_pairs,
     sample_targets,
 )
@@ -207,7 +206,9 @@ class TestSampleMoments:
         )
         risks = np.array([
             affine_risk(
-                discriminative_estimator(sample_moments(prior, model, n, Seed(23, (n, k)))),
+                discriminative_estimator(
+                    draw_training(prior, model, n, Seed(23, (n, k))).moments(model.sigma2)
+                ),
                 prior, model,
             )
             for k in range(3000)
@@ -223,7 +224,7 @@ class TestSampleMoments:
             H=random_measurement_matrix(4, 5, Seed(24)), mu_w=np.ones(4), sigma2=0.5,
             nonlinearity=nonlinearity,
         )
-        got = sample_moments(prior, model, 50, Seed(25))
+        got = draw_training(prior, model, 50, Seed(25)).moments(model.sigma2)
         want = compute_moments(sample_pairs(prior, model, 50, Seed(25)))
         for field in ("x_bar", "y_bar", "C_yx", "C_yy", "C_xx"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -232,7 +233,7 @@ class TestSampleMoments:
     def test_single_pair_has_zero_scatter(self):
         prior = exp_decay_prior(5)
         model = TrueModel(H=random_measurement_matrix(4, 5, Seed(26)), mu_w=np.zeros(4), sigma2=1.0)
-        m = sample_moments(prior, model, 1, Seed(27))
+        m = draw_training(prior, model, 1, Seed(27)).moments(model.sigma2)
         assert m.n_t == 1
         for C in (m.C_yx, m.C_yy, m.C_xx):
             assert not C.any()
@@ -241,7 +242,7 @@ class TestSampleMoments:
         prior = GaussianPrior(mu_y=np.array([3.0, -1.0]), C_yy=np.eye(2))
         H = np.array([[2.0, 0.0], [1.0, 1.0]])
         model = TrueModel(H=H, mu_w=np.array([1.0, 0.5]), sigma2=0.0)
-        m = sample_moments(prior, model, 200, Seed(28))
+        m = draw_training(prior, model, 200, Seed(28)).moments(model.sigma2)
         assert np.allclose(m.x_bar, H @ m.y_bar + model.mu_w, atol=1e-12)
         assert np.allclose(m.C_yx, m.C_yy @ H.T, atol=1e-12)
         assert np.allclose(m.C_xx, H @ m.C_yy @ H.T, atol=1e-12)
@@ -249,21 +250,21 @@ class TestSampleMoments:
     def test_determinism_and_input_checks(self):
         prior = exp_decay_prior(5)
         model = TrueModel(H=random_measurement_matrix(4, 5, Seed(29)), mu_w=np.zeros(4), sigma2=1.0)
-        a = sample_moments(prior, model, 100, Seed(30))
-        b = sample_moments(prior, model, 100, Seed(30))
+        a = draw_training(prior, model, 100, Seed(30)).moments(model.sigma2)
+        b = draw_training(prior, model, 100, Seed(30)).moments(model.sigma2)
         assert np.array_equal(a.C_xx, b.C_xx) and np.array_equal(a.x_bar, b.x_bar)
         with pytest.raises(ValueError, match="at least 1"):
-            sample_moments(prior, model, 0, Seed(30))
+            draw_training(prior, model, 0, Seed(30))
         with pytest.raises(ValueError, match="dimension"):
-            sample_moments(exp_decay_prior(3), model, 10, Seed(30))
+            draw_training(exp_decay_prior(3), model, 10, Seed(30))
 
 
 class TestDrawTraining:
     @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
     @pytest.mark.parametrize("n", [4, 100])
     def test_moments_at_each_noise_level_are_the_sample_moments(self, nonlinearity, n):
-        # One draw assembled at any noise level gives, bit for bit, what
-        # sample_moments draws for a model at that level. n = 4 takes the
+        # One draw assembled at any noise level gives, bit for bit, the sample
+        # moments of a fresh draw for a model at that level. n = 4 takes the
         # Z^T scatter root under the linear map and n = 100 Bartlett's.
         prior = exp_decay_prior(5)
         H = random_measurement_matrix(4, 5, Seed(31))
@@ -274,7 +275,7 @@ class TestDrawTraining:
         )
         for sigma2 in (0.0, 0.01, 1.0, 100.0):
             model = TrueModel(H=H, mu_w=mu_w, sigma2=sigma2, nonlinearity=nonlinearity)
-            want = sample_moments(prior, model, n, Seed(32))
+            want = draw_training(prior, model, n, Seed(32)).moments(model.sigma2)
             got = draw.moments(sigma2)
             for field in ("x_bar", "y_bar", "C_yx", "C_yy", "C_xx"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
