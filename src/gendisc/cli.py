@@ -3,7 +3,7 @@
 `gendisc run CONFIG` executes the sweep described by a JSON config and
 writes results.csv, manifest.json and a standalone plot script into the
 output directory. `gendisc validate CONFIG` checks a config and prints the
-fully-resolved version. `gendisc replay CONFIG --cell i --trial k` re-runs
+fully-resolved version, or every problem it finds. `gendisc replay CONFIG --cell i --trial k` re-runs
 one trial of the sweep and prints its per-estimator risks and failure
 reasons as JSON. `gendisc estimate` fits an estimator on a dataset file and
 prints its coefficients. Two configs ship with the package

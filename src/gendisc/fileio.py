@@ -19,7 +19,7 @@ import numpy as np
 from .estimators import KnownStatistics
 from .harness import ExperimentConfig, MseReport
 from .moments import Dataset
-from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, Seed, Tanh
+from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, Tanh, _is_real
 
 RESULTS_COLUMNS = (
     "sweep_name",
@@ -32,7 +32,7 @@ RESULTS_COLUMNS = (
 )
 
 class ConfigError(ValueError):
-    """A config field failed validation; the message names the field."""
+    """A config is not a JSON object, or has an unknown key or a malformed nonlinearity."""
 
 
 def _format_float(x: float) -> str:
@@ -53,10 +53,10 @@ def nonlinearity_from_dict(value) -> Nonlinearity:
         if kind == "linear":
             return Linear()
         if kind == "tanh":
-            return Tanh(scale=float(value.get("scale", 1.0)))
+            return Tanh(scale=value.get("scale", 1.0))
         if kind == "cubic":
-            return Cubic(alpha=float(value.get("alpha", 0.1)))
-    except (TypeError, ValueError) as exc:
+            return Cubic(alpha=value.get("alpha", 0.1))
+    except ValueError as exc:
         raise ConfigError(f"nonlinearity: {exc}") from None
     raise ConfigError(f"nonlinearity: unknown kind {kind!r} (expected linear, tanh or cubic)")
 
@@ -74,9 +74,10 @@ def nonlinearity_to_dict(nl: Nonlinearity) -> dict:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict, filling defaults.
 
-    Unknown keys and fields of the wrong type raise :class:`ConfigError`
-    naming the field; rule-level problems (empty grids, bad modes) are left
-    to ``ExperimentConfig.violations`` so a validator can list them all.
+    A value that is not a JSON object, an unknown key or a malformed
+    nonlinearity raises :class:`ConfigError`; every other field is checked,
+    its type included, by ``ExperimentConfig.violations``, so that a
+    validator can list every problem at once.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -84,54 +85,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     merged = {**_CONFIG_DEFAULTS, **raw}
-
-    def _int(fieldname):
-        value = merged[fieldname]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{fieldname}: expected an integer, got {value!r}")
-        return value
-
-    def _num_list(fieldname, caster, expected="numbers"):
-        value = merged[fieldname]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{fieldname}: expected a list, got {value!r}")
-        try:
-            return tuple(caster(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{fieldname}: entries must be {expected}, got {value!r}") from None
-
-    def _exact_int(v):
-        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-            raise ValueError(v)
-        return int(v)
-
-    try:
-        seed = Seed(_int("seed"))
-    except ValueError as exc:
-        raise ConfigError(f"seed: {exc}") from None
-    estimators = merged["estimator_set"]
-    if not isinstance(estimators, (list, tuple)) or not all(
-        isinstance(e, str) for e in estimators
-    ):
-        raise ConfigError(f"estimator_set: expected a list of names, got {estimators!r}")
-    try:
-        ridge = float(merged["ridge"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"ridge: expected a number, got {merged['ridge']!r}") from None
-
-    return ExperimentConfig(
-        n_x=_int("n_x"),
-        n_y=_int("n_y"),
-        snr_grid=_num_list("snr_grid", float),
-        nt_grid=_num_list("nt_grid", _exact_int, expected="integers"),
-        mc_trials=_int("mc_trials"),
-        seed=seed,
-        prior_mode=str(merged["prior_mode"]),
-        h_mode=str(merged["h_mode"]),
-        nonlinearity=nonlinearity_from_dict(merged["nonlinearity"]),
-        estimator_set=tuple(estimators),
-        ridge=ridge,
-    )
+    merged["nonlinearity"] = nonlinearity_from_dict(merged["nonlinearity"])
+    return ExperimentConfig(**merged)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -185,24 +140,29 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(xs=table[:, :n_x], ys=table[:, n_x:])
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or a list, at any depth, of JSON numbers."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return _is_real(value)
+
+
 def read_prior_json(path) -> KnownStatistics:
     """Read generative side information: {"mu_y": [...], "C_yy": [[...]], "sigma2": s}."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"prior file {path} must hold a JSON object, got {type(raw).__name__}")
-    for fieldname in ("mu_y", "C_yy", "sigma2"):
+    for fieldname, ok in (("mu_y", _numbers), ("C_yy", _numbers), ("sigma2", _is_real)):
         if fieldname not in raw:
             raise ValueError(f"prior file {path} is missing field {fieldname!r}")
+        if not ok(raw[fieldname]):
+            raise ValueError(f"prior file {path}: {fieldname} must hold only JSON numbers")
     try:
-        prior = GaussianPrior(mu_y=np.asarray(raw["mu_y"], dtype=float),
-                              C_yy=np.asarray(raw["C_yy"], dtype=float))
-    except (TypeError, ValueError) as exc:
+        prior = GaussianPrior(mu_y=raw["mu_y"], C_yy=raw["C_yy"])
+        return KnownStatistics(prior=prior, sigma2=raw["sigma2"])
+    except ValueError as exc:
         raise ValueError(f"prior file {path}: {exc}") from None
-    try:
-        return KnownStatistics(prior=prior, sigma2=float(raw["sigma2"]))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"prior file {path}: sigma2: {exc}") from None
 
 
 def _format_cell(value) -> str:

@@ -77,6 +77,8 @@ from .synth import (
     Linear,
     Nonlinearity,
     Seed,
+    _is_int,
+    _is_real,
     draw_training,
     exp_decay_prior,
     random_measurement_matrix,
@@ -122,7 +124,9 @@ class ExperimentConfig:
     swept (``snr_grid`` when both hold one) and the other supplies the fixed
     parameter. ``prior_mode == "identity_mismatch"`` replaces the prior
     covariance by the identity inside the side information handed to the
-    generative estimator, never in data generation.
+    generative estimator, never in data generation. Construction never
+    raises: a field of the wrong type is kept as given, and
+    :meth:`violations` names it with every other problem.
     """
 
     n_x: int = 28
@@ -138,61 +142,87 @@ class ExperimentConfig:
     ridge: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
-        object.__setattr__(self, "nt_grid", tuple(int(n) for n in self.nt_grid))
-        object.__setattr__(self, "estimator_set", tuple(str(e) for e in self.estimator_set))
+        # Lists become tuples, and entries and values of the types violations()
+        # asks for take one canonical type; anything else is left for it to name.
+        for name, ok, cast in (("snr_grid", _is_real, float), ("nt_grid", _is_count, int)):
+            value = getattr(self, name)
+            if isinstance(value, (list, tuple, range)):
+                object.__setattr__(self, name, tuple(cast(v) if ok(v) else v for v in value))
+        if isinstance(self.estimator_set, list):
+            object.__setattr__(self, "estimator_set", tuple(self.estimator_set))
+        if _is_real(self.ridge):
+            object.__setattr__(self, "ridge", float(self.ridge))
+        if not isinstance(self.seed, Seed):
+            with contextlib.suppress(ValueError):
+                object.__setattr__(self, "seed", Seed(self.seed))
 
     def violations(self) -> list[str]:
-        """All violated invariants, empty when the config is runnable."""
+        """All violated invariants, types included, empty when the config is runnable.
+
+        Never raises, whatever the fields hold.
+        """
         problems = []
-        if self.n_x < 1:
-            problems.append(f"n_x must be >= 1, got {self.n_x}")
-        if self.n_y < 1:
-            problems.append(f"n_y must be >= 1, got {self.n_y}")
-        if not self.snr_grid:
+        for name in ("n_x", "n_y", "mc_trials"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < 1:
+                problems.append(f"{name} must be >= 1, got {value}")
+        snr_ok = _entries_are(self.snr_grid, _is_real)
+        if not snr_ok:
+            problems.append(f"snr_grid must be a list of numbers, got {self.snr_grid!r}")
+        elif not self.snr_grid:
             problems.append("snr_grid must be nonempty")
         elif any(not (0.0 < s < float("inf")) for s in self.snr_grid):
             problems.append("snr_grid entries must be finite and positive")
         elif any(1.0 / s == float("inf") for s in self.snr_grid):
             problems.append("snr_grid entries must be large enough that 1/snr is finite")
-        if not self.nt_grid:
-            problems.append("nt_grid must be nonempty")
-        elif any(n < 1 for n in self.nt_grid):
-            problems.append("nt_grid entries must be >= 1")
-        elif self.n_x >= 1 and self.n_y >= 1:
-            need = _draw_bytes(self) + _score_bytes(self)
-            if need > _BYTE_BUDGET:
-                problems.append(
-                    f"a sweep needs about {need:.3g} bytes for a trial's n_t x (n_x + n_y) "
-                    "training draw and (n_x + n_y)^2 moment matrices and the "
-                    "mc_trials x len(estimator_set) x len(snr_grid) scores of the SNR cells "
-                    f"scored together, over the {_BYTE_BUDGET:.3g} budget"
-                )
-        if len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
-            problems.append(
-                "snr_grid/nt_grid: exactly one grid may have multiple entries "
-                f"(got {len(self.snr_grid)} SNRs and {len(self.nt_grid)} sample counts)"
-            )
-        if self.mc_trials < 1:
-            problems.append(f"mc_trials must be >= 1, got {self.mc_trials}")
-        if not isinstance(self.seed, Seed):
-            problems.append("seed must be a Seed")
-        if self.prior_mode not in PRIOR_MODES:
-            problems.append(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
-        if self.h_mode not in H_MODES:
-            problems.append(f"h_mode must be one of {H_MODES}, got {self.h_mode!r}")
-        valid_names = {p.value for p in Provenance}
-        if not self.estimator_set:
+        names_ok = _entries_are(self.estimator_set, lambda e: isinstance(e, str))
+        if not names_ok:
+            problems.append(f"estimator_set must be a list of names, got {self.estimator_set!r}")
+        elif not self.estimator_set:
             problems.append("estimator_set must be nonempty")
         else:
+            valid_names = {p.value for p in Provenance}
             unknown = [e for e in self.estimator_set if e not in valid_names]
             if unknown:
                 problems.append(f"unknown estimators in estimator_set: {unknown}")
             if len(set(self.estimator_set)) != len(self.estimator_set):
                 problems.append("estimator_set contains duplicates")
+        sizes_ok = all(_is_int(v) for v in (self.n_x, self.n_y, self.mc_trials))
+        nt_ok = _entries_are(self.nt_grid, _is_count)
+        if not nt_ok:
+            problems.append(f"nt_grid must be a list of integers, got {self.nt_grid!r}")
+        elif not self.nt_grid:
+            problems.append("nt_grid must be nonempty")
+        elif any(n < 1 for n in self.nt_grid):
+            problems.append("nt_grid entries must be >= 1")
+        elif sizes_ok and snr_ok and names_ok and min(self.n_x, self.n_y) >= 1:
+            need = _draw_bytes(self) + _score_bytes(self)
+            if need > _BYTE_BUDGET:
+                problems.append(
+                    # capped so that an integer past the float range still formats
+                    f"a sweep needs about {min(need, 1e300):.3g} bytes for a trial's n_t x "
+                    "(n_x + n_y) training draw and (n_x + n_y)^2 moment matrices and the "
+                    "mc_trials x len(estimator_set) x len(snr_grid) scores of the SNR cells "
+                    f"scored together, over the {_BYTE_BUDGET:.3g} budget"
+                )
+        if snr_ok and nt_ok and len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
+            problems.append(
+                "snr_grid/nt_grid: exactly one grid may have multiple entries "
+                f"(got {len(self.snr_grid)} SNRs and {len(self.nt_grid)} sample counts)"
+            )
+        if not isinstance(self.seed, Seed):
+            problems.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not (isinstance(self.prior_mode, str) and self.prior_mode in PRIOR_MODES):
+            problems.append(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
+        if not (isinstance(self.h_mode, str) and self.h_mode in H_MODES):
+            problems.append(f"h_mode must be one of {H_MODES}, got {self.h_mode!r}")
         if not isinstance(self.nonlinearity, Nonlinearity):
             problems.append(f"nonlinearity must be Linear, Tanh or Cubic, got {self.nonlinearity!r}")
-        if not (np.isfinite(self.ridge) and self.ridge >= 0.0):
+        if not _is_real(self.ridge):
+            problems.append(f"ridge must be a number, got {self.ridge!r}")
+        elif not (np.isfinite(self.ridge) and self.ridge >= 0.0):
             problems.append(f"ridge must be finite and nonnegative, got {self.ridge}")
         return problems
 
@@ -200,6 +230,16 @@ class ExperimentConfig:
         problems = self.violations()
         if problems:
             raise ValueError("invalid experiment config: " + "; ".join(problems))
+
+
+def _entries_are(values, check: Callable[[object], bool]) -> bool:
+    """Whether ``values`` is a tuple whose every entry passes ``check``."""
+    return isinstance(values, tuple) and all(check(v) for v in values)
+
+
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer, or a float with an integral value such as ``1e3``."""
+    return _is_int(n) or (isinstance(n, float) and n.is_integer())
 
 
 def _draw_bytes(cfg: ExperimentConfig) -> int:

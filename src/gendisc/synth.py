@@ -23,6 +23,7 @@ disjoint child indices to its work items reproduces draws bit-for-bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -41,6 +42,18 @@ from .moments import (
 _MASTER_MAX = 2**64
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a float, or an integer that converts to one, and not a bool."""
+    return isinstance(value, (float, np.floating)) or (
+        _is_int(value) and abs(value) <= sys.float_info.max
+    )
+
+
 @dataclass(frozen=True)
 class Seed:
     """A named deterministic random stream.
@@ -56,10 +69,12 @@ class Seed:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (0 <= int(self.master) < _MASTER_MAX):
-            raise ValueError(f"master seed must be a 64-bit unsigned integer, got {self.master}")
+        if not (_is_int(self.master) and 0 <= self.master < _MASTER_MAX):
+            raise ValueError(f"master seed must be a 64-bit unsigned integer, got {self.master!r}")
+        if not all(map(_is_int, self.stream)):
+            raise ValueError(f"seed stream indices must be integers, got {self.stream!r}")
         object.__setattr__(self, "master", int(self.master))
-        object.__setattr__(self, "stream", tuple(int(i) for i in self.stream))
+        object.__setattr__(self, "stream", tuple(map(int, self.stream)))
 
     def child(self, *indices: int) -> "Seed":
         """Derive the sub-stream named by appending ``indices``."""
@@ -84,8 +99,9 @@ class Tanh:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"tanh scale must be positive, got {self.scale}")
+        if not (_is_real(self.scale) and self.scale > 0):
+            raise ValueError(f"tanh scale must be a positive number, got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.scale * np.tanh(u / self.scale)
@@ -98,8 +114,9 @@ class Cubic:
     alpha: float = 0.1
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"cubic alpha must be finite, got {self.alpha}")
+        if not (_is_real(self.alpha) and np.isfinite(self.alpha)):
+            raise ValueError(f"cubic alpha must be a finite number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return u + self.alpha * u**3

@@ -18,7 +18,7 @@ from gendisc.fileio import (
     read_results_csv,
     write_dataset_csv,
 )
-from gendisc.harness import ExperimentConfig, compute_mse
+from gendisc.harness import ExperimentConfig, compute_mse, sweep
 from gendisc.moments import Dataset
 
 TINY_CONFIG = {
@@ -67,9 +67,13 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="snr_gird"):
             config_from_dict({"snr_gird": [1.0]})
 
-    def test_bad_type_named(self):
-        with pytest.raises(ConfigError, match="mc_trials"):
-            config_from_dict({"mc_trials": "many"})
+    def test_bad_type_named(self, tmp_path, capsys):
+        # A field of the wrong type is one of the violations, as a bad value is.
+        (problem,) = config_from_dict({"mc_trials": "many"}).violations()
+        assert "mc_trials" in problem
+        path = _write(tmp_path / "c.json", json.dumps({"mc_trials": "many"}))
+        assert main(["validate", path]) == 1
+        assert "mc_trials" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="nonlinearity"):
             config_from_dict({"nonlinearity": {"kind": "sigmoid"}})
 
@@ -77,6 +81,97 @@ class TestConfigIO:
         for spec in ({"kind": "linear"}, {"kind": "tanh", "scale": 2.0}, {"kind": "cubic", "alpha": 0.3}):
             cfg = config_from_dict(dict(TINY_CONFIG, nonlinearity=spec))
             assert config_to_dict(cfg)["nonlinearity"] == spec
+
+
+# Malformed JSON values, written as JSON text; 1e400 parses as an infinite float.
+BAD_JSON_VALUES = ["null", "true", '"1"', "1.5", "-1", "1e400", "[]", "{}", "[true]", '["a"]']
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("text", BAD_JSON_VALUES)
+    @pytest.mark.parametrize("field", sorted(config_to_dict(ExperimentConfig())))
+    def test_reported_never_raised(self, tmp_path, capsys, field, text):
+        value = json.loads(text)
+        try:
+            cfg = config_from_dict(dict(TINY_CONFIG, **{field: value}))
+        except ConfigError:
+            cfg = None
+        problems = None if cfg is None else cfg.violations()
+        # The file holds the value as written, not as json.dumps would write it back.
+        path = _write(
+            tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, **{field: "@"})).replace('"@"', text)
+        )
+        assert main(["validate", path]) == (0 if problems == [] else 1)
+        assert "Traceback" not in capsys.readouterr().err
+        # From Python, the same value is one of the violations that sweep raises as ValueError.
+        direct = ExperimentConfig(**dict(TINY_CONFIG, **{field: value}))
+        if cfg is not None:
+            assert direct == cfg
+        if direct.violations():
+            with pytest.raises(ValueError, match="invalid experiment config"):
+                sweep(direct)
+        else:
+            assert sweep(direct).rows
+
+    def test_every_problem_named_in_one_run(self, tmp_path, capsys):
+        bad = {"snr_grid": ["10"], "ridge": "0.5", "mc_trials": "many", "n_x": 2.0}
+        path = _write(tmp_path / "c.json", json.dumps(bad))
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert all(f"error: {field} must be" in err for field in bad)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"snr_grid": [True]},
+            {"snr_grid": [1.0, "10"]},
+            {"ridge": "0.5"},
+            {"nt_grid": [40.7]},
+            {"mc_trials": True},
+            {"mc_trials": 2.5},
+            {"seed": 7.0},
+            {"seed": "7"},
+            {"estimator_set": "generative"},
+            {"nonlinearity": {"kind": "tanh", "scale": True}},
+            {"nonlinearity": {"kind": "cubic", "alpha": "0.1"}},
+        ],
+    )
+    def test_value_that_a_cast_would_accept_rejected(self, tmp_path, capsys, override):
+        path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, **override)))
+        assert main(["validate", path]) == 1
+        (field,) = override
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"n_x": 10**400}, "budget"),
+            ({"nt_grid": [10**400]}, "budget"),
+            ({"snr_grid": [10**400]}, "snr_grid must be"),
+            ({"ridge": 10**400}, "ridge must be"),
+            ({"seed": 10**400}, "seed must be"),
+            ({"nonlinearity": {"kind": "tanh", "scale": 10**400}}, "tanh scale must be"),
+        ],
+    )
+    def test_integer_past_the_float_range_reported(self, tmp_path, capsys, override, message):
+        path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, **override)))
+        assert main(["validate", path]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_seed_out_of_range_named_once(self, tmp_path, capsys):
+        path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, seed=1e30)))
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("seed") == 1 and "1e+30" in err
+
+    def test_integral_numbers_normalized(self, tmp_path, capsys):
+        config = dict(TINY_CONFIG, snr_grid=[1, 10], nt_grid=[1e3], ridge=0)
+        path = _write(tmp_path / "c.json", json.dumps(config))
+        assert main(["validate", path]) == 0
+        echoed = json.loads(capsys.readouterr().out)
+        assert echoed["snr_grid"] == [1.0, 10.0] and type(echoed["snr_grid"][0]) is float
+        assert echoed["nt_grid"] == [1000] and type(echoed["nt_grid"][0]) is int
+        assert type(echoed["ridge"]) is float
 
 
 class TestMatrixAndDatasetFiles:
@@ -578,6 +673,38 @@ class TestEstimateCommand:
             ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
         ) == 2
         assert "error: prior file:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"sigma2": "0.5"},
+            {"sigma2": True},
+            {"sigma2": [1.0]},
+            {"mu_y": ["0"]},
+            {"C_yy": [[True]]},
+            # Read as [1, 0] and 1.0 before the check, a prior of the wrong dimension.
+            {"mu_y": [True, False], "C_yy": [[1.0, 0.0], [0.0, 1.0]], "sigma2": True},
+        ],
+    )
+    def test_prior_value_that_is_not_a_json_number_is_a_prior_file_error(
+        self, tmp_path, capsys, override
+    ):
+        data = _write(tmp_path / "d.csv", WORKED_CSV)
+        prior = _write(tmp_path / "p.json", json.dumps(dict(json.loads(PRIOR_JSON), **override)))
+        assert main(
+            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error: prior file:" in err and "JSON numbers" in err
+
+    def test_prior_of_json_integers_reads_as_floats(self, tmp_path, capsys):
+        data = _write(tmp_path / "d.csv", WORKED_CSV)
+        argv = ["estimate", "--data", data, "--method", "generative", "--prior"]
+        assert main(argv + [_write(tmp_path / "p.json", PRIOR_JSON)]) == 0
+        as_floats = capsys.readouterr().out
+        integers = '{"mu_y": [0], "C_yy": [[1]], "sigma2": 1}'
+        assert main(argv + [_write(tmp_path / "q.json", integers)]) == 0
+        assert capsys.readouterr().out == as_floats
 
     def test_singular_moment_is_named(self, tmp_path, capsys):
         constant_targets = "3,1,1\n1.0,5.0\n2.0,5.0\n3.0,5.0\n"

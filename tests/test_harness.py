@@ -968,6 +968,38 @@ class TestConfigValidation:
         for token in ("n_x", "mc_trials", "ridge", "prior_mode"):
             assert token in joined
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nt_grid", (40.7,)),
+            ("mc_trials", 2.5),
+            ("mc_trials", True),
+            ("n_x", 2.0),
+            ("ridge", "0.1"),
+            ("snr_grid", (True, 10.0)),
+            ("seed", 1.5),
+            ("estimator_set", ("generative", 3)),
+            ("prior_mode", ["true_prior"]),
+        ],
+    )
+    def test_wrong_type_is_a_violation_and_sweep_raises_value_error(self, field, value):
+        cfg = _small_config(**{field: value})
+        (problem,) = cfg.violations()
+        assert problem.startswith(field)
+        with pytest.raises(ValueError, match=field):
+            sweep(cfg)
+
+    def test_accepted_numbers_take_one_type(self):
+        names = ["generative"]
+        cfg = _small_config(
+            snr_grid=[1, np.float64(10)], nt_grid=[1e3], ridge=0, seed=7, estimator_set=names
+        )
+        assert cfg.violations() == []
+        canonical = dict(snr_grid=(1.0, 10.0), nt_grid=(1000,), ridge=0.0, seed=Seed(7))
+        assert cfg == _small_config(**canonical, estimator_set=tuple(names))
+        assert [type(s) for s in cfg.snr_grid] == [float, float]
+        assert type(cfg.nt_grid[0]) is int and type(cfg.ridge) is float
+
     def test_unknown_estimator_flagged(self):
         cfg = ExperimentConfig(estimator_set=("generative", "nope"))
         assert any("nope" in p for p in cfg.violations())

@@ -41,6 +41,23 @@ class TestSeed:
             Seed(2**64)
         Seed(2**64 - 1)  # max value is fine
 
+    @pytest.mark.parametrize("master", [1.5, 7.0, "7", True, None])
+    def test_master_that_is_not_an_integer_rejected(self, master):
+        with pytest.raises(ValueError, match="master seed"):
+            Seed(master)
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, "2", True])
+    def test_child_index_that_is_not_an_integer_rejected(self, index):
+        with pytest.raises(ValueError, match="stream indices"):
+            Seed(42).child(0, index)
+        with pytest.raises(ValueError, match="stream indices"):
+            Seed(42, (index,))
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        seed = Seed(np.uint64(42)).child(np.int64(3), np.int32(7))
+        assert seed == Seed(42).child(3, 7)
+        assert type(seed.master) is int and all(type(i) is int for i in seed.stream)
+
 
 class TestGaussianPrior:
     def test_rejects_non_pd_covariance(self):
@@ -337,6 +354,17 @@ class TestNonlinearities:
     def test_tanh_scale_positive(self):
         with pytest.raises(ValueError):
             Tanh(scale=0.0)
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0]])
+    def test_parameter_that_is_not_a_number_rejected(self, value):
+        with pytest.raises(ValueError, match="tanh scale"):
+            Tanh(scale=value)
+        with pytest.raises(ValueError, match="cubic alpha"):
+            Cubic(alpha=value)
+
+    def test_parameters_stored_as_floats(self):
+        assert type(Tanh(scale=2).scale) is float and Tanh(scale=2) == Tanh(scale=2.0)
+        assert type(Cubic(alpha=np.float32(0.5)).alpha) is float
 
 
 class TestRandomMeasurementMatrix:

@@ -16,8 +16,9 @@ after::
 The set covers both orientations of a small geometry under every
 measurement map, ``h_mode`` and ``prior_mode`` with every rule, an SNR grid
 from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, the paper's
-28 x 30 SNR geometry, and a sample-count sweep large enough that
-:func:`gendisc.harness.sweep` splits its trials across processes.
+28 x 30 SNR geometry, a sample-count sweep large enough that
+:func:`gendisc.harness.sweep` splits its trials across processes, and
+integer SNRs and ridge and integral-float sample counts as JSON writes them.
 """
 
 from __future__ import annotations
@@ -95,6 +96,21 @@ def configs() -> dict[str, dict]:
         "mc_trials": 5,
         "seed": 1729,
     }
+    # JSON integers where the config keeps floats, and integral floats where
+    # it keeps sample counts, so that a change in how a config's numbers are
+    # normalized shows.
+    out["4x5-int-snr-int-ridge"] = {
+        "n_x": 4,
+        "n_y": 5,
+        "snr_grid": [1, 10],
+        "nt_grid": [12],
+        "mc_trials": 4,
+        "seed": 1729,
+        "ridge": 0,
+    }
+    out["4x5-nt-integral-floats"] = dict(
+        out["4x5-int-snr-int-ridge"], snr_grid=[10], nt_grid=[12.0, 20]
+    )
     return out
 
 
