@@ -40,25 +40,31 @@ def _format_float(x: float) -> str:
 
 
 def nonlinearity_from_dict(value) -> Nonlinearity:
-    """Parse a nonlinearity entry: a kind string or {"kind": ..., params}."""
+    """Parse a nonlinearity entry: a kind string or {"kind": ..., params}.
+
+    Tanh takes ``scale`` and cubic ``alpha``, each optional; a parameter of
+    another kind is an error, not dropped.
+    """
     if isinstance(value, str):
         value = {"kind": value}
     if not isinstance(value, dict) or "kind" not in value:
         raise ConfigError("nonlinearity: expected a kind string or an object with a 'kind' key")
-    kind = value["kind"]
-    extra = set(value) - {"kind", "scale", "alpha"}
+    params = dict(value)
+    kind = params.pop("kind")
+    extra = set(params) - {"scale", "alpha"}
     if extra:
         raise ConfigError(f"nonlinearity: unknown keys {sorted(extra)}")
+    kinds = {"linear": (Linear, set()), "tanh": (Tanh, {"scale"}), "cubic": (Cubic, {"alpha"})}
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"nonlinearity: unknown kind {kind!r} (expected linear, tanh or cubic)")
+    cls, known = kinds[kind]
+    foreign = set(params) - known
+    if foreign:
+        raise ConfigError(f"nonlinearity: {kind} takes no {sorted(foreign)}")
     try:
-        if kind == "linear":
-            return Linear()
-        if kind == "tanh":
-            return Tanh(scale=value.get("scale", 1.0))
-        if kind == "cubic":
-            return Cubic(alpha=value.get("alpha", 0.1))
+        return cls(**params)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity: {exc}") from None
-    raise ConfigError(f"nonlinearity: unknown kind {kind!r} (expected linear, tanh or cubic)")
 
 
 def nonlinearity_to_dict(nl: Nonlinearity) -> dict:

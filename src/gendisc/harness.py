@@ -23,21 +23,22 @@ the discriminative asymptote, and the two are built once for both. The
 generative asymptote is the generative rule built from the population fit
 and means, with the generative rule's side information, by the helper its
 public constructor uses.
-:func:`sweep` runs the sample-count cells in grid order and cuts each cell's
-trials into contiguous chunks, one per usable CPU: it scores the first chunk
-itself and each other in a worker process, forked once per sweep; each trial
-is scored at every SNR. The workers write their scores into memory the
-processes share and send back only the failures and condition-warning
-counts, which are tallied in trial order, so the report is the same bits
-for any number of workers. A trial's randomness comes from a counter-based
-child seed of (sample-count cell, trial), so results do not depend on the
-order trials run in, nor on which other SNRs share the grid; construction
+:func:`sweep` cuts the trials into contiguous chunks, one per usable CPU,
+with the same cut in every sample-count cell: it scores the first chunk of
+every cell itself and each other chunk in a worker process, forked once per
+sweep; each trial is scored at every SNR. The workers write their scores
+into memory the processes share and, once they have scored every cell,
+send back only the failures and condition-warning counts in one message;
+these are tallied in trial order, so the report is the same bits for any
+number of workers. A trial's randomness comes from a counter-based child
+seed of (sample-count cell, trial), so results do not depend on the order
+trials run in, nor on which other SNRs share the grid; construction
 failures (singular sample covariances at small sample counts, non-finite
 moments) are recorded per cell rather than aborting the sweep. Memory is
-one float64 score per trial, estimator and SNR cell of one sample-count
-cell, kept at the trial's index with NaN for a failure, plus failure counts
-grouped by reason, each with the first trial it struck so that it can be
-replayed with :func:`run_trial`, the one-SNR case of the same code.
+one float64 score per trial, estimator and cell of the sweep, kept at the
+trial's index with NaN for a failure, plus failure counts grouped by
+reason, each with the first trial it struck so that it can be replayed
+with :func:`run_trial`, the one-SNR case of the same code.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ _NS_FIXED_H = 1
 
 # Memory budget of a sweep: one trial's float64 training draw, n_t x (N_x + N_y)
 # (drawn as pairs under tanh and cubic), its (N_x + N_y)^2-sized sample and
-# population moment matrices, and the float64 scores of the SNR cells of one
-# sample-count cell, one per trial and estimator, scored together. Configs past
+# population moment matrices, and the float64 scores of every cell of the sweep,
+# one per trial and estimator, held together until it ends. Configs past
 # it are rejected before anything is allocated; :func:`sweep` runs no more
 # processes, each with a draw in flight, than fit in it beside the scores.
 _BYTE_BUDGET = 2**30
@@ -204,8 +205,8 @@ class ExperimentConfig:
                     # capped so that an integer past the float range still formats
                     f"a sweep needs about {min(need, 1e300):.3g} bytes for a trial's n_t x "
                     "(n_x + n_y) training draw and (n_x + n_y)^2 moment matrices and the "
-                    "mc_trials x len(estimator_set) x len(snr_grid) scores of the SNR cells "
-                    f"scored together, over the {_BYTE_BUDGET:.3g} budget"
+                    "mc_trials x len(estimator_set) x len(snr_grid) x len(nt_grid) scores of "
+                    f"every cell, over the {_BYTE_BUDGET:.3g} budget"
                 )
         if snr_ok and nt_ok and len(self.snr_grid) > 1 and len(self.nt_grid) > 1:
             problems.append(
@@ -249,8 +250,9 @@ def _draw_bytes(cfg: ExperimentConfig) -> int:
 
 
 def _score_bytes(cfg: ExperimentConfig) -> int:
-    """Bytes of the float64 scores of one sample-count cell: per SNR, estimator and trial."""
-    return 8 * max(cfg.mc_trials, 0) * len(cfg.estimator_set) * len(cfg.snr_grid)
+    """Bytes of the float64 scores of a sweep: per sample count, SNR, estimator and trial."""
+    trials = max(cfg.mc_trials, 0)
+    return 8 * trials * len(cfg.estimator_set) * len(cfg.snr_grid) * len(cfg.nt_grid)
 
 
 @dataclass(frozen=True)
@@ -511,7 +513,7 @@ def run_trial(
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
-    """How many processes to split each sample-count cell's trials across.
+    """How many processes to split every sample-count cell's trials across.
 
     One per usable CPU, but few enough that each share of the sweep costs
     more than a fork (:data:`_FORK_COST`); 1 where ``os.fork`` is missing,
@@ -561,103 +563,99 @@ def _score_trials(
     return warning_counts, runs
 
 
-def _work(score: Callable, cells: int, go: int, results: int) -> None:
-    """Run a forked worker: send ``score(j)`` for each sample-count cell ``j``, then exit.
+def _work(score: Callable, cells: int, results: int) -> None:
+    """Run a forked worker: score each sample-count cell, send one message, then exit.
 
-    Sends ``(True, score(j))`` over the pipe ``results``, and before each
-    cell but the first waits for a byte on the pipe ``go``, stopping at its
-    end. On an exception it sends ``(False, traceback)`` instead. Leaves
-    only through ``os._exit``, so the worker never returns into its caller,
-    flushes no buffer it inherited and runs no exit hook. SIGINT, blocked
-    across the fork, is unblocked only inside the ``try``.
+    Sends ``(True, [score(j) for j in range(cells)])`` over the pipe
+    ``results`` once every cell is scored or, when cell ``j`` raises,
+    ``(False, (j, traceback))``. Leaves only through ``os._exit``, so the
+    worker never returns into its caller, flushes no buffer it inherited
+    and runs no exit hook. SIGINT, blocked across the fork, is unblocked
+    only inside the ``try``.
     """
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         with os.fdopen(results, "wb") as pipe:
+            done: list = []
             try:
                 for j in range(cells):
-                    if j and not os.read(go, 1):
-                        break  # the sweep ended early
-                    pickle.dump((True, score(j)), pipe)
-                    pipe.flush()
-                code = 0
+                    done.append(score(j))
+                message = True, done
             except BaseException:
-                pickle.dump((False, traceback.format_exc()), pipe)
+                message = False, (len(done), traceback.format_exc())
+            pickle.dump(message, pipe)
+            code = 0 if message[0] else 1
     finally:
         os._exit(code)
 
 
-def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int, take) -> None:
-    """Score the sweep's sample-count cells in grid order, each split across ``workers`` processes.
+def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int) -> list[list]:
+    """Score every sample-count cell's trials, each cell split across ``workers`` processes.
 
-    Each cell's trials are cut into ``workers`` contiguous chunks. This
-    process scores the first; ``workers - 1`` workers, forked once, score
-    the others into ``scores``, which must be backed by shared memory. Once
-    every chunk of cell ``j`` is scored, ``take(j, chunks)`` is called with
-    the chunks' :func:`_score_trials` results in chunk order, and the
-    workers wait for it to return before they overwrite ``scores`` with the
-    next cell. Every worker is reaped before this returns or raises; a
-    worker that fails or dies raises ``RuntimeError`` here.
+    Each cell's trials are cut into the same ``workers`` contiguous chunks.
+    This process scores the first chunk of every cell; ``workers - 1``
+    workers, forked once, score the others into ``scores[j]``, which must be
+    backed by shared memory, and each sends its results once, when it has
+    scored every cell. Returns, per chunk in chunk order, its
+    :func:`_score_trials` result per cell in grid order. Every worker is
+    reaped before this returns or raises; a worker that fails or dies raises
+    ``RuntimeError`` here, once this process has scored its own chunk.
     """
     bounds = [cfg.mc_trials * c // workers for c in range(workers + 1)]
+    cells = len(cfg.nt_grid)
     parent = os.getpid()
-    procs: list = []  # (pid, results pipe, go pipe) of each worker, in chunk order
+
+    def score(c: int, j: int, parent=None) -> tuple:
+        """Chunk ``c`` of sample-count cell ``j``, by :func:`_score_trials`."""
+        return _score_trials(
+            cfg, constants, j, sigma2s, scores[j], bounds[c], bounds[c + 1], parent=parent
+        )
+
+    procs: list = []  # (pid, results pipe) of each worker, in chunk order
     try:
         for c in range(1, workers):
-            score = partial(
-                _score_trials, cfg, constants, sigma2s=sigma2s, scores=scores,
-                start=bounds[c], stop=bounds[c + 1], parent=parent,
-            )
-            # SIGINT is blocked until every pipe end is owned or closed, so
+            # SIGINT is blocked until both pipe ends are owned or closed, so
             # that an interrupt can leak neither a pipe end nor a worker.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             ends: list[int] = []  # pipe ends that this process closes below
             results = None
             try:
                 ends += os.pipe()  # the worker's results, read here
-                ends += os.pipe()  # its go-ahead for each cell, written here
                 results = os.fdopen(ends[0], "rb")
                 del ends[0]
-                results_w, go_r, go_w = ends
                 pid = os.fork()
                 if pid == 0:
-                    for _, pipe, go in procs + [(pid, results, go_w)]:
+                    for _, pipe in procs + [(pid, results)]:
                         pipe.close()
-                        os.close(go)
-                    _work(score, len(cfg.nt_grid), go_r, results_w)
-                procs.append((pid, results, go_w))
+                    _work(partial(score, c, parent=parent), cells, ends[0])
+                procs.append((pid, results))
                 results = None
-                ends.remove(go_w)
             finally:  # in this process only: a worker leaves _work through os._exit
                 for fd in ends:
                     os.close(fd)
                 if results is not None:
                     results.close()
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for j in range(len(cfg.nt_grid)):
-            if j:
-                for _, _, go in procs:
-                    with contextlib.suppress(BrokenPipeError):  # a dead worker is reported below
-                        os.write(go, b"\0")
-            chunks = [_score_trials(cfg, constants, j, sigma2s, scores, bounds[0], bounds[1])]
-            for c, (_, results, _) in enumerate(procs, start=1):
-                try:
-                    ok, message = pickle.load(results)
-                except EOFError:
-                    ok, message = False, "it exited without a result"
-                if not ok:
-                    raise RuntimeError(
-                        f"sweep worker for trials {bounds[c]} to {bounds[c + 1] - 1} of "
-                        f"sample-count cell {j} failed: {message}"
-                    )
-                chunks.append(message)
-            take(j, chunks)
+        chunks = [[score(0, j) for j in range(cells)]]
+        for c, (_, results) in enumerate(procs, start=1):
+            try:
+                ok, message = pickle.load(results)
+            except EOFError:
+                ok, message = False, (None, "it exited without a result")
+            if not ok:
+                j, why = message
+                where = "" if j is None else f" of sample-count cell {j}"  # None: it died
+                raise RuntimeError(
+                    f"sweep worker for trials {bounds[c]} to {bounds[c + 1] - 1}{where} "
+                    f"failed: {why}"
+                )
+            chunks.append(message)
+        return chunks
     finally:
-        for pid, results, go in procs:
+        for pid, results in procs:
             os.kill(pid, signal.SIGKILL)
             results.close()
-            os.close(go)
             os.waitpid(pid, 0)
 
 
@@ -667,13 +665,14 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     ``nt_grid`` is swept at the single SNR when it has several entries,
     otherwise ``snr_grid`` at the single sample count. Each trial of a
     sample-count cell is drawn once and scored at every SNR, so the SNR
-    cells of a trial share its H and training randomness. Each sample-count
-    cell's trials are split across processes, one per usable CPU when the
-    work pays for the forks (:func:`_worker_count`) and no more than the
-    memory budget holds with a training draw in flight in each; the result
-    is the same bits for any number of them. Raises ``ValueError`` listing
-    every violation when the config is not runnable, and ``RuntimeError``
-    when a worker process fails.
+    cells of a trial share its H and training randomness. The trials of
+    every sample-count cell are split across processes, one per usable CPU
+    when the work pays for the forks (:func:`_worker_count`) and no more
+    than the memory budget holds with a training draw in flight in each;
+    once all are scored, every cell is tallied in trial order, so the
+    result is the same bits for any number of them. Raises ``ValueError``
+    listing every violation when the config is not runnable, and
+    ``RuntimeError`` when a worker process fails.
     """
     cfg.validate()
     sweep_name, points = sweep_points(cfg)
@@ -682,18 +681,18 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     names = cfg.estimator_set
     draws_in_budget = (_BYTE_BUDGET - _score_bytes(cfg)) // _draw_bytes(cfg)
     workers = max(1, min(_worker_count(cfg), cfg.mc_trials, draws_in_budget))
-    # Each trial's scores go to its own index of one row per SNR cell and
-    # estimator, NaN where the rule failed, in memory the workers share.
-    shape = (len(sigma2s), len(names), cfg.mc_trials)
+    # Each trial's scores go to its own index of one row per sample-count
+    # cell, SNR cell and estimator, NaN where the rule failed, in memory the
+    # workers share.
+    shape = (len(cfg.nt_grid), len(sigma2s), len(names), cfg.mc_trials)
     scores = np.frombuffer(mmap.mmap(-1, _score_bytes(cfg)), dtype=float).reshape(shape)
+    chunks = _score_split(cfg, constants, sigma2s, scores, workers)
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
-
-    def take(j: int, chunks: list) -> None:
-        """Tally sample-count cell ``j``'s chunks in trial order and summarize its SNR cells."""
+    for j in range(len(cfg.nt_grid)):
         reasons: list[dict[str, dict[str, dict]]] = [{} for _ in sigma2s]
         warning_counts = [0] * len(sigma2s)
-        for chunk_warnings, runs in chunks:
+        for chunk_warnings, runs in (chunk[j] for chunk in chunks):
             for k, count in enumerate(chunk_warnings):
                 warning_counts[k] += count
             for k, failures, first_trial, count in runs:
@@ -707,7 +706,7 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
             value = point.n_t if sweep_name == "nt" else point.snr
             failed = {}
             for e, name in enumerate(names):
-                row = scores[k, e]
+                row = scores[j, k, e]
                 ok = row[~np.isnan(row)]
                 stat = compute_mse(ok)
                 mean, se = stat if stat is not None else (None, None)
@@ -732,7 +731,5 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
                     "failure_reasons": reasons[k],
                 }
             )
-
-    _score_split(cfg, constants, sigma2s, scores, workers, take)
     metadata = {"sweep": sweep_name, "cells": cells_meta}
     return MseReport(rows=tuple(rows), metadata=metadata, workers=workers)

@@ -99,8 +99,8 @@ class Tanh:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (_is_real(self.scale) and self.scale > 0):
-            raise ValueError(f"tanh scale must be a positive number, got {self.scale!r}")
+        if not (_is_real(self.scale) and 0 < self.scale < np.inf):
+            raise ValueError(f"tanh scale must be a finite positive number, got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale))
 
     def apply(self, u: np.ndarray) -> np.ndarray:

@@ -231,6 +231,23 @@ class TestValidateCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            # 1e400 parses as an infinite float, which no JSON echo could write back.
+            ('{"kind": "tanh", "scale": 1e400}', "tanh scale must be a finite positive number"),
+            ('{"kind": "linear", "scale": 2}', "linear takes no ['scale']"),
+            ('{"kind": "tanh", "alpha": 0.1}', "tanh takes no ['alpha']"),
+        ],
+    )
+    def test_nonlinearity_parameter_that_would_be_lost_rejected(
+        self, tmp_path, capsys, text, message
+    ):
+        config = json.dumps(dict(TINY_CONFIG, nonlinearity="@")).replace('"@"', text)
+        path = _write(tmp_path / "c.json", config)
+        assert main(["validate", path]) == 1
+        assert f"error: nonlinearity: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "nonlinearity", [{"kind": "tanh", "scale": 1.0}, {"kind": "cubic", "alpha": 0.2}]
     )
     def test_distorted_config_with_oracle_and_asymptotes_runs(self, tmp_path, nonlinearity):

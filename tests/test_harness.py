@@ -903,6 +903,28 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_failed_worker_names_the_sample_count_cell_it_failed_in(self, monkeypatch):
+        # A worker reports once, after its last cell, so its message must
+        # carry the cell it failed in.
+        cfg = _small_config(snr_grid=(1.0,), nt_grid=(60, 80, 100), mc_trials=6)
+        real = harness._score_cells
+        # The worker's trials, 3 to 5, of cell 1.
+        in_cell_1 = {cfg.seed.child(harness._NS_TRIAL, 1, t) for t in range(3, 6)}
+
+        def failing(ch, names, ridge, n_t, seed, *args):
+            if seed in in_cell_1:
+                raise ValueError("boom in cell 1")
+            return real(ch, names, ridge, n_t, seed, *args)
+
+        monkeypatch.setattr(harness, "_score_cells", failing)
+        _force_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as info:
+            sweep(cfg)
+        assert "sweep worker for trials 3 to 5 of sample-count cell 1 failed" in str(info.value)
+        assert "ValueError: boom in cell 1" in str(info.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_an_orphaned_worker_exits_within_a_trial(self, tmp_path):
         # Kill a sweep's parent process; its worker must notice before its
         # next trial and exit, rather than finish its chunk.
@@ -1020,11 +1042,13 @@ class TestConfigValidation:
         (problem,) = ExperimentConfig(mc_trials=10**7).violations()
         assert "len(snr_grid)" in problem
 
-    def test_budget_counts_one_sample_count_cell_at_a_time(self):
-        # 0.24 GB of scores per sample-count cell, 1.2 GB for five; the cells
-        # are scored one after another, so only one cell's scores are held.
+    def test_budget_counts_the_scores_of_every_sample_count_cell(self):
+        # 0.24 GB of scores per sample-count cell, 1.2 GB for five; every
+        # cell's scores are held until the sweep ends.
+        assert ExperimentConfig(mc_trials=10**7, snr_grid=(1.0,), nt_grid=(40,)).violations() == []
         cfg = ExperimentConfig(mc_trials=10**7, snr_grid=(1.0,), nt_grid=(40, 60, 100, 200, 500))
-        assert cfg.violations() == []
+        (problem,) = cfg.violations()
+        assert "budget" in problem and "len(nt_grid)" in problem
 
     def test_nonlinear_maps_accept_every_estimator(self):
         cfg = ExperimentConfig(

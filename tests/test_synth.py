@@ -355,6 +355,12 @@ class TestNonlinearities:
         with pytest.raises(ValueError):
             Tanh(scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_tanh_scale_finite(self, scale):
+        # An infinite scale would make every draw inf * tanh(u / inf), which is NaN.
+        with pytest.raises(ValueError, match="tanh scale must be a finite positive number"):
+            Tanh(scale=scale)
+
     @pytest.mark.parametrize("value", [True, False, "1", None, [1.0]])
     def test_parameter_that_is_not_a_number_rejected(self, value):
         with pytest.raises(ValueError, match="tanh scale"):

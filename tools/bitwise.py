@@ -16,8 +16,9 @@ after::
 The set covers both orientations of a small geometry under every
 measurement map, ``h_mode`` and ``prior_mode`` with every rule, an SNR grid
 from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, the paper's
-28 x 30 SNR geometry, a sample-count sweep large enough that
-:func:`gendisc.harness.sweep` splits its trials across processes, and
+28 x 30 SNR geometry, a sample-count sweep and two 28 x 30 SNR sweeps (one
+linear, one tanh with a frozen H and a mismatched prior) large enough that
+:func:`gendisc.harness.sweep` splits their trials across processes, and
 integer SNRs and ridge and integral-float sample counts as JSON writes them.
 """
 
@@ -96,6 +97,19 @@ def configs() -> dict[str, dict]:
         "mc_trials": 5,
         "seed": 1729,
     }
+    # The same geometry with enough trials that an SNR sweep (a single
+    # sample-count cell) is split across processes when it has two CPUs or
+    # more, linear and under the misspecified tanh setting with a frozen H.
+    out["28x30-snr-forked"] = dict(out["28x30-snr"], mc_trials=10)
+    out["28x30-tanh-fixed-h-mismatch-forked"] = dict(
+        out["28x30-snr-forked"],
+        h_mode="fixed_once",
+        prior_mode="identity_mismatch",
+        nonlinearity=MAPS["tanh"],
+        estimator_set=[
+            "generative", "discriminative", "generative_high_snr", "discriminative_high_snr"
+        ],
+    )
     # JSON integers where the config keeps floats, and integral floats where
     # it keeps sample counts, so that a change in how a config's numbers are
     # normalized shows.
