@@ -204,7 +204,12 @@ def cmd_estimate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: data file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    moments = compute_moments(data)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            moments = compute_moments(data)
+    except ValueError as exc:  # finite data whose moments overflow
+        print(f"error: the data's sample moments are not finite: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
     try:
         if args.method == "discriminative":

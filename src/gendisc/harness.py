@@ -28,10 +28,11 @@ with the same cut in every sample-count cell: it scores the first chunk of
 every cell itself and each other chunk in a worker process, forked once per
 sweep; each trial is scored at every SNR. The workers write their scores
 into memory the processes share and, once they have scored every cell,
-send back only the failures and condition-warning counts in one message;
-these are tallied in trial order, so the report is the same bits for any
-number of workers. A trial's randomness comes from a counter-based child
-seed of (sample-count cell, trial), so results do not depend on the order
+send back in one message only each cell's tally: its condition-warning
+count and its failure count per rule and reason. The tallies are merged
+in trial order, so the report is the same bits for any number of
+workers. A trial's randomness comes from a counter-based child seed of
+(sample-count cell, trial), so results do not depend on the order
 trials run in, nor on which other SNRs share the grid; construction
 failures (singular sample covariances at small sample counts, non-finite
 moments) are recorded per cell rather than aborting the sweep. Memory is
@@ -44,6 +45,7 @@ with :func:`run_trial`, the one-SNR case of the same code.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import mmap
 import os
 import pickle
@@ -105,6 +107,8 @@ _NS_FIXED_H = 1
 # one per trial and estimator, held together until it ends. Configs past
 # it are rejected before anything is allocated; :func:`sweep` runs no more
 # processes, each with a draw in flight, than fit in it beside the scores.
+# The failure tallies are left out: per cell they hold a count per rule and
+# failure reason, however many trials fail.
 _BYTE_BUDGET = 2**30
 
 # What a forked worker adds to a sweep's wall time, about 10 ms on a 2-CPU VM
@@ -526,24 +530,30 @@ def _worker_count(cfg: ExperimentConfig) -> int:
     return max(1, min(cpus or 1, work // _FORK_COST))
 
 
+def _count(reasons: dict, name: str, why: str, count: int, first_trial: int) -> None:
+    """Add ``count`` failures of rule ``name`` for reason ``why`` to a tally's ``reasons``.
+
+    ``first_trial`` is kept only by the first count of the reason, so counts
+    added in trial order keep the first trial it struck.
+    """
+    seen = reasons.setdefault(name, {}).setdefault(why, {"count": 0, "first_trial": first_trial})
+    seen["count"] += count
+
+
 def _score_trials(
     cfg: ExperimentConfig, constants, j: int, sigma2s, scores, start, stop, parent=None
-) -> tuple[list[int], list[list]]:
+) -> list[dict]:
     """Score trials ``start`` to ``stop - 1`` of sample-count cell ``j`` into ``scores``.
 
     Trial ``t`` is scored by :func:`_score_cells` into ``scores[:, :, t]``.
-    Returns the SNR cells' condition-warning counts and their failures as
-    runs ``(k, failures, first_trial, count)``, in trial order: ``count``
-    failing trials of SNR cell ``k`` with the failure reasons ``failures``
-    (see :class:`TrialOutcome`), the first of them ``first_trial``. A trial
-    failing as the run before it at ``k`` did extends that run, so a cell
-    that fails the same way in every trial costs one run. With ``parent``, a
-    worker's, raises ``RuntimeError`` before any trial once that process is
-    no longer its parent.
+    Returns each SNR cell's tally as the manifest prints it: its
+    ``condition_warnings`` count and its ``failure_reasons``, per rule and
+    reason (see :class:`TrialOutcome`) the ``count`` of failing trials and
+    the ``first_trial`` among them, so that its size does not grow with the
+    trials. With ``parent``, a worker's, raises ``RuntimeError`` before any
+    trial once that process is no longer its parent.
     """
-    warning_counts = [0] * len(sigma2s)
-    runs: list[list] = []
-    last: list = [None] * len(sigma2s)  # each SNR cell's latest run
+    tallies = [{"condition_warnings": 0, "failure_reasons": {}} for _ in sigma2s]
     for trial in range(start, stop):
         if parent is not None and os.getppid() != parent:
             raise RuntimeError("the sweep's parent process exited")
@@ -551,26 +561,21 @@ def _score_trials(
         cells = _score_cells(
             ch, cfg.estimator_set, cfg.ridge, cfg.nt_grid[j], seed, sigma2s, scores[:, :, trial]
         )
-        for k, (failures, warning_count) in enumerate(cells):
-            warning_counts[k] += warning_count
-            if not failures:
-                continue
-            if last[k] is not None and last[k][1] == failures:
-                last[k][3] += 1
-            else:
-                last[k] = [k, failures, trial, 1]
-                runs.append(last[k])
-    return warning_counts, runs
+        for tally, (failures, warning_count) in zip(tallies, cells):
+            tally["condition_warnings"] += warning_count
+            for name, why in failures.items():
+                _count(tally["failure_reasons"], name, why, 1, trial)
+    return tallies
 
 
 def _work(score: Callable, cells: int, results: int) -> None:
     """Run a forked worker: score each sample-count cell, send one message, then exit.
 
-    Sends ``(True, [score(j) for j in range(cells)])`` over the pipe
-    ``results`` once every cell is scored or, when cell ``j`` raises,
-    ``(False, (j, traceback))``. Leaves only through ``os._exit``, so the
-    worker never returns into its caller, flushes no buffer it inherited
-    and runs no exit hook. SIGINT, blocked across the fork, is unblocked
+    Sends ``(True, [score(j) for j in range(cells)])``, each cell's SNR
+    tallies, over the pipe ``results`` once every cell is scored or, when
+    cell ``j`` raises, ``(False, (j, traceback))``. Leaves only through
+    ``os._exit``, so the worker never returns into its caller, flushes no
+    buffer it inherited and runs no exit hook. SIGINT, blocked across the fork, is unblocked
     only inside the ``try``.
     """
     code = 1
@@ -596,17 +601,19 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
     Each cell's trials are cut into the same ``workers`` contiguous chunks.
     This process scores the first chunk of every cell; ``workers - 1``
     workers, forked once, score the others into ``scores[j]``, which must be
-    backed by shared memory, and each sends its results once, when it has
-    scored every cell. Returns, per chunk in chunk order, its
-    :func:`_score_trials` result per cell in grid order. Every worker is
-    reaped before this returns or raises; a worker that fails or dies raises
-    ``RuntimeError`` here, once this process has scored its own chunk.
+    backed by shared memory, and each sends its :func:`_score_trials`
+    tallies once, when it has scored every cell. They are added, by
+    :func:`_count`, to this process's own in chunk order, which is trial
+    order. Returns, per sample-count cell in grid order, its merged SNR
+    tallies. Every worker is reaped before this returns or raises; a worker
+    that fails or dies raises ``RuntimeError`` here, once this process has
+    scored its own chunk.
     """
     bounds = [cfg.mc_trials * c // workers for c in range(workers + 1)]
     cells = len(cfg.nt_grid)
     parent = os.getpid()
 
-    def score(c: int, j: int, parent=None) -> tuple:
+    def score(c: int, j: int, parent=None) -> list[dict]:
         """Chunk ``c`` of sample-count cell ``j``, by :func:`_score_trials`."""
         return _score_trials(
             cfg, constants, j, sigma2s, scores[j], bounds[c], bounds[c + 1], parent=parent
@@ -637,7 +644,7 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
                 if results is not None:
                     results.close()
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        chunks = [[score(0, j) for j in range(cells)]]
+        tallies = [score(0, j) for j in range(cells)]
         for c, (_, results) in enumerate(procs, start=1):
             try:
                 ok, message = pickle.load(results)
@@ -650,8 +657,12 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
                     f"sweep worker for trials {bounds[c]} to {bounds[c + 1] - 1}{where} "
                     f"failed: {why}"
                 )
-            chunks.append(message)
-        return chunks
+            for theirs, ours in zip(itertools.chain(*message), itertools.chain(*tallies)):
+                ours["condition_warnings"] += theirs["condition_warnings"]
+                for name, whys in theirs["failure_reasons"].items():
+                    for why, seen in whys.items():
+                        _count(ours["failure_reasons"], name, why, **seen)
+        return tallies
     finally:
         for pid, results in procs:
             os.kill(pid, signal.SIGKILL)
@@ -669,8 +680,8 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     every sample-count cell are split across processes, one per usable CPU
     when the work pays for the forks (:func:`_worker_count`) and no more
     than the memory budget holds with a training draw in flight in each;
-    once all are scored, every cell is tallied in trial order, so the
-    result is the same bits for any number of them. Raises ``ValueError``
+    once all are scored, each cell's tallies are merged in trial order, so
+    the result is the same bits for any number of them. Raises ``ValueError``
     listing every violation when the config is not runnable, and
     ``RuntimeError`` when a worker process fails.
     """
@@ -686,22 +697,11 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     # workers share.
     shape = (len(cfg.nt_grid), len(sigma2s), len(names), cfg.mc_trials)
     scores = np.frombuffer(mmap.mmap(-1, _score_bytes(cfg)), dtype=float).reshape(shape)
-    chunks = _score_split(cfg, constants, sigma2s, scores, workers)
+    tallies = _score_split(cfg, constants, sigma2s, scores, workers)
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
-    for j in range(len(cfg.nt_grid)):
-        reasons: list[dict[str, dict[str, dict]]] = [{} for _ in sigma2s]
-        warning_counts = [0] * len(sigma2s)
-        for chunk_warnings, runs in (chunk[j] for chunk in chunks):
-            for k, count in enumerate(chunk_warnings):
-                warning_counts[k] += count
-            for k, failures, first_trial, count in runs:
-                for name, why in failures.items():
-                    reason = reasons[k].setdefault(name, {}).setdefault(
-                        why, {"count": 0, "first_trial": first_trial}
-                    )
-                    reason["count"] += count
-        for k in range(len(sigma2s)):
+    for j, cell_tallies in enumerate(tallies):
+        for k, tally in enumerate(cell_tallies):
             point = points[j + k]  # one of the grids has a single entry, so j or k is 0
             value = point.n_t if sweep_name == "nt" else point.snr
             failed = {}
@@ -726,9 +726,9 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
             cells_meta.append(
                 {
                     "sweep_value": value,
-                    "condition_warnings": warning_counts[k],
+                    "condition_warnings": tally["condition_warnings"],
                     "failures": failed,
-                    "failure_reasons": reasons[k],
+                    "failure_reasons": tally["failure_reasons"],
                 }
             )
     metadata = {"sweep": sweep_name, "cells": cells_meta}

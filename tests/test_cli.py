@@ -732,6 +732,24 @@ class TestEstimateCommand:
         ) == 1
         assert "target sample covariance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, method, moment",
+        [
+            ("1e308,2\n-1e308,3\n", "discriminative", "C_xx"),
+            ("1,1e308\n3,-1e308\n", "generative", "C_yx"),
+        ],
+        ids=["C_xx", "C_yx"],
+    )
+    def test_finite_data_whose_moments_overflow_is_named(
+        self, tmp_path, capsys, rows, method, moment
+    ):
+        data = _write(tmp_path / "d.csv", "2,1,1\n" + rows)
+        prior = _write(tmp_path / "p.json", PRIOR_JSON)
+        assert main(["estimate", "--data", data, "--prior", prior, "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and moment in err and "non-finite" in err
+        assert "Traceback" not in err
+
     def test_degenerate_input_covariance_suggests_fix(self, tmp_path, capsys):
         two_samples = "2,2,1\n1.0,0.0,1.0\n0.0,1.0,2.0\n"
         data = _write(tmp_path / "d.csv", two_samples)

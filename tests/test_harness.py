@@ -2,6 +2,7 @@ import collections
 import functools
 import gc
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -776,6 +777,17 @@ class TestBoundary:
         assert counts["_as_float_array"] > 0
 
 
+# At N_x > N_y and vanishing noise, the innovation covariance of both
+# vanishing-noise rules is singular, and the discriminative rule and the
+# oracle fail in some trials and not in others.
+INTERLEAVED_5X3 = dict(
+    n_x=5, n_y=3, snr_grid=(1e12, 1e14), nt_grid=(6,), seed=Seed(1729),
+    estimator_set=(
+        "generative", "discriminative", "oracle_lmmse", "generative_high_snr",
+        "discriminative_high_snr",
+    ),
+)
+
 # Configs whose reports must not depend on the number of worker processes.
 WORKER_CONFIGS = {
     # The partial_failure golden config: at SNR 1e14 the discriminative rule
@@ -796,6 +808,10 @@ WORKER_CONFIGS = {
         n_x=6, n_y=4, snr_grid=(10.0,), nt_grid=(3, 5, 10, 30), mc_trials=5, seed=Seed(1729),
         estimator_set=ALL_RULES,
     ),
+    # Rules that fail in some trials and not in others. The oracle first
+    # fails at SNR 1e14 in trial 21, so that reason first strikes in a
+    # worker's chunk at every worker count above 1.
+    "interleaved_5x3": dict(INTERLEAVED_5X3, mc_trials=30),
     # The extreme SNR grid, where rules fail on non-finite moments and warn.
     "extreme_snr_3x7": dict(
         n_x=3, n_y=7, snr_grid=(1e-308, 1e-12, 1.0, 1e15, 1e300), nt_grid=(20,), mc_trials=4,
@@ -858,16 +874,44 @@ class TestWorkers:
         monkeypatch.delattr(os, "fork")
         assert harness._worker_count(cfg) == 1
 
-    def test_a_cell_failing_alike_in_every_trial_sends_one_run(self):
+    def test_a_cell_failing_alike_in_every_trial_sends_one_reason_per_rule(self):
         # What a worker sends does not grow with the trials that fail alike.
         cfg = ExperimentConfig(**WORKER_CONFIGS["nt_smallest_cell_fails"])
         sigma2s = [1.0 / s for s in cfg.snr_grid]
         scores = np.empty((len(sigma2s), len(cfg.estimator_set), cfg.mc_trials))
         constants = harness.sweep_constants(cfg)
-        _, runs = harness._score_trials(cfg, constants, 0, sigma2s, scores, 1, cfg.mc_trials)
-        ((k, failures, first_trial, count),) = runs
-        assert (k, first_trial, count) == (0, 1, cfg.mc_trials - 1)
-        assert set(failures) == harness._TRAINED
+        (tally,) = harness._score_trials(cfg, constants, 0, sigma2s, scores, 1, cfg.mc_trials)
+        reasons = tally["failure_reasons"]
+        assert set(reasons) == harness._TRAINED
+        for whys in reasons.values():
+            ((why, seen),) = whys.items()
+            assert seen == {"count": cfg.mc_trials - 1, "first_trial": 1}
+
+    @pytest.mark.filterwarnings("ignore::gendisc.moments.IllConditionedWarning")
+    def test_interleaved_failures_send_a_tally_that_does_not_grow_with_the_trials(self):
+        # At SNR 1e14 the trials that fail alike come in many short stretches.
+        # From 500 to 1,500 trials no count passes 255, where pickle widens
+        # an integer by a byte, so the tallies must pickle to the same size.
+        cfg = ExperimentConfig(**dict(INTERLEAVED_5X3, snr_grid=(1e14,)))
+        constants = harness.sweep_constants(cfg)
+        point = harness.sweep_points(cfg)[1][0]
+        sizes = []
+        for trials in (500, 1500):
+            scores = np.empty((1, len(cfg.estimator_set), trials))
+            (tally,) = harness._score_trials(cfg, constants, 0, [point.sigma2], scores, 0, trials)
+            sizes.append(len(pickle.dumps(tally)))
+        assert sizes[0] == sizes[1]
+        # One entry per rule and reason, counting each of the rule's failures.
+        reasons = tally["failure_reasons"]
+        for e, name in enumerate(cfg.estimator_set):
+            failed = np.flatnonzero(np.isnan(scores[0, e]))
+            assert len(reasons.get(name, {})) == (failed.size > 0)
+            for why, seen in reasons.get(name, {}).items():
+                assert seen == {"count": failed.size, "first_trial": failed[0]}
+                assert run_trial(cfg, point, int(failed[0])).failures[name] == why
+        # The discriminative rule and the oracle fail in some trials, not all.
+        assert 0 < reasons["discriminative"]["input sample covariance"]["count"] < 1500
+        assert 0 < reasons["oracle_lmmse"]["population input covariance"]["count"] < 1500
 
     @pytest.mark.parametrize(
         "where", ["worker raises", "worker dies", "parent raises", "parent interrupted"]

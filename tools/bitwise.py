@@ -16,9 +16,10 @@ after::
 The set covers both orientations of a small geometry under every
 measurement map, ``h_mode`` and ``prior_mode`` with every rule, an SNR grid
 from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, the paper's
-28 x 30 SNR geometry, a sample-count sweep and two 28 x 30 SNR sweeps (one
-linear, one tanh with a frozen H and a mismatched prior) large enough that
-:func:`gendisc.harness.sweep` splits their trials across processes, and
+28 x 30 SNR geometry, and, large enough that :func:`gendisc.harness.sweep`
+splits their trials across processes, a sample-count sweep, a 5 x 3 SNR
+sweep whose rules fail in some trials and not in others, and two 28 x 30
+SNR sweeps (one linear, one tanh with a frozen H and a mismatched prior), and
 integer SNRs and ridge and integral-float sample counts as JSON writes them.
 """
 
@@ -89,6 +90,19 @@ def configs() -> dict[str, dict]:
     # Enough work that a sweep splits it across processes when it has two CPUs
     # or more, so that chunks meet inside cells with failures to tally.
     out["6x4-nt-3-to-30-forked"] = dict(out["6x4-nt-3-to-30"], mc_trials=40)
+    # Failures that interleave: at N_x > N_y and SNR 1e14 the discriminative
+    # rule and the oracle fail in some trials and not in others, so chunks
+    # meet inside stretches of trials that fail alike. The oracle first fails
+    # in trial 21, in a worker's chunk when three processes or more split it.
+    out["5x3-interleaved-failures-forked"] = {
+        "n_x": 5,
+        "n_y": 3,
+        "snr_grid": [1e12, 1e14],
+        "nt_grid": [6],
+        "mc_trials": 60,
+        "seed": 1729,
+        "estimator_set": EVERY_RULE,
+    }
     out["28x30-snr"] = {
         "n_x": 28,
         "n_y": 30,
