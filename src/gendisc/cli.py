@@ -1,13 +1,13 @@
-"""Command-line frontend: run sweeps, validate configs, fit estimators on files.
+"""Command-line frontend: run, validate and replay sweeps.
 
 `gendisc run CONFIG` executes the sweep described by a JSON config and
 writes results.csv, manifest.json and a standalone plot script into the
 output directory. `gendisc validate CONFIG` checks a config and prints the
 fully-resolved version, or every problem it finds. `gendisc replay CONFIG --cell i --trial k` re-runs
 one trial of the sweep and prints its per-estimator risks and failure
-reasons as JSON. `gendisc estimate` fits an estimator on a dataset file and
-prints its coefficients. Two configs ship with the package
-(`mse_vs_snr`, `mse_vs_nt`) and can be named in place of a path.
+reasons as JSON. Two configs ship with the package
+(`mse_vs_snr`, `mse_vs_nt`) and can be named in place of a path. Fitting
+an estimator on one's own data is done through the library.
 """
 
 from __future__ import annotations
@@ -24,19 +24,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimators import discriminative_estimator, fit_ml, generative_estimator
 from .fileio import (
     ConfigError,
     config_from_dict,
     config_to_dict,
-    read_dataset_csv,
-    read_prior_json,
     write_json_atomic,
     write_plot_script,
     write_results_csv,
 )
 from .harness import run_trial, sweep, sweep_points
-from .moments import SingularMatrixError, compute_moments
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -60,13 +56,6 @@ def _load_config_dict(ref: str) -> dict:
         return json.loads(bundled.read_text(encoding="utf-8"))
     with open(ref, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _print_matrix(name: str, arr) -> None:
-    rows = np.atleast_2d(np.asarray(arr, dtype=float))
-    print(f"{name} =")
-    for row in rows:
-        print("  " + ", ".join(repr(float(v)) for v in row))
 
 
 def _environment(workers: int) -> dict:
@@ -195,54 +184,6 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    if not 0.0 <= args.ridge < np.inf:
-        print(f"error: --ridge must be finite and nonnegative, got {args.ridge}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        data = read_dataset_csv(args.data)
-    except (OSError, ValueError) as exc:
-        print(f"error: data file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            moments = compute_moments(data)
-    except ValueError as exc:  # finite data whose moments overflow
-        print(f"error: the data's sample moments are not finite: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        if args.method == "discriminative":
-            est = discriminative_estimator(moments, ridge=args.ridge)
-        else:
-            if args.prior is None:
-                print("error: --method generative requires --prior", file=sys.stderr)
-                return EXIT_USAGE
-            try:
-                known = read_prior_json(args.prior)
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                print(f"error: prior file: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            if known.prior.n_y != data.n_y:
-                print(
-                    f"error: prior dimension mismatch: mu_y/C_yy describe {known.prior.n_y} "
-                    f"target entries but the dataset ys have {data.n_y}",
-                    file=sys.stderr,
-                )
-                return EXIT_INVALID
-            fitted = fit_ml(moments, ridge=args.ridge)
-            _print_matrix("H_hat", fitted.H_hat)
-            _print_matrix("mu_hat", fitted.mu_hat)
-            est = generative_estimator(fitted, known, moments)
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    _print_matrix("A", est.A)
-    _print_matrix("b", est.b)
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gendisc",
@@ -277,14 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--seed", type=int, default=None, help="override the master seed, as for run")
     rep_p.set_defaults(func=cmd_replay)
 
-    est_p = sub.add_parser("estimate", help="fit an estimator on a dataset file")
-    est_p.add_argument("--data", required=True, help="dataset CSV (header n_t,n_x,n_y)")
-    est_p.add_argument("--prior", default=None, help="prior JSON (mu_y, C_yy, sigma2)")
-    est_p.add_argument(
-        "--method", required=True, choices=("generative", "discriminative"), help="estimator"
-    )
-    est_p.add_argument("--ridge", type=float, default=0.0, help="diagonal loading for sample covariances")
-    est_p.set_defaults(func=cmd_estimate)
     return parser
 
 

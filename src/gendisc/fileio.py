@@ -1,10 +1,8 @@
 """File formats used by the command-line frontend.
 
-Experiment configs and prior files are JSON; datasets and sweep results
-are CSV. Every CSV carries a one-line header (dimensions for
-data files, column names for results), numbers are parsed as decimal
-floating point, and results are written with shortest round-trip float
-formatting so identical runs produce byte-identical files.
+Experiment configs and the run manifest are JSON; sweep results are CSV,
+with a one-line header of column names. Results are written with shortest
+round-trip float formatting so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,12 +12,8 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
-from .estimators import KnownStatistics
 from .harness import ExperimentConfig, MseReport
-from .moments import Dataset
-from .synth import Cubic, GaussianPrior, Linear, Nonlinearity, Tanh, _is_real
+from .synth import Cubic, Linear, Nonlinearity, Tanh
 
 RESULTS_COLUMNS = (
     "sweep_name",
@@ -31,12 +25,9 @@ RESULTS_COLUMNS = (
     "trials_failed",
 )
 
+
 class ConfigError(ValueError):
     """A config is not a JSON object, or has an unknown key or a malformed nonlinearity."""
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
 
 
 def nonlinearity_from_dict(value) -> Nonlinearity:
@@ -115,67 +106,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 _CONFIG_DEFAULTS = config_to_dict(ExperimentConfig())
 
 
-def write_dataset_csv(path, data: Dataset) -> None:
-    """Write paired samples as CSV: header `n_t,n_x,n_y`, then x-then-y rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{data.n_t},{data.n_x},{data.n_y}\n")
-        for x, y in zip(data.xs, data.ys):
-            fh.write(",".join(_format_float(v) for v in np.concatenate([x, y])) + "\n")
-
-
-def read_dataset_csv(path) -> Dataset:
-    """Read paired samples written by :func:`write_dataset_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            n_t, n_x, n_y = (int(tok) for tok in header.split(","))
-        except ValueError:
-            raise ValueError(
-                f"{path}: first line must be 'n_t,n_x,n_y', got {header!r}"
-            ) from None
-        rows = [line.strip() for line in fh if line.strip()]
-    if min(n_t, n_x, n_y) < 1:
-        raise ValueError(f"{path}: header counts n_t,n_x,n_y must be >= 1, got {header!r}")
-    if len(rows) != n_t:
-        raise ValueError(f"{path}: header promises {n_t} samples, found {len(rows)}")
-    table = np.array([[float(tok) for tok in line.split(",")] for line in rows])
-    if table.shape != (n_t, n_x + n_y):
-        raise ValueError(
-            f"{path}: header promises {n_x}+{n_y} columns, rows have {table.shape[1]}"
-        )
-    return Dataset(xs=table[:, :n_x], ys=table[:, n_x:])
-
-
-def _numbers(value) -> bool:
-    """Whether ``value`` is a JSON number or a list, at any depth, of JSON numbers."""
-    if isinstance(value, list):
-        return all(_numbers(v) for v in value)
-    return _is_real(value)
-
-
-def read_prior_json(path) -> KnownStatistics:
-    """Read generative side information: {"mu_y": [...], "C_yy": [[...]], "sigma2": s}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"prior file {path} must hold a JSON object, got {type(raw).__name__}")
-    for fieldname, ok in (("mu_y", _numbers), ("C_yy", _numbers), ("sigma2", _is_real)):
-        if fieldname not in raw:
-            raise ValueError(f"prior file {path} is missing field {fieldname!r}")
-        if not ok(raw[fieldname]):
-            raise ValueError(f"prior file {path}: {fieldname} must hold only JSON numbers")
-    try:
-        prior = GaussianPrior(mu_y=raw["mu_y"], C_yy=raw["C_yy"])
-        return KnownStatistics(prior=prior, sigma2=raw["sigma2"])
-    except ValueError as exc:
-        raise ValueError(f"prior file {path}: {exc}") from None
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _format_float(value)
+        return repr(float(value))  # shortest round trip, also for numpy scalars
     return str(value)
 
 

@@ -14,12 +14,9 @@ from gendisc.fileio import (
     ConfigError,
     config_from_dict,
     config_to_dict,
-    read_dataset_csv,
     read_results_csv,
-    write_dataset_csv,
 )
 from gendisc.harness import ExperimentConfig, compute_mse, sweep
-from gendisc.moments import Dataset
 
 TINY_CONFIG = {
     "n_x": 4,
@@ -30,25 +27,10 @@ TINY_CONFIG = {
     "seed": 5,
 }
 
-WORKED_CSV = "3,1,1\n3.0,1.0\n5.0,2.0\n7.0,3.0\n"
-PRIOR_JSON = '{"mu_y": [0.0], "C_yy": [[1.0]], "sigma2": 1.0}'
-
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def _parse_printed(name, out):
-    """Grab the numbers printed under a `name =` block."""
-    lines = out.splitlines()
-    start = lines.index(f"{name} =") + 1
-    rows = []
-    for line in lines[start:]:
-        if not line.startswith("  "):
-            break
-        rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows)
 
 
 class TestConfigIO:
@@ -172,22 +154,6 @@ class TestBadConfigValues:
         assert echoed["snr_grid"] == [1.0, 10.0] and type(echoed["snr_grid"][0]) is float
         assert echoed["nt_grid"] == [1000] and type(echoed["nt_grid"][0]) is int
         assert type(echoed["ridge"]) is float
-
-
-class TestMatrixAndDatasetFiles:
-    def test_dataset_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = Dataset(xs=rng.standard_normal((6, 2)), ys=rng.standard_normal((6, 3)))
-        path = tmp_path / "d.csv"
-        write_dataset_csv(path, data)
-        back = read_dataset_csv(path)
-        assert np.array_equal(back.xs, data.xs)
-        assert np.array_equal(back.ys, data.ys)
-
-    def test_dataset_bad_column_count_rejected(self, tmp_path):
-        path = _write(tmp_path / "bad.csv", "1,2,1\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="columns"):
-            read_dataset_csv(path)
 
 
 class TestValidateCommand:
@@ -617,143 +583,15 @@ class TestReplayCommand:
         assert "mc_trials must be >= 1" in capsys.readouterr().err
 
 
-class TestEstimateCommand:
-    def test_discriminative_worked_example(self, tmp_path, capsys):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        assert main(["estimate", "--data", data, "--method", "discriminative"]) == 0
-        out = capsys.readouterr().out
-        assert _parse_printed("A", out)[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert _parse_printed("b", out)[0, 0] == pytest.approx(-0.5, abs=1e-12)
-
-    def test_generative_worked_example(self, tmp_path, capsys):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        prior = _write(tmp_path / "p.json", PRIOR_JSON)
-        assert main(
-            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert _parse_printed("H_hat", out)[0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert _parse_printed("mu_hat", out)[0, 0] == pytest.approx(1.0, abs=1e-12)
-        # Gain under the unit prior: 2 / (4 + 1); offset -G (x_bar - H y_bar).
-        assert _parse_printed("A", out)[0, 0] == pytest.approx(0.4, abs=1e-12)
-        assert _parse_printed("b", out)[0, 0] == pytest.approx(-0.4, abs=1e-12)
-
-    @pytest.mark.parametrize("ridge", ["nan", "inf"])
-    def test_non_finite_ridge_is_usage_error(self, tmp_path, capsys, ridge):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        argv = ["estimate", "--data", data, "--method", "discriminative", "--ridge", ridge]
-        assert main(argv) == 2
-        assert "--ridge must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("header", ["0,2,1", "3,0,1", "3,1,0"])
-    def test_empty_dimension_is_a_data_file_error(self, tmp_path, capsys, header):
-        # The rows agree with the header, so only its zero count is at fault.
-        n_t, n_x, n_y = (int(tok) for tok in header.split(","))
-        rows = "".join(",".join(["1.0"] * (n_x + n_y)) + "\n" for _ in range(n_t))
-        data = _write(tmp_path / "d.csv", header + "\n" + rows)
-        assert main(["estimate", "--data", data, "--method", "discriminative"]) == 2
-        assert "error: data file:" in capsys.readouterr().err
-
-    def test_generative_requires_prior(self, tmp_path, capsys):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        assert main(["estimate", "--data", data, "--method", "generative"]) == 2
-        assert "--prior" in capsys.readouterr().err
-
-    def test_prior_dimension_mismatch_names_fields(self, tmp_path, capsys):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        prior = _write(
-            tmp_path / "p.json",
-            '{"mu_y": [0.0, 0.0], "C_yy": [[1.0, 0.0], [0.0, 1.0]], "sigma2": 1.0}',
-        )
-        assert main(
-            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
-        ) == 1
+class TestCommands:
+    def test_only_run_validate_and_replay_are_commands(self, capsys):
+        # Fitting on one's own data is done through the library, so the
+        # parser rejects `estimate` like any unknown command.
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", "d.csv", "--method", "discriminative"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "C_yy" in err and "ys" in err
-
-    @pytest.mark.parametrize("text", ["5", "null", "[0.0]"])
-    def test_prior_that_is_not_a_json_object_is_a_prior_file_error(self, tmp_path, capsys, text):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        prior = _write(tmp_path / "p.json", text)
-        assert main(
-            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "error: prior file:" in err and "must hold a JSON object" in err
-
-    @pytest.mark.parametrize("field", ["mu_y", "C_yy"])
-    def test_prior_field_that_is_a_json_object_is_a_prior_file_error(self, tmp_path, capsys, field):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        fields = dict(json.loads(PRIOR_JSON), **{field: {"a": 1.0}})
-        prior = _write(tmp_path / "p.json", json.dumps(fields))
-        assert main(
-            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
-        ) == 2
-        assert "error: prior file:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            {"sigma2": "0.5"},
-            {"sigma2": True},
-            {"sigma2": [1.0]},
-            {"mu_y": ["0"]},
-            {"C_yy": [[True]]},
-            # Read as [1, 0] and 1.0 before the check, a prior of the wrong dimension.
-            {"mu_y": [True, False], "C_yy": [[1.0, 0.0], [0.0, 1.0]], "sigma2": True},
-        ],
-    )
-    def test_prior_value_that_is_not_a_json_number_is_a_prior_file_error(
-        self, tmp_path, capsys, override
-    ):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        prior = _write(tmp_path / "p.json", json.dumps(dict(json.loads(PRIOR_JSON), **override)))
-        assert main(
-            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "error: prior file:" in err and "JSON numbers" in err
-
-    def test_prior_of_json_integers_reads_as_floats(self, tmp_path, capsys):
-        data = _write(tmp_path / "d.csv", WORKED_CSV)
-        argv = ["estimate", "--data", data, "--method", "generative", "--prior"]
-        assert main(argv + [_write(tmp_path / "p.json", PRIOR_JSON)]) == 0
-        as_floats = capsys.readouterr().out
-        integers = '{"mu_y": [0], "C_yy": [[1]], "sigma2": 1}'
-        assert main(argv + [_write(tmp_path / "q.json", integers)]) == 0
-        assert capsys.readouterr().out == as_floats
-
-    def test_singular_moment_is_named(self, tmp_path, capsys):
-        constant_targets = "3,1,1\n1.0,5.0\n2.0,5.0\n3.0,5.0\n"
-        data = _write(tmp_path / "d.csv", constant_targets)
-        prior = _write(tmp_path / "p.json", PRIOR_JSON)
-        assert main(
-            ["estimate", "--data", data, "--prior", prior, "--method", "generative"]
-        ) == 1
-        assert "target sample covariance" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "rows, method, moment",
-        [
-            ("1e308,2\n-1e308,3\n", "discriminative", "C_xx"),
-            ("1,1e308\n3,-1e308\n", "generative", "C_yx"),
-        ],
-        ids=["C_xx", "C_yx"],
-    )
-    def test_finite_data_whose_moments_overflow_is_named(
-        self, tmp_path, capsys, rows, method, moment
-    ):
-        data = _write(tmp_path / "d.csv", "2,1,1\n" + rows)
-        prior = _write(tmp_path / "p.json", PRIOR_JSON)
-        assert main(["estimate", "--data", data, "--prior", prior, "--method", method]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and moment in err and "non-finite" in err
-        assert "Traceback" not in err
-
-    def test_degenerate_input_covariance_suggests_fix(self, tmp_path, capsys):
-        two_samples = "2,2,1\n1.0,0.0,1.0\n0.0,1.0,2.0\n"
-        data = _write(tmp_path / "d.csv", two_samples)
-        assert main(["estimate", "--data", data, "--method", "discriminative"]) == 1
-        err = capsys.readouterr().err
-        assert "input sample covariance" in err
-        assert "ridge" in err
+        assert "{run,validate,replay}" in err
+        assert "invalid choice" in err and "estimate" in err
+        listed = err.split("choose from", 1)[1]
+        assert all(command in listed for command in ("run", "validate", "replay"))

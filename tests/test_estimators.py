@@ -113,6 +113,13 @@ class TestDiscriminativeEstimator:
         with pytest.raises(SingularMatrixError, match="input sample covariance"):
             discriminative_estimator(compute_moments(data))
 
+    def test_degenerate_input_covariance_suggests_the_ridge(self):
+        # Two samples of two inputs: the centred inputs span one direction.
+        data = Dataset(xs=[[1.0, 0.0], [0.0, 1.0]], ys=[[1.0], [2.0]])
+        with pytest.raises(SingularMatrixError, match="input sample covariance") as exc:
+            discriminative_estimator(compute_moments(data))
+        assert "ridge" in str(exc.value)
+
     def test_prior_invariance_bitwise(self):
         # The discriminative route never sees KnownStatistics: rebuilding it
         # under different priors must give bit-identical coefficients.
@@ -149,6 +156,15 @@ class TestDiscriminativeEstimator:
 
 
 class TestGenerativeEstimator:
+    def test_worked_scalar_dataset(self):
+        # H_hat = 2 and mu_hat = 1; under the unit prior at sigma2 = 1 the gain
+        # is 2 / (4 + 1) and the offset -G (x_bar - H_hat y_bar) = -0.4.
+        moments = compute_moments(WORKED)
+        known = KnownStatistics(prior=GaussianPrior([0.0], [[1.0]]), sigma2=1.0)
+        est = generative_estimator(fit_ml(moments), known, moments)
+        assert est.A[0, 0] == pytest.approx(0.4, abs=1e-12)
+        assert est.b[0] == pytest.approx(-0.4, abs=1e-12)
+
     def test_identity_shrinkage(self):
         fit = FittedModel(H_hat=np.eye(2), mu_hat=np.zeros(2))
         known = KnownStatistics(prior=GaussianPrior(np.zeros(2), np.eye(2)), sigma2=1.0)

@@ -52,6 +52,16 @@ class TestComputeMoments:
         assert np.allclose(m.C_yy, 0.0, atol=1e-15)
         assert np.allclose(m.C_yx, 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "xs, ys, moment",
+        [([1e308, -1e308], [2.0, 3.0], "C_xx"), ([1.0, 3.0], [1e308, -1e308], "C_yx")],
+        ids=["C_xx", "C_yx"],
+    )
+    def test_finite_data_whose_moments_overflow_is_named(self, xs, ys, moment):
+        data = Dataset(xs=xs, ys=ys)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"{moment} .*non-finite"):
+            compute_moments(data)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
             Dataset(xs=np.empty((0, 2)), ys=np.empty((0, 3)))
