@@ -90,6 +90,28 @@ class TestFitMl:
         with pytest.raises(SingularMatrixError, match="target sample covariance"):
             fit_ml(data)
 
+    def test_ridge_fits_constant_targets(self):
+        # C_yy = 0 and C_yx = 0, so the loaded solve gives H_hat = 0 and
+        # leaves the input mean as the noise mean.
+        data = Dataset(xs=[[1.0], [2.0], [3.0]], ys=[[5.0], [5.0], [5.0]])
+        fit = fit_ml(data, ridge=0.5)
+        assert np.array_equal(fit.H_hat, [[0.0]])
+        assert fit.mu_hat == pytest.approx([2.0], abs=1e-15)
+
+    def test_ridge_loads_the_target_covariance(self):
+        rng = np.random.default_rng(38)
+        data = Dataset(xs=rng.standard_normal((30, 4)), ys=rng.standard_normal((30, 3)))
+        m = compute_moments(data)
+        H_hat = np.linalg.solve(m.C_yy + 0.3 * np.eye(3), m.C_yx).T
+        fit = fit_ml(m, ridge=0.3)
+        assert np.allclose(fit.H_hat, H_hat, rtol=1e-12, atol=1e-14)
+        assert np.allclose(fit.mu_hat, m.x_bar - H_hat @ m.y_bar, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            fit_ml(WORKED, ridge=ridge)
+
 
 class TestDiscriminativeEstimator:
     def test_worked_scalar_dataset(self):
@@ -119,6 +141,30 @@ class TestDiscriminativeEstimator:
         with pytest.raises(SingularMatrixError, match="input sample covariance") as exc:
             discriminative_estimator(compute_moments(data))
         assert "ridge" in str(exc.value)
+
+    def test_suggested_ridge_fits_the_degenerate_inputs(self):
+        # C_xx = 0.25 [[1, -1], [-1, 1]] and C_yx = 0.25 [-1, 1]: C_yx lies
+        # along C_xx's eigenvector of eigenvalue 0.5, so A = 0.25 / (0.5 + r)
+        # [-1, 1], and the loaded rule nearly interpolates both samples.
+        data = Dataset(xs=[[1.0, 0.0], [0.0, 1.0]], ys=[[1.0], [2.0]])
+        est = discriminative_estimator(compute_moments(data), ridge=1e-3)
+        assert est.A[0] == pytest.approx([-0.25 / 0.501, 0.25 / 0.501], abs=1e-12)
+        assert est.b == pytest.approx([1.5], abs=1e-12)
+        assert np.abs(data.xs @ est.A.T + est.b - data.ys).max() < 2e-3
+
+    def test_ridge_loads_the_input_covariance(self):
+        rng = np.random.default_rng(39)
+        data = Dataset(xs=rng.standard_normal((30, 4)), ys=rng.standard_normal((30, 3)))
+        m = compute_moments(data)
+        A = np.linalg.solve(m.C_xx + 0.3 * np.eye(4), m.C_yx.T).T
+        est = discriminative_estimator(m, ridge=0.3)
+        assert np.allclose(est.A, A, rtol=1e-12, atol=1e-14)
+        assert np.allclose(est.b, m.y_bar - A @ m.x_bar, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            discriminative_estimator(compute_moments(WORKED), ridge=ridge)
 
     def test_prior_invariance_bitwise(self):
         # The discriminative route never sees KnownStatistics: rebuilding it
@@ -215,6 +261,29 @@ class TestGenerativeEstimator:
         with pytest.raises(ValueError, match="sigma2"):
             KnownStatistics(prior=prior, sigma2=-1.0)
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_sigma2_must_be_finite(self, sigma2):
+        prior = GaussianPrior(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+            KnownStatistics(prior=prior, sigma2=sigma2)
+
+    def test_integer_prior_reads_as_floats(self):
+        moments = compute_moments(WORKED)
+        fit = fit_ml(moments)
+        as_floats = KnownStatistics(prior=GaussianPrior([0.0], [[1.0]]), sigma2=1.0)
+        integers = KnownStatistics(prior=GaussianPrior([0], [[1]]), sigma2=1)
+        assert type(integers.sigma2) is float
+        a = generative_estimator(fit, as_floats, moments)
+        b = generative_estimator(fit, integers, moments)
+        assert a.A.tobytes() == b.A.tobytes() and a.b.tobytes() == b.b.tobytes()
+
+    def test_prior_of_another_dimension_than_the_targets_is_named(self):
+        # Scalar targets under a two-dimensional prior.
+        moments = compute_moments(WORKED)
+        known = KnownStatistics(prior=GaussianPrior(np.zeros(2), np.eye(2)), sigma2=1.0)
+        with pytest.raises(ValueError, match="prior dimension 2 does not match fitted H_hat columns 1"):
+            generative_estimator(fit_ml(moments), known, moments)
+
     def test_rejects_mismatched_dimensions(self):
         fit = FittedModel(H_hat=np.ones((2, 3)), mu_hat=np.zeros(2))
         known = KnownStatistics(prior=GaussianPrior(np.zeros(2), np.eye(2)), sigma2=1.0)
@@ -223,6 +292,33 @@ class TestGenerativeEstimator:
         known3 = KnownStatistics(prior=GaussianPrior(np.zeros(3), np.eye(3)), sigma2=1.0)
         with pytest.raises(ValueError, match="moments dimensions"):
             generative_estimator(fit, known3, _zero_mean_moments(4, 3))
+
+
+class TestFitOnOwnData:
+    """The README's route for fitting a rule on one's own data: a Dataset built from text columns."""
+
+    @staticmethod
+    def _fit(data, method):
+        moments = compute_moments(data)
+        if method == "discriminative":
+            return discriminative_estimator(moments)
+        known = KnownStatistics(prior=exp_decay_prior(2), sigma2=0.5)
+        return generative_estimator(fit_ml(moments), known, moments)
+
+    @pytest.mark.parametrize("method", ["generative", "discriminative"])
+    def test_text_file_columns_fit_like_the_arrays(self, tmp_path, method):
+        # One sample per line, the 3 inputs then the 2 targets; 17 significant
+        # digits read back every float exactly.
+        rng = np.random.default_rng(40)
+        xs, ys = rng.standard_normal((25, 3)), rng.standard_normal((25, 2))
+        path = tmp_path / "pairs.txt"
+        np.savetxt(path, np.hstack([xs, ys]), fmt="%.17g")
+        table = np.loadtxt(path)
+        loaded = self._fit(Dataset(xs=table[:, :3], ys=table[:, 3:]), method)
+        direct = self._fit(Dataset(xs=xs, ys=ys), method)
+        assert loaded.A.tobytes() == direct.A.tobytes()
+        assert loaded.b.tobytes() == direct.b.tobytes()
+        assert loaded.provenance is Provenance(method)
 
 
 class TestOracleLmmse:

@@ -75,6 +75,31 @@ class TestComputeMoments:
         with pytest.raises(ValueError, match="pair up"):
             Dataset(xs=[[1.0], [2.0]], ys=[[1.0]])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["xs", "ys"])
+    def test_non_finite_entry_is_named(self, field, entry):
+        arrays = {"xs": [[1.0, 2.0], [3.0, 4.0]], "ys": [[1.0], [2.0]]}
+        arrays[field][1][0] = entry
+        with pytest.raises(ValueError, match=f"{field} contains non-finite entries"):
+            Dataset(**arrays)
+
+    def test_three_dimensional_arrays_rejected(self):
+        with pytest.raises(ValueError, match="1- or 2-dimensional"):
+            Dataset(xs=np.ones((2, 2, 2)), ys=np.ones((2, 1)))
+
+    def test_one_dimensional_arrays_are_columns(self):
+        as_columns = Dataset(xs=[[3.0], [5.0], [7.0]], ys=[[1.0], [2.0], [3.0]])
+        assert WORKED.xs.shape == (3, 1) and WORKED.ys.shape == (3, 1)
+        assert WORKED.xs.tobytes() == as_columns.xs.tobytes()
+        assert WORKED.ys.tobytes() == as_columns.ys.tobytes()
+
+    def test_integer_data_reads_as_floats(self):
+        data = Dataset(xs=[3, 5, 7], ys=[1, 2, 3])
+        assert data.xs.dtype == np.float64 and data.ys.dtype == np.float64
+        m, m_float = compute_moments(data), compute_moments(WORKED)
+        for name in ("x_bar", "y_bar", "C_yx", "C_yy", "C_xx"):
+            assert getattr(m, name).tobytes() == getattr(m_float, name).tobytes()
+
     def test_cxy_is_transpose_of_cyx(self):
         rng = np.random.default_rng(1)
         m = compute_moments(Dataset(xs=rng.standard_normal((20, 4)), ys=rng.standard_normal((20, 3))))
