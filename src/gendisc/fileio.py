@@ -3,6 +3,12 @@
 Experiment configs and the run manifest are JSON; sweep results are CSV,
 with a one-line header of column names. Results are written with shortest
 round-trip float formatting so identical runs produce byte-identical files.
+Each format takes its fields from the dataclass it serializes: the config
+keys from :class:`~gendisc.harness.ExperimentConfig`, the result columns
+from :class:`~gendisc.harness.MseRow` and the measurement-map kinds from
+:data:`~gendisc.synth.Nonlinearity`. A config is checked by
+``ExperimentConfig.violations`` alone, once this module has found it to be a
+JSON object with no unknown key.
 """
 
 from __future__ import annotations
@@ -11,99 +17,39 @@ import csv
 import json
 import os
 import tempfile
+from dataclasses import fields
 
-from .harness import ExperimentConfig, MseReport
-from .synth import Cubic, Linear, Nonlinearity, Tanh
+from .harness import ExperimentConfig, MseReport, MseRow
+from .synth import nonlinearity_to_dict
 
-RESULTS_COLUMNS = (
-    "sweep_name",
-    "sweep_value",
-    "estimator",
-    "mean_mse",
-    "std_err",
-    "trials_ok",
-    "trials_failed",
-)
+RESULTS_COLUMNS = tuple(f.name for f in fields(MseRow))
 
 
 class ConfigError(ValueError):
-    """A config is not a JSON object, or has an unknown key or a malformed nonlinearity."""
-
-
-def nonlinearity_from_dict(value) -> Nonlinearity:
-    """Parse a nonlinearity entry: a kind string or {"kind": ..., params}.
-
-    Tanh takes ``scale`` and cubic ``alpha``, each optional; a parameter of
-    another kind is an error, not dropped.
-    """
-    if isinstance(value, str):
-        value = {"kind": value}
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError("nonlinearity: expected a kind string or an object with a 'kind' key")
-    params = dict(value)
-    kind = params.pop("kind")
-    extra = set(params) - {"scale", "alpha"}
-    if extra:
-        raise ConfigError(f"nonlinearity: unknown keys {sorted(extra)}")
-    kinds = {"linear": (Linear, set()), "tanh": (Tanh, {"scale"}), "cubic": (Cubic, {"alpha"})}
-    if not (isinstance(kind, str) and kind in kinds):
-        raise ConfigError(f"nonlinearity: unknown kind {kind!r} (expected linear, tanh or cubic)")
-    cls, known = kinds[kind]
-    foreign = set(params) - known
-    if foreign:
-        raise ConfigError(f"nonlinearity: {kind} takes no {sorted(foreign)}")
-    try:
-        return cls(**params)
-    except ValueError as exc:
-        raise ConfigError(f"nonlinearity: {exc}") from None
-
-
-def nonlinearity_to_dict(nl: Nonlinearity) -> dict:
-    if isinstance(nl, Linear):
-        return {"kind": "linear"}
-    if isinstance(nl, Tanh):
-        return {"kind": "tanh", "scale": nl.scale}
-    if isinstance(nl, Cubic):
-        return {"kind": "cubic", "alpha": nl.alpha}
-    raise ValueError(f"unknown nonlinearity {nl!r}")
+    """A config is not a JSON object, or has a key that is not an ExperimentConfig field."""
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON-style dict, filling defaults.
+    """Build an ExperimentConfig from a JSON-style dict; a missing field takes its default.
 
-    A value that is not a JSON object, an unknown key or a malformed
-    nonlinearity raises :class:`ConfigError`; every other field is checked,
-    its type included, by ``ExperimentConfig.violations``, so that a
+    A value that is not a JSON object, or a key that names no field, raises
+    :class:`ConfigError`; every field, its type and the nonlinearity's form
+    included, is checked by ``ExperimentConfig.violations``, so that a
     validator can list every problem at once.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_CONFIG_DEFAULTS)
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    merged = {**_CONFIG_DEFAULTS, **raw}
-    merged["nonlinearity"] = nonlinearity_from_dict(merged["nonlinearity"])
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**raw)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Resolved JSON-ready echo of a config; feeding it back reproduces the run."""
-    return {
-        "n_x": cfg.n_x,
-        "n_y": cfg.n_y,
-        "snr_grid": list(cfg.snr_grid),
-        "nt_grid": list(cfg.nt_grid),
-        "mc_trials": cfg.mc_trials,
-        "seed": cfg.seed.master,
-        "prior_mode": cfg.prior_mode,
-        "h_mode": cfg.h_mode,
-        "nonlinearity": nonlinearity_to_dict(cfg.nonlinearity),
-        "estimator_set": list(cfg.estimator_set),
-        "ridge": cfg.ridge,
-    }
-
-
-_CONFIG_DEFAULTS = config_to_dict(ExperimentConfig())
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    echo.update(seed=cfg.seed.master, nonlinearity=nonlinearity_to_dict(cfg.nonlinearity))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in echo.items()}
 
 
 def _format_cell(value) -> str:
@@ -120,18 +66,7 @@ def write_results_csv(path, report: MseReport) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_COLUMNS)
         for row in report.rows:
-            sweep_value = int(row.sweep_value) if row.sweep_name == "nt" else row.sweep_value
-            writer.writerow(
-                [
-                    row.sweep_name,
-                    _format_cell(sweep_value),
-                    row.estimator,
-                    _format_cell(row.mean_mse),
-                    _format_cell(row.std_err),
-                    row.trials_ok,
-                    row.trials_failed,
-                ]
-            )
+            writer.writerow([_format_cell(getattr(row, column)) for column in RESULTS_COLUMNS])
 
 
 def read_results_csv(path) -> list[dict]:

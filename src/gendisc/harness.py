@@ -84,6 +84,7 @@ from .synth import (
     _is_real,
     draw_training,
     exp_decay_prior,
+    nonlinearity_from_dict,
     random_measurement_matrix,
 )
 
@@ -129,9 +130,14 @@ class ExperimentConfig:
     swept (``snr_grid`` when both hold one) and the other supplies the fixed
     parameter. ``prior_mode == "identity_mismatch"`` replaces the prior
     covariance by the identity inside the side information handed to the
-    generative estimator, never in data generation. Construction never
-    raises: a field of the wrong type is kept as given, and
-    :meth:`violations` names it with every other problem.
+    generative estimator, never in data generation. ``nonlinearity`` may be
+    given as a map or in its JSON form, a kind string or a dict (see
+    :func:`~gendisc.synth.nonlinearity_from_dict`), which is parsed; an
+    integer ``seed`` becomes a :class:`~gendisc.synth.Seed`. Construction
+    never raises: a field of the wrong type, or a map that does not parse,
+    is kept as given, and :meth:`violations` names it with every other
+    problem. This is the one place a config is checked; a config file adds
+    only the checks that it is a JSON object and that it has no unknown key.
     """
 
     n_x: int = 28
@@ -160,6 +166,9 @@ class ExperimentConfig:
         if not isinstance(self.seed, Seed):
             with contextlib.suppress(ValueError):
                 object.__setattr__(self, "seed", Seed(self.seed))
+        if not isinstance(self.nonlinearity, Nonlinearity):
+            with contextlib.suppress(ValueError):
+                object.__setattr__(self, "nonlinearity", nonlinearity_from_dict(self.nonlinearity))
 
     def violations(self) -> list[str]:
         """All violated invariants, types included, empty when the config is runnable.
@@ -224,7 +233,10 @@ class ExperimentConfig:
         if not (isinstance(self.h_mode, str) and self.h_mode in H_MODES):
             problems.append(f"h_mode must be one of {H_MODES}, got {self.h_mode!r}")
         if not isinstance(self.nonlinearity, Nonlinearity):
-            problems.append(f"nonlinearity must be Linear, Tanh or Cubic, got {self.nonlinearity!r}")
+            try:
+                nonlinearity_from_dict(self.nonlinearity)
+            except ValueError as exc:
+                problems.append(str(exc))
         if not _is_real(self.ridge):
             problems.append(f"ridge must be a number, got {self.ridge!r}")
         elif not (np.isfinite(self.ridge) and self.ridge >= 0.0):
@@ -289,7 +301,7 @@ class TrialOutcome:
 @dataclass(frozen=True)
 class MseRow:
     sweep_name: str
-    sweep_value: float
+    sweep_value: float | int
     estimator: str
     mean_mse: Optional[float]
     std_err: Optional[float]

@@ -24,7 +24,7 @@ disjoint child indices to its work items reproduces draws bit-for-bit.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -114,7 +114,7 @@ class Cubic:
     alpha: float = 0.1
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and np.isfinite(self.alpha)):
+        if not (_is_real(self.alpha) and np.isfinite(float(self.alpha))):
             raise ValueError(f"cubic alpha must be a finite number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -123,6 +123,42 @@ class Cubic:
 
 
 Nonlinearity = Linear | Tanh | Cubic
+_KINDS = {cls.__name__.lower(): cls for cls in Nonlinearity.__args__}
+
+
+def nonlinearity_from_dict(value) -> Nonlinearity:
+    """Parse a measurement map given as a kind string or ``{"kind": ..., params}``.
+
+    The kinds are the lower-cased names of the :data:`Nonlinearity` classes,
+    and each takes its own fields as optional parameters (tanh ``scale``,
+    cubic ``alpha``); a parameter of another kind is an error, not dropped.
+    Anything malformed raises ``ValueError``, with a message that starts
+    ``nonlinearity:``.
+    """
+    if isinstance(value, str):
+        value = {"kind": value}
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ValueError("nonlinearity: expected a kind string or an object with a 'kind' key")
+    params = dict(value)
+    kind = params.pop("kind")
+    extra = set(params) - {f.name for cls in _KINDS.values() for f in fields(cls)}
+    if extra:
+        raise ValueError(f"nonlinearity: unknown keys {sorted(extra, key=str)}")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ValueError(f"nonlinearity: unknown kind {kind!r} (expected one of {list(_KINDS)})")
+    cls = _KINDS[kind]
+    foreign = set(params) - {f.name for f in fields(cls)}
+    if foreign:
+        raise ValueError(f"nonlinearity: {kind} takes no {sorted(foreign)}")
+    try:
+        return cls(**params)
+    except ValueError as exc:
+        raise ValueError(f"nonlinearity: {exc}") from None
+
+
+def nonlinearity_to_dict(nl: Nonlinearity) -> dict:
+    """The JSON form of a measurement map, which :func:`nonlinearity_from_dict` reads back."""
+    return {"kind": type(nl).__name__.lower(), **asdict(nl)}
 
 
 @dataclass(frozen=True)
@@ -178,7 +214,7 @@ class TrueModel:
             raise ValueError(f"mu_w length {mu.shape[0]} does not match H rows {H.shape[0]}")
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
-        if not isinstance(self.nonlinearity, (Linear, Tanh, Cubic)):
+        if not isinstance(self.nonlinearity, Nonlinearity):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         object.__setattr__(self, "H", _frozen(H))
         object.__setattr__(self, "mu_w", _frozen(mu))

@@ -15,6 +15,7 @@ from gendisc.fileio import (
     config_from_dict,
     config_to_dict,
     read_results_csv,
+    write_json_atomic,
 )
 from gendisc.harness import ExperimentConfig, compute_mse, sweep
 
@@ -56,8 +57,8 @@ class TestConfigIO:
         path = _write(tmp_path / "c.json", json.dumps({"mc_trials": "many"}))
         assert main(["validate", path]) == 1
         assert "mc_trials" in capsys.readouterr().err
-        with pytest.raises(ConfigError, match="nonlinearity"):
-            config_from_dict({"nonlinearity": {"kind": "sigmoid"}})
+        problems = config_from_dict({"nonlinearity": {"kind": "sigmoid"}}).violations()
+        assert any(p.startswith("nonlinearity: unknown kind 'sigmoid'") for p in problems)
 
     def test_nonlinearity_round_trip(self):
         for spec in ({"kind": "linear"}, {"kind": "tanh", "scale": 2.0}, {"kind": "cubic", "alpha": 0.3}):
@@ -101,6 +102,18 @@ class TestBadConfigValues:
         assert main(["validate", path]) == 1
         err = capsys.readouterr().err
         assert all(f"error: {field} must be" in err for field in bad)
+
+    def test_malformed_nonlinearity_named_with_every_other_problem(self, tmp_path, capsys):
+        path = _write(
+            tmp_path / "c.json", json.dumps({"nonlinearity": "foo", "mc_trials": 0, "n_x": -1})
+        )
+        assert main(["validate", path]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 3 and all(line.startswith("error: ") for line in errors)
+        for message in (
+            "nonlinearity: unknown kind 'foo'", "mc_trials must be >= 1", "n_x must be >= 1"
+        ):
+            assert any(message in line for line in errors)
 
     @pytest.mark.parametrize(
         "override",
@@ -186,6 +199,11 @@ class TestValidateCommand:
             ({"mc_trials": 10**8}, "budget"),
             # 0.72 GB of scores per SNR cell fits the 1 GiB budget; two cells held together do not.
             ({"mc_trials": 30_000_000, "snr_grid": [1.0, 10.0]}, "budget"),
+            ({"estimator_set": ["generative", "generative"]}, "estimator_set contains duplicates"),
+            ({"snr_grid": [0.0]}, "snr_grid entries must be finite and positive"),
+            ({"snr_grid": [-1.0]}, "snr_grid entries must be finite and positive"),
+            ({"snr_grid": [float("inf")]}, "snr_grid entries must be finite and positive"),
+            ({"snr_grid": [float("nan")]}, "snr_grid entries must be finite and positive"),
         ],
     )
     def test_validate_and_run_agree_on_unrunnable_config(self, tmp_path, capsys, override, message):
@@ -203,6 +221,7 @@ class TestValidateCommand:
             ('{"kind": "tanh", "scale": 1e400}', "tanh scale must be a finite positive number"),
             ('{"kind": "linear", "scale": 2}', "linear takes no ['scale']"),
             ('{"kind": "tanh", "alpha": 0.1}', "tanh takes no ['alpha']"),
+            ('{"kind": "tanh", "bogus": 1}', "unknown keys ['bogus']"),
         ],
     )
     def test_nonlinearity_parameter_that_would_be_lost_rejected(
@@ -302,6 +321,26 @@ class TestValidateCommand:
 
 
 class TestRunCommand:
+    def test_output_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        out = _write(tmp_path / "out", "")
+        assert main(["run", cfg_path, "--out", out]) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+
+    def test_unwritable_results_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        (tmp_path / "out" / "results.csv").mkdir(parents=True)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "error: cannot write outputs" in capsys.readouterr().err
+
+    def test_unserializable_json_leaves_the_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "manifest.json"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            write_json_atomic(target, {"value": object()})
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_smoke_run_outputs(self, tmp_path, capsys):
         cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
         out_dir = tmp_path / "out"

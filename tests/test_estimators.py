@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from gendisc.moments import (
     condition_events,
     gain_direct,
     gain_lemma,
+    spd_solve,
+    woodbury_invert,
 )
 from gendisc.synth import (
     Cubic,
@@ -788,3 +791,40 @@ class TestMeasurementMoments:
         monkeypatch.setattr(estimators, "_SERIES_MAX_ORDER", 1500)
         series = estimators._hermite_moments(tanh.apply, np.zeros(4), H @ H.T)[2]
         assert m.Q[0, 3] == pytest.approx(series[0, 3], rel=1e-10)
+
+
+_PRIOR_2 = GaussianPrior(mu_y=np.zeros(2), C_yy=np.eye(2))
+_MOMENTS_2 = dict(x_bar=np.zeros(2), y_bar=np.zeros(2), C_yx=np.eye(2), C_yy=np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FittedModel(H_hat=np.ones((2, 2)), mu_hat=np.zeros(3)),
+         "mu_hat length 3 does not match H_hat rows 2"),
+        (lambda: KnownStatistics(prior=np.eye(2), sigma2=1.0), "prior must be a GaussianPrior"),
+        (lambda: AffineEstimator(np.ones((2, 2)), np.zeros(3), Provenance.GENERATIVE),
+         "b length 3 does not match A rows 2"),
+        (lambda: measurement_moments(_PRIOR_2, np.ones((3, 4)), Linear()),
+         "H shape (3, 4) does not match prior dimension 2"),
+        (lambda: TrueModel(H=np.ones((3, 2)), mu_w=np.zeros(2), sigma2=1.0),
+         "mu_w length 2 does not match H rows 3"),
+        (lambda: TrueModel(H=np.ones((3, 2)), mu_w=np.zeros(3), sigma2=-1.0),
+         "sigma2 must be finite and nonnegative, got -1.0"),
+        (lambda: TrueModel(H=np.ones((3, 2)), mu_w=np.zeros(3), sigma2=1.0, nonlinearity="tanh"),
+         "unknown nonlinearity 'tanh'"),
+        (lambda: exp_decay_prior(0), "n_y must be at least 1, got 0"),
+        (lambda: exp_decay_prior(3, length_scale=0), "length_scale must be positive, got 0"),
+        (lambda: random_measurement_matrix(0, 3, Seed(1)),
+         "dimensions must be at least 1, got (0, 3)"),
+        (lambda: SampleMoments(**_MOMENTS_2, C_xx=np.eye(3), n_t=5), "inconsistent moment shapes"),
+        (lambda: SampleMoments(**_MOMENTS_2, C_xx=np.eye(2), n_t=0),
+         "n_t must be at least 1, got 0"),
+        (lambda: spd_solve(np.ones((2, 3)), np.ones(2)), "matrix must be square, got shape (2, 3)"),
+        (lambda: woodbury_invert(np.ones((3, 2)), np.eye(3), 1.0),
+         "shape mismatch: H is (3, 2), C is (3, 3)"),
+    ],
+)
+def test_public_constructor_rejects_malformed_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

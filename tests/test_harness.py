@@ -1094,6 +1094,14 @@ class TestConfigValidation:
         (problem,) = cfg.violations()
         assert "budget" in problem and "len(nt_grid)" in problem
 
+    @pytest.mark.parametrize(
+        "given, parsed", [("tanh", Tanh()), ({"kind": "cubic", "alpha": 0.2}, Cubic(alpha=0.2))]
+    )
+    def test_nonlinearity_given_in_its_json_form_is_parsed(self, given, parsed):
+        cfg = ExperimentConfig(nonlinearity=given)
+        assert cfg.violations() == []
+        assert cfg == ExperimentConfig(nonlinearity=parsed)
+
     def test_nonlinear_maps_accept_every_estimator(self):
         cfg = ExperimentConfig(
             nonlinearity=Cubic(alpha=0.1), estimator_set=tuple(p.value for p in Provenance)

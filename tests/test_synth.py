@@ -371,6 +371,8 @@ class TestNonlinearities:
     def test_parameters_stored_as_floats(self):
         assert type(Tanh(scale=2).scale) is float and Tanh(scale=2) == Tanh(scale=2.0)
         assert type(Cubic(alpha=np.float32(0.5)).alpha) is float
+        # An integer past int64 but within the float range, as JSON may give it.
+        assert Cubic(alpha=10**300) == Cubic(alpha=1e300)
 
 
 class TestRandomMeasurementMatrix:

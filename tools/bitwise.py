@@ -5,6 +5,10 @@ warnings silenced. Each rule's rows of its report (every mean, standard
 error and trial count, to the bit) are hashed as ``repr`` on a line of their
 own, and the report's metadata (every failure reason and condition-warning
 count) on one more, so that a diff names the rule and the config that moved.
+Two more lines cover the file formats: the bytes of ``results.csv`` as
+``gendisc.fileio.write_results_csv`` writes the report, and the config echo
+of ``gendisc.fileio.config_to_dict`` as ``json.dumps`` writes it with sorted
+keys.
 A change meant to keep the output bytes prints the same lines before and
 after::
 
@@ -26,7 +30,9 @@ integer SNRs and ridge and integral-float sample counts as JSON writes them.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -144,7 +150,7 @@ def configs() -> dict[str, dict]:
 
 def main(src: Path = SRC) -> int:
     sys.path.insert(0, str(src))
-    from gendisc.fileio import config_from_dict
+    from gendisc.fileio import config_from_dict, config_to_dict, write_results_csv
     from gendisc.harness import sweep
 
     for name, raw in configs().items():
@@ -153,10 +159,18 @@ def main(src: Path = SRC) -> int:
             cfg = config_from_dict(raw)
             report = sweep(cfg)
         rules = cfg.estimator_set
-        parts = {rule: [row for row in report.rows if row.estimator == rule] for rule in rules}
-        parts["metadata"] = report.metadata
-        for part, value in parts.items():
-            print(f"{hashlib.sha256(repr(value).encode()).hexdigest()}  {name}  {part}")
+        parts = {
+            rule: repr([row for row in report.rows if row.estimator == rule]).encode()
+            for rule in rules
+        }
+        parts["metadata"] = repr(report.metadata).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "results.csv"
+            write_results_csv(path, report)
+            parts["results.csv"] = path.read_bytes()
+        parts["config_echo"] = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
+        for part, data in parts.items():
+            print(f"{hashlib.sha256(data).hexdigest()}  {name}  {part}")
     return 0
 
 
