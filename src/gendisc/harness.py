@@ -1,45 +1,47 @@
 """Seeded Monte Carlo engine for MSE-versus-SNR and MSE-versus-sample-size sweeps.
 
-Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``) and
-a fresh training set, and scores every requested estimator at every SNR of
-the grid by its exact risk under the true data distribution
-(:func:`~gendisc.estimators.affine_risk`), so no test pair is drawn and a
-cell's standard error covers only the training draws and H. The training set
-is drawn as its sample moments (:func:`~gendisc.synth.draw_training`), free of
-the noise level, so the SNR cells of a trial share it (common random numbers).
+Each trial draws a fresh measurement matrix (unless frozen by ``h_mode``)
+and a fresh training set per sample-count cell, and scores every requested
+estimator at every SNR of the grid by its exact risk under the true data
+distribution (:func:`~gendisc.estimators.affine_risk`), so no test pair is
+drawn and a cell's standard error covers only the training draws and H. The
+training set is drawn as its sample moments
+(:func:`~gendisc.synth.draw_training`), free of the noise level, so the SNR
+cells of a trial share it, and its sample-count cells share its H (common
+random numbers).
 A trial is scored on plain arrays, by the formulas the public constructors
 use but without their input checks: inputs are checked where they enter (the
 config, the public functions), never per cell. What does not depend on the
-noise is computed once and shared through one keyed memo, :func:`_shared`:
-a memo of the trial keeps the target sample covariance's factor and the
+noise is computed once and shared through one keyed memo, :func:`_shared`: a
+memo of the trial keeps the target sample covariance's factor and the
 discriminative vanishing-noise gain, and the ``memo`` of the trial's
-channel, made once per sweep when H is frozen, keeps the generative
-vanishing-noise gain and each untrained rule per noise variance; the
-channel also holds the population moments of the map and the population
-fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A shared
-result's failures and condition warnings are counted in every cell that
-uses it. The oracle is the population LMMSE under every map, so it is also
-the discriminative asymptote, and the two are built once for both. The
+channel, made once per trial (per sweep when H is frozen), keeps the
+generative vanishing-noise gain and each untrained rule's score per noise
+variance; the channel also holds the population moments of the map and the
+population fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A
+shared result's failures and condition warnings are counted in every cell
+that uses it. The oracle is the population LMMSE under every map, so it is
+also the discriminative asymptote, and the two are built once for both. The
 generative asymptote is the generative rule built from the population fit
 and means, with the generative rule's side information, by the helper its
 public constructor uses.
-:func:`sweep` cuts the trials into contiguous chunks, one per usable CPU,
-with the same cut in every sample-count cell: it scores the first chunk of
-every cell itself and each other chunk in a worker process, forked once per
-sweep; each trial is scored at every SNR. The workers write their scores
-into memory the processes share and, once they have scored every cell,
-send back in one message only each cell's tally: its condition-warning
-count and its failure count per rule and reason. The tallies are merged
-in trial order, so the report is the same bits for any number of
-workers. A trial's randomness comes from a counter-based child seed of
-(sample-count cell, trial), so results do not depend on the order
-trials run in, nor on which other SNRs share the grid; construction
-failures (singular sample covariances at small sample counts, non-finite
-moments) are recorded per cell rather than aborting the sweep. Memory is
-one float64 score per trial, estimator and cell of the sweep, kept at the
-trial's index with NaN for a failure, plus failure counts grouped by
-reason, each with the first trial it struck so that it can be replayed
-with :func:`run_trial`, the one-SNR case of the same code.
+:func:`sweep` cuts the trials into contiguous chunks, one per usable CPU: it
+scores the first chunk itself and each other chunk in a worker process,
+forked once per sweep; each trial is scored in every sample-count cell and
+at every SNR. The workers write their scores into memory the processes share
+and, once they have scored their chunk, send back in one message only each
+cell's tally: its condition-warning count and its failure count per rule and
+reason. The tallies are merged in trial order, so the report is the same
+bits for any number of workers. A trial's randomness comes from
+counter-based child seeds, of (sample-count cell 0, trial) for H and of
+(sample-count cell, trial) for a training draw, so results do not depend on
+the order trials run in, nor on which other SNRs share the grid;
+construction failures (singular sample covariances at small sample counts,
+non-finite moments) are recorded per cell rather than aborting the sweep.
+Memory is one float64 score per trial, estimator and cell of the sweep, kept
+at the trial's index with NaN for a failure, plus failure counts grouped by
+reason, each with the first trial it struck so that it can be replayed with
+:func:`run_trial`, the one-SNR case of the same code.
 """
 
 from __future__ import annotations
@@ -381,10 +383,11 @@ class _Channel(_Truth):
     """A trial's measurement map ``x = g(H y) + w`` and what its rules read of it.
 
     ``known`` is the prior handed to the generative rules. Made once per
-    trial, or once per sweep when H is frozen, so that what rests on H alone
-    is computed once per H: the truth's products, the population fit among
-    them, and, kept in ``memo`` by :func:`_shared`, the generative high-SNR
-    gain and, per noise variance, each untrained rule.
+    trial for all its sample-count cells, or once per sweep when H is
+    frozen, so that what rests on H alone is computed once per H: the
+    truth's products, the population fit among them, and, kept in ``memo``
+    by :func:`_shared`, the generative high-SNR gain and, per noise
+    variance, each untrained rule's score.
     """
 
     def __init__(self, prior, known, H, mu_w, nonlinearity):
@@ -407,8 +410,10 @@ def _score_cells(
     overflow once, and its factor and the discriminative high-SNR gain are
     kept, by :func:`_shared`, in a memo of the trial that its cells share.
     The generative rule and its asymptote are built at the cell's own noise
-    variance. The arithmetic is that of the public constructors and
-    :func:`~gendisc.estimators.affine_risk`, without their input checks.
+    variance; each untrained rule is scored once per channel and noise
+    variance, in ``ch.memo``. The arithmetic is that of the public
+    constructors and :func:`~gendisc.estimators.affine_risk`, without their
+    input checks.
     """
     draw = None
     if not _TRAINED.isdisjoint(names):
@@ -442,13 +447,13 @@ def _score_cells(
                         G = _shared(memo, name, lambda: gain_direct(ch.H, C_yy, 0.0))
                         rule = G, y_bar - G @ x_bar
                     elif name == Provenance.GENERATIVE_ASYMPTOTE:
-                        key = name, sigma2
-                        build = partial(_generative_asymptote, ch, ch.known, sigma2)
-                        rule = _shared(ch.memo, key, build)
+                        key, build = (name, sigma2), partial(_generative_asymptote, ch, ch.known)
                     else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
-                        key = "population LMMSE", sigma2
-                        rule = _shared(ch.memo, key, lambda: _oracle(ch, sigma2))
-                    out[k, e] = ch.risk(*rule, sigma2)
+                        key, build = ("population LMMSE", sigma2), partial(_oracle, ch)
+                    if name in _TRAINED:
+                        out[k, e] = ch.risk(*rule, sigma2)
+                    else:  # an untrained rule is scored once per channel and noise variance
+                        out[k, e] = _shared(ch.memo, key, lambda: ch.risk(*build(sigma2), sigma2))
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
                     exc.with_traceback(None)  # a shared error outlives this frame; unpin it
@@ -492,11 +497,10 @@ def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
     return "snr", [SweepPoint(index=i, snr=s, n_t=n_t) for i, s in enumerate(cfg.snr_grid)]
 
 
-def _trial(cfg: ExperimentConfig, nt_index: int, trial_index: int, constants) -> tuple:
-    """The channel and seed of trial ``trial_index`` of sample-count cell ``nt_index``."""
+def _trial(cfg: ExperimentConfig, trial_index: int, constants) -> _Channel:
+    """The channel of trial ``trial_index`` in every sample-count cell, from cell 0's stream."""
     prior, known_prior, ch = constants
-    seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
-    return ch or _channel(cfg, prior, known_prior, seed.child(2)), seed
+    return ch or _channel(cfg, prior, known_prior, cfg.seed.child(_NS_TRIAL, 0, trial_index, 2))
 
 
 def run_trial(
@@ -506,11 +510,12 @@ def run_trial(
 
     Deterministic in (cfg, point, trial_index), and bitwise equal to the
     outcome :func:`sweep` scored for that cell and trial. The trial's
-    randomness comes from the child stream (master, 0, sample-count cell
+    training draw comes from the child stream (master, 0, sample-count cell
     index, trial index), the sample-count cell index being ``point.index``
     in a sweep of ``nt_grid`` and 0 in a sweep of ``snr_grid``: every SNR
-    cell shares the trial's draws. The frozen measurement matrix (when
-    ``h_mode == "fixed_once"``) is drawn once from (master, 1).
+    cell shares the trial's draws. Its measurement matrix comes from
+    (master, 0, 0, trial index, 2), cell 0's stream, in every sample-count
+    cell, or, frozen when ``h_mode == "fixed_once"``, once from (master, 1).
     ``constants`` is ``sweep_constants(cfg)``, built here when omitted.
     Raises ``ValueError`` listing every violation when the config is not
     runnable.
@@ -518,7 +523,8 @@ def run_trial(
     cfg.validate()
     sweep_name, _ = sweep_points(cfg)
     nt_index = point.index if sweep_name == "nt" else 0
-    ch, seed = _trial(cfg, nt_index, trial_index, constants or sweep_constants(cfg))
+    ch = _trial(cfg, trial_index, constants or sweep_constants(cfg))
+    seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
     names = cfg.estimator_set
     out = np.empty((1, len(names)))
     ((failures, warning_count),) = _score_cells(
@@ -553,54 +559,60 @@ def _count(reasons: dict, name: str, why: str, count: int, first_trial: int) -> 
 
 
 def _score_trials(
-    cfg: ExperimentConfig, constants, j: int, sigma2s, scores, start, stop, parent=None
-) -> list[dict]:
-    """Score trials ``start`` to ``stop - 1`` of sample-count cell ``j`` into ``scores``.
+    cfg: ExperimentConfig, constants, sigma2s, scores, start, stop, parent=None
+) -> list[list[dict]]:
+    """Score trials ``start`` to ``stop - 1`` of every sample-count cell into ``scores``.
 
-    Trial ``t`` is scored by :func:`_score_cells` into ``scores[:, :, t]``.
-    Returns each SNR cell's tally as the manifest prints it: its
-    ``condition_warnings`` count and its ``failure_reasons``, per rule and
-    reason (see :class:`TrialOutcome`) the ``count`` of failing trials and
-    the ``first_trial`` among them, so that its size does not grow with the
-    trials. With ``parent``, a worker's, raises ``RuntimeError`` before any
-    trial once that process is no longer its parent.
+    Trial ``t`` builds one channel (:func:`_trial`), on which each cell
+    ``j`` scores it by :func:`_score_cells` into ``scores[j, :, :, t]``.
+    Returns, per sample-count cell, each SNR cell's tally as the manifest
+    prints it: its ``condition_warnings`` count and its ``failure_reasons``,
+    per rule and reason (see :class:`TrialOutcome`) the ``count`` of failing
+    trials and the ``first_trial`` among them, so that its size does not
+    grow with the trials. An error raised in cell ``j`` gets ``j`` as its
+    ``cell`` attribute. With ``parent``, a worker's, raises
+    ``RuntimeError`` before any trial once that process is no longer its
+    parent.
     """
-    tallies = [{"condition_warnings": 0, "failure_reasons": {}} for _ in sigma2s]
+    names, ridge = cfg.estimator_set, cfg.ridge
+    tallies = [[{"condition_warnings": 0, "failure_reasons": {}} for _ in sigma2s] for _ in scores]
     for trial in range(start, stop):
         if parent is not None and os.getppid() != parent:
             raise RuntimeError("the sweep's parent process exited")
-        ch, seed = _trial(cfg, j, trial, constants)
-        cells = _score_cells(
-            ch, cfg.estimator_set, cfg.ridge, cfg.nt_grid[j], seed, sigma2s, scores[:, :, trial]
-        )
-        for tally, (failures, warning_count) in zip(tallies, cells):
-            tally["condition_warnings"] += warning_count
-            for name, why in failures.items():
-                _count(tally["failure_reasons"], name, why, 1, trial)
+        ch = _trial(cfg, trial, constants)
+        for j, n_t in enumerate(cfg.nt_grid):
+            seed = cfg.seed.child(_NS_TRIAL, j, trial)
+            try:
+                cells = _score_cells(ch, names, ridge, n_t, seed, sigma2s, scores[j, ..., trial])
+            except BaseException as exc:
+                exc.cell = j
+                raise
+            for tally, (failures, warning_count) in zip(tallies[j], cells):
+                tally["condition_warnings"] += warning_count
+                for name, why in failures.items():
+                    _count(tally["failure_reasons"], name, why, 1, trial)
     return tallies
 
 
-def _work(score: Callable, cells: int, results: int) -> None:
-    """Run a forked worker: score each sample-count cell, send one message, then exit.
+def _work(score: Callable, results: int) -> None:
+    """Run a forked worker: score its chunk of trials, send one message, then exit.
 
-    Sends ``(True, [score(j) for j in range(cells)])``, each cell's SNR
-    tallies, over the pipe ``results`` once every cell is scored or, when
-    cell ``j`` raises, ``(False, (j, traceback))``. Leaves only through
+    Sends ``(True, score())``, each sample-count cell's SNR tallies, over
+    the pipe ``results`` or, when scoring raises, ``(False, (j,
+    traceback))`` with ``j`` the error's ``cell``, 0 if it has none (a
+    trial's channel is drawn from cell 0's stream). Leaves only through
     ``os._exit``, so the worker never returns into its caller, flushes no
-    buffer it inherited and runs no exit hook. SIGINT, blocked across the fork, is unblocked
-    only inside the ``try``.
+    buffer it inherited and runs no exit hook. SIGINT, blocked across the
+    fork, is unblocked only inside the ``try``.
     """
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         with os.fdopen(results, "wb") as pipe:
-            done: list = []
             try:
-                for j in range(cells):
-                    done.append(score(j))
-                message = True, done
-            except BaseException:
-                message = False, (len(done), traceback.format_exc())
+                message = True, score()
+            except BaseException as exc:
+                message = False, (getattr(exc, "cell", 0), traceback.format_exc())
             pickle.dump(message, pipe)
             code = 0 if message[0] else 1
     finally:
@@ -608,13 +620,13 @@ def _work(score: Callable, cells: int, results: int) -> None:
 
 
 def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int) -> list[list]:
-    """Score every sample-count cell's trials, each cell split across ``workers`` processes.
+    """Score every sample-count cell's trials, split across ``workers`` processes.
 
-    Each cell's trials are cut into the same ``workers`` contiguous chunks.
-    This process scores the first chunk of every cell; ``workers - 1``
-    workers, forked once, score the others into ``scores[j]``, which must be
-    backed by shared memory, and each sends its :func:`_score_trials`
-    tallies once, when it has scored every cell. They are added, by
+    The trials are cut into ``workers`` contiguous chunks, each scored in
+    every sample-count cell by :func:`_score_trials`. This process scores
+    the first chunk; ``workers - 1`` workers, forked once, score the others
+    into ``scores``, which must be backed by shared memory, and each sends
+    its tallies once, when it has scored its chunk. They are added, by
     :func:`_count`, to this process's own in chunk order, which is trial
     order. Returns, per sample-count cell in grid order, its merged SNR
     tallies. Every worker is reaped before this returns or raises; a worker
@@ -622,14 +634,11 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
     scored its own chunk.
     """
     bounds = [cfg.mc_trials * c // workers for c in range(workers + 1)]
-    cells = len(cfg.nt_grid)
     parent = os.getpid()
 
-    def score(c: int, j: int, parent=None) -> list[dict]:
-        """Chunk ``c`` of sample-count cell ``j``, by :func:`_score_trials`."""
-        return _score_trials(
-            cfg, constants, j, sigma2s, scores[j], bounds[c], bounds[c + 1], parent=parent
-        )
+    def score(c: int, parent=None) -> list[list[dict]]:
+        """Chunk ``c`` of every sample-count cell, by :func:`_score_trials`."""
+        return _score_trials(cfg, constants, sigma2s, scores, *bounds[c : c + 2], parent=parent)
 
     procs: list = []  # (pid, results pipe) of each worker, in chunk order
     try:
@@ -647,7 +656,7 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
                 if pid == 0:
                     for _, pipe in procs + [(pid, results)]:
                         pipe.close()
-                    _work(partial(score, c, parent=parent), cells, ends[0])
+                    _work(partial(score, c, parent=parent), ends[0])
                 procs.append((pid, results))
                 results = None
             finally:  # in this process only: a worker leaves _work through os._exit
@@ -656,7 +665,7 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
                 if results is not None:
                     results.close()
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        tallies = [score(0, j) for j in range(cells)]
+        tallies = score(0)
         for c, (_, results) in enumerate(procs, start=1):
             try:
                 ok, message = pickle.load(results)
@@ -688,14 +697,15 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     ``nt_grid`` is swept at the single SNR when it has several entries,
     otherwise ``snr_grid`` at the single sample count. Each trial of a
     sample-count cell is drawn once and scored at every SNR, so the SNR
-    cells of a trial share its H and training randomness. The trials of
-    every sample-count cell are split across processes, one per usable CPU
-    when the work pays for the forks (:func:`_worker_count`) and no more
-    than the memory budget holds with a training draw in flight in each;
-    once all are scored, each cell's tallies are merged in trial order, so
-    the result is the same bits for any number of them. Raises ``ValueError``
-    listing every violation when the config is not runnable, and
-    ``RuntimeError`` when a worker process fails.
+    cells of a trial share its H and training randomness, and its
+    sample-count cells share its H. The trials are split across processes,
+    one per usable CPU when the work pays for the forks
+    (:func:`_worker_count`) and no more than the memory budget holds with a
+    training draw in flight in each; once all are scored, each cell's
+    tallies are merged in trial order, so the result is the same bits for
+    any number of them. Raises ``ValueError`` listing every violation when
+    the config is not runnable, and ``RuntimeError`` when a worker process
+    fails.
     """
     cfg.validate()
     sweep_name, points = sweep_points(cfg)

@@ -117,7 +117,7 @@ GOLDEN = {
     ),
     "nt": (
         NT_CONFIG,
-        "65b8a288237249edc2776f97991d6233dade3f119b4d574e59128e8863f4cfd9",
+        "642c62d0648c15911c573611fb688bee84518482ad78bc9906921248e039960d",
     ),
     "partial_failure": (
         PARTIAL_FAILURE_CONFIG,

@@ -249,6 +249,36 @@ class TestRunTrial:
         expected, _ = _public_scores(prior, model, known, 60, cfg.estimator_set, trial_seed)
         assert out.errors == expected
 
+    def test_a_trial_has_one_h_in_every_sample_count_cell(self, monkeypatch):
+        # Trial t's H is drawn once, from the stream (master, 0, 0, t, 2) of
+        # sample-count cell 0, and each sample-count cell scores the trial on
+        # that one channel; only the training draw comes from the cell's own
+        # stream (master, 0, j, t). run_trial draws the same H in every cell.
+        channels = collections.defaultdict(list)
+        real = harness._score_cells
+
+        def recorded(ch, names, ridge, n_t, seed, *args):
+            channels[seed].append(ch)
+            return real(ch, names, ridge, n_t, seed, *args)
+
+        monkeypatch.setattr(harness, "_score_cells", recorded)
+        _force_workers(monkeypatch, 1)  # a worker's calls are not recorded here
+        cfg = _small_config(snr_grid=(10.0,), nt_grid=(8, 20, 60), mc_trials=4)
+        sweep(cfg)
+        _, points = sweep_points(cfg)
+        for p in points:
+            for t in range(cfg.mc_trials):
+                run_trial(cfg, p, t)
+        assert len(channels) == len(points) * cfg.mc_trials
+        for t in range(cfg.mc_trials):
+            H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(0, 0, t, 2))
+            in_sweep, alone = zip(*(channels[cfg.seed.child(0, p.index, t)] for p in points))
+            assert all(ch is in_sweep[0] for ch in in_sweep)  # built once for the trial
+            for ch in in_sweep + alone:
+                assert np.array_equal(ch.H, H)
+        H0, H1 = (channels[cfg.seed.child(0, 0, t)][0].H for t in (0, 1))
+        assert not np.array_equal(H0, H1)
+
     def test_fixed_once_draws_h_from_reserved_stream(self):
         cfg = _small_config(h_mode="fixed_once")
         point = SweepPoint(index=0, snr=1.0, n_t=60)
@@ -438,6 +468,14 @@ SHARED_RESULT_CONFIGS = {
         n_x=3, n_y=5, snr_grid=(0.5, 5.0, 50.0), nt_grid=(4,), mc_trials=4, seed=Seed(12),
         ridge=1e-13, estimator_set=("generative", "discriminative", "discriminative_high_snr"),
     ),
+    # A sample-count sweep: each trial's H, and what rests on it alone, is
+    # shared by its sample-count cells. N_x > N_y: the high-SNR gains are
+    # singular (the generative one shared by the cells of a trial), and at
+    # SNR 1e12 the population input covariance warns in every cell.
+    "singular high-SNR gains across sample counts": dict(
+        n_x=6, n_y=3, snr_grid=(1e12,), nt_grid=(8, 12, 30), mc_trials=5, seed=Seed(11),
+        estimator_set=tuple(p.value for p in Provenance),
+    ),
 }
 
 
@@ -566,12 +604,14 @@ class TestSharedDraws:
 
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
         # Under a frozen H the untrained rules do not depend on the trial: each
-        # is built once per SNR cell of the sweep, and its condition warnings
-        # still count in every trial. The oracle and the discriminative
-        # asymptote are one rule, the population LMMSE, built once for both.
-        # The generative asymptote is the generative rule at the population
-        # fit, which is solved once per sweep.
-        calls = {"population LMMSE": 0, "population fit": 0, "generative asymptote": 0}
+        # is built and scored once per SNR cell of the sweep, and its
+        # condition warnings still count in every trial. The oracle and the
+        # discriminative asymptote are one rule, the population LMMSE, built
+        # and scored once for both. The generative asymptote is the
+        # generative rule at the population fit, which is solved once per sweep.
+        calls = {
+            "population LMMSE": 0, "population fit": 0, "generative asymptote": 0, "risk": 0
+        }
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -592,6 +632,7 @@ class TestSharedDraws:
             "_generative_asymptote",
             counted("generative asymptote", harness._generative_asymptote),
         )
+        monkeypatch.setattr(estimators._Truth, "risk", counted("risk", estimators._Truth.risk))
         cfg = ExperimentConfig(
             n_x=6, n_y=3, snr_grid=(1.0, 1e12, 3e13), nt_grid=(12,), mc_trials=4, seed=Seed(11),
             h_mode="fixed_once",
@@ -603,7 +644,9 @@ class TestSharedDraws:
             built = dict(calls)
             _, points = sweep_points(cfg)
             alone = [run_trial(cfg, p, 0) for p in points]
-        assert built == {"population LMMSE": 3, "population fit": 1, "generative asymptote": 3}
+        assert built == {
+            "population LMMSE": 3, "population fit": 1, "generative asymptote": 3, "risk": 2 * 3
+        }
         assert any(out.warning_count for out in alone)
         cells = report.metadata["cells"]
         assert [c["condition_warnings"] for c in cells] == [4 * o.warning_count for o in alone]
@@ -611,6 +654,38 @@ class TestSharedDraws:
             assert row.trials_ok == 4 and row.std_err == 0.0
         for out in alone:
             assert out.errors["oracle_lmmse"] == out.errors["discriminative_asymptote"]
+
+    def test_untrained_scores_are_the_same_bits_in_every_sample_count_cell(self, monkeypatch):
+        # The sample-count cells of a trial share its H, so a rule that reads
+        # no training set scores the same bits in each of them, in the sweep
+        # and in run_trial; a trained rule does not.
+        scored = {}
+        real = harness._score_cells
+
+        def recorded(ch, names, ridge, n_t, seed, sigma2s, out):
+            cells = real(ch, names, ridge, n_t, seed, sigma2s, out)
+            scored[seed] = out.copy()
+            return cells
+
+        monkeypatch.setattr(harness, "_score_cells", recorded)
+        _force_workers(monkeypatch, 1)  # a worker's calls are not recorded here
+        cfg = _small_config(
+            snr_grid=(10.0,), nt_grid=(8, 20, 60), mc_trials=5,
+            estimator_set=("generative", "oracle_lmmse", "generative_asymptote"),
+        )
+        report = sweep(cfg)
+        _, points = sweep_points(cfg)
+        assert len(scored) == len(points) * cfg.mc_trials
+        for t in range(cfg.mc_trials):
+            cells = [scored[cfg.seed.child(0, p.index, t)][0] for p in points]
+            alone = [run_trial(cfg, p, t).errors for p in points]
+            for e, name in enumerate(cfg.estimator_set):
+                column = {cell[e].tobytes() for cell in cells}
+                assert len(column) == (len(points) if name == "generative" else 1), name
+                assert [cell[e] for cell in cells] == [errors[name] for errors in alone]
+        for name in ("oracle_lmmse", "generative_asymptote"):
+            rows = [row for row in report.rows if row.estimator == name]
+            assert len({(row.mean_mse, row.std_err) for row in rows}) == 1
 
     def test_linear_oracle_is_scored_at_the_lowest_snr(self):
         # At SNR 1e-308 the noise variance is 1e308: the population input
@@ -655,7 +730,8 @@ class TestSharedDraws:
 def _public_outcome(cfg, point, trial):
     """A trial's errors and failure reasons, by :func:`_public_scores`.
 
-    H is drawn from the trial's or the sweep's stream as ``run_trial`` does.
+    H is drawn as ``run_trial`` draws it: from the trial's stream of
+    sample-count cell 0, whatever the cell, or from the sweep's stream.
     The generative rules read the identity prior under ``identity_mismatch``.
     """
     prior = exp_decay_prior(cfg.n_y)
@@ -665,7 +741,8 @@ def _public_outcome(cfg, point, trial):
         known_prior = prior
     sweep_name, _ = sweep_points(cfg)
     seed = cfg.seed.child(0, point.index if sweep_name == "nt" else 0, trial)
-    H_seed = cfg.seed.child(1) if cfg.h_mode == "fixed_once" else seed.child(2)
+    fixed = cfg.h_mode == "fixed_once"
+    H_seed = cfg.seed.child(1) if fixed else cfg.seed.child(0, 0, trial, 2)
     H = random_measurement_matrix(cfg.n_x, cfg.n_y, H_seed)
     model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity)
     known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
@@ -878,9 +955,9 @@ class TestWorkers:
         # What a worker sends does not grow with the trials that fail alike.
         cfg = ExperimentConfig(**WORKER_CONFIGS["nt_smallest_cell_fails"])
         sigma2s = [1.0 / s for s in cfg.snr_grid]
-        scores = np.empty((len(sigma2s), len(cfg.estimator_set), cfg.mc_trials))
+        scores = np.empty((len(cfg.nt_grid), len(sigma2s), len(cfg.estimator_set), cfg.mc_trials))
         constants = harness.sweep_constants(cfg)
-        (tally,) = harness._score_trials(cfg, constants, 0, sigma2s, scores, 1, cfg.mc_trials)
+        (tally,) = harness._score_trials(cfg, constants, sigma2s, scores, 1, cfg.mc_trials)[0]
         reasons = tally["failure_reasons"]
         assert set(reasons) == harness._TRAINED
         for whys in reasons.values():
@@ -898,7 +975,9 @@ class TestWorkers:
         sizes = []
         for trials in (500, 1500):
             scores = np.empty((1, len(cfg.estimator_set), trials))
-            (tally,) = harness._score_trials(cfg, constants, 0, [point.sigma2], scores, 0, trials)
+            ((tally,),) = harness._score_trials(
+                cfg, constants, [point.sigma2], scores[None], 0, trials
+            )
             sizes.append(len(pickle.dumps(tally)))
         assert sizes[0] == sizes[1]
         # One entry per rule and reason, counting each of the rule's failures.

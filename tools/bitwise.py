@@ -19,8 +19,9 @@ after::
 ``SRC`` (default: ``src/`` of this checkout) is the source tree imported.
 The set covers both orientations of a small geometry under every
 measurement map, ``h_mode`` and ``prior_mode`` with every rule, an SNR grid
-from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, the paper's
-28 x 30 SNR geometry, and, large enough that :func:`gendisc.harness.sweep`
+from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, a
+sample-count sweep under a frozen H (``6x4-nt-fixed-h``), the paper's 28 x 30
+SNR geometry, and, large enough that :func:`gendisc.harness.sweep`
 splits their trials across processes, a sample-count sweep, a 5 x 3 SNR
 sweep whose rules fail in some trials and not in others, and two 28 x 30
 SNR sweeps (one linear, one tanh with a frozen H and a mismatched prior), and
@@ -93,6 +94,9 @@ def configs() -> dict[str, dict]:
         "estimator_set": EVERY_RULE,
     }
     out["6x4-nt-ridge"] = dict(out["6x4-nt-3-to-30"], ridge=0.05)
+    # One frozen H for every trial and sample-count cell: the stream a trial
+    # draws its own H from does not reach it.
+    out["6x4-nt-fixed-h"] = dict(out["6x4-nt-3-to-30"], h_mode="fixed_once")
     # Enough work that a sweep splits it across processes when it has two CPUs
     # or more, so that chunks meet inside cells with failures to tally.
     out["6x4-nt-3-to-30-forked"] = dict(out["6x4-nt-3-to-30"], mc_trials=40)
