@@ -37,6 +37,7 @@ from .moments import (
     _as_float_array,
     _check_ridge,
     _factor,
+    _freeze,
     _frozen,
     _solve,
     compute_moments,
@@ -66,12 +67,9 @@ class FittedModel:
     mu_hat: np.ndarray
 
     def __post_init__(self):
-        H = _as_float_array(self.H_hat, "H_hat", ndim=2)
-        mu = _as_float_array(self.mu_hat, "mu_hat", ndim=1)
+        H, mu = _freeze(self, H_hat=2, mu_hat=1)
         if mu.shape[0] != H.shape[0]:
             raise ValueError(f"mu_hat length {mu.shape[0]} does not match H_hat rows {H.shape[0]}")
-        object.__setattr__(self, "H_hat", _frozen(H))
-        object.__setattr__(self, "mu_hat", _frozen(mu))
 
 
 @dataclass(frozen=True)
@@ -102,12 +100,9 @@ class AffineEstimator:
     provenance: Provenance
 
     def __post_init__(self):
-        A = _as_float_array(self.A, "A", ndim=2)
-        b = _as_float_array(self.b, "b", ndim=1)
+        A, b = _freeze(self, A=2, b=1)
         if b.shape[0] != A.shape[0]:
             raise ValueError(f"b length {b.shape[0]} does not match A rows {A.shape[0]}")
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "provenance", Provenance(self.provenance))
 
     @property

@@ -173,6 +173,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _freeze(obj, **ndims: int | None) -> list[np.ndarray]:
+    """Check the named array fields of ``obj`` and store a read-only float copy of each.
+
+    Each field is read in keyword order by :func:`_as_float_array` at its
+    ``ndim`` (``None`` for any), so a malformed field raises the
+    ``ValueError`` that names it, and its frozen copy replaces it on the
+    frozen dataclass ``obj``. Returns the copies, in the same order.
+    """
+    for name, ndim in ndims.items():
+        object.__setattr__(obj, name, _frozen(_as_float_array(getattr(obj, name), name, ndim)))
+    return [getattr(obj, name) for name in ndims]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Paired training samples, one row per sample.
@@ -186,12 +199,7 @@ class Dataset:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = _as_float_array(self.xs, "xs")
-        ys = _as_float_array(self.ys, "ys")
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        if ys.ndim == 1:
-            ys = ys[:, None]
+        xs, ys = (a[:, None] if a.ndim == 1 else a for a in _freeze(self, xs=None, ys=None))
         if xs.ndim != 2 or ys.ndim != 2:
             raise ValueError("xs and ys must be 1- or 2-dimensional")
         if xs.shape[0] != ys.shape[0]:
@@ -202,8 +210,8 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if xs.shape[1] == 0 or ys.shape[1] == 0:
             raise ValueError(f"xs and ys must have at least one column, got {xs.shape}, {ys.shape}")
-        object.__setattr__(self, "xs", _frozen(xs))
-        object.__setattr__(self, "ys", _frozen(ys))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def n_t(self) -> int:
@@ -234,11 +242,7 @@ class SampleMoments:
     n_t: int
 
     def __post_init__(self):
-        x_bar = _as_float_array(self.x_bar, "x_bar", ndim=1)
-        y_bar = _as_float_array(self.y_bar, "y_bar", ndim=1)
-        C_yx = _as_float_array(self.C_yx, "C_yx", ndim=2)
-        C_yy = _as_float_array(self.C_yy, "C_yy", ndim=2)
-        C_xx = _as_float_array(self.C_xx, "C_xx", ndim=2)
+        x_bar, y_bar, C_yx, C_yy, C_xx = _freeze(self, x_bar=1, y_bar=1, C_yx=2, C_yy=2, C_xx=2)
         n_x, n_y = x_bar.shape[0], y_bar.shape[0]
         if C_yx.shape != (n_y, n_x) or C_yy.shape != (n_y, n_y) or C_xx.shape != (n_x, n_x):
             raise ValueError(
@@ -247,11 +251,6 @@ class SampleMoments:
             )
         if self.n_t < 1:
             raise ValueError(f"n_t must be at least 1, got {self.n_t}")
-        object.__setattr__(self, "x_bar", _frozen(x_bar))
-        object.__setattr__(self, "y_bar", _frozen(y_bar))
-        object.__setattr__(self, "C_yx", _frozen(C_yx))
-        object.__setattr__(self, "C_yy", _frozen(C_yy))
-        object.__setattr__(self, "C_xx", _frozen(C_xx))
         object.__setattr__(self, "n_t", int(self.n_t))
 
     @property
@@ -267,11 +266,32 @@ class SampleMoments:
         return self.y_bar.shape[0]
 
 
+def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column means of the rows ``a``, the rows centred on them, and their 1/n scatter."""
+    mean = a.mean(axis=0)
+    c = a - mean
+    return mean, c, c.T @ c / a.shape[0]
+
+
+def _pair_blocks(targets: tuple, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``x_bar, y_bar, C_yx, C_yy, C_xx`` of paired rows, given ``_centred(ys)`` and ``xs``.
+
+    The one reduction of training pairs to their moments: the training draw
+    under a distorted map keeps ``targets`` and reduces its inputs at every
+    noise level with it.
+    """
+    y_bar, yc, C_yy = targets
+    x_bar, xc, C_xx = _centred(xs)
+    return x_bar, y_bar, yc.T @ xc / xs.shape[0], C_yy, C_xx
+
+
 def compute_moments(data: Dataset) -> SampleMoments:
     """Compute sample means and covariances of a paired dataset.
 
     Covariances use the 1/n_t normalization (not the unbiased 1/(n_t-1)),
-    matching the estimator formulas built on top of them.
+    matching the estimator formulas built on top of them. The pairs are
+    reduced by the same routine as the training draws of
+    :func:`~gendisc.synth.draw_training` under tanh and cubic maps.
 
     Parameters
     ----------
@@ -283,19 +303,7 @@ def compute_moments(data: Dataset) -> SampleMoments:
     -------
     SampleMoments
     """
-    n = data.n_t
-    x_bar = data.xs.mean(axis=0)
-    y_bar = data.ys.mean(axis=0)
-    xc = data.xs - x_bar
-    yc = data.ys - y_bar
-    return SampleMoments(
-        x_bar=x_bar,
-        y_bar=y_bar,
-        C_yx=yc.T @ xc / n,
-        C_yy=yc.T @ yc / n,
-        C_xx=xc.T @ xc / n,
-        n_t=n,
-    )
+    return SampleMoments(*_pair_blocks(_centred(data.ys), data.xs), n_t=data.n_t)
 
 
 def _symmetry_defect(M: np.ndarray) -> float:

@@ -34,8 +34,10 @@ from .moments import (
     _SYMMETRY_RTOL,
     Dataset,
     SampleMoments,
-    _as_float_array,
+    _centred,
+    _freeze,
     _frozen,
+    _pair_blocks,
     _symmetry_defect,
 )
 
@@ -174,8 +176,7 @@ class GaussianPrior:
     L_yy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = _as_float_array(self.mu_y, "mu_y", ndim=1)
-        C = _as_float_array(self.C_yy, "C_yy", ndim=2)
+        mu, C = _freeze(self, mu_y=1, C_yy=2)
         if C.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError(f"C_yy shape {C.shape} does not match mu_y length {mu.shape[0]}")
         if _symmetry_defect(C) > _SYMMETRY_RTOL:
@@ -184,8 +185,6 @@ class GaussianPrior:
             L = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
             raise ValueError("C_yy must be positive definite (Cholesky failed)") from None
-        object.__setattr__(self, "mu_y", _frozen(mu))
-        object.__setattr__(self, "C_yy", _frozen(C))
         object.__setattr__(self, "L_yy", _frozen(L))
 
     @property
@@ -208,16 +207,13 @@ class TrueModel:
     nonlinearity: Nonlinearity = Linear()
 
     def __post_init__(self):
-        H = _as_float_array(self.H, "H", ndim=2)
-        mu = _as_float_array(self.mu_w, "mu_w", ndim=1)
+        H, mu = _freeze(self, H=2, mu_w=1)
         if mu.shape[0] != H.shape[0]:
             raise ValueError(f"mu_w length {mu.shape[0]} does not match H rows {H.shape[0]}")
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         if not isinstance(self.nonlinearity, Nonlinearity):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        object.__setattr__(self, "H", _frozen(H))
-        object.__setattr__(self, "mu_w", _frozen(mu))
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
     @property
@@ -300,9 +296,11 @@ class _PairDraw(_Draw):
 
     From ``seed.generator()`` come, in this order, the standard normals of
     the targets ``ys`` and of the noise. ``x = (g(H y) + mu_w) + sqrt(sigma2)
-    * noise`` for any ``sigma2``; the target moments are computed once, on
-    first use. The moments at ``sigma2`` are ``compute_moments(Dataset(xs=
-    self.xs(sigma2), ys=self.ys))``, bit for bit.
+    * noise`` for any ``sigma2``. The pairs are reduced by the routine of
+    :func:`~gendisc.moments.compute_moments`, with the target block (mean,
+    centred rows and scatter) computed once, on first use, and reused at
+    every ``sigma2``; so the moments at ``sigma2`` are
+    ``compute_moments(Dataset(xs=self.xs(sigma2), ys=self.ys))``, bit for bit.
     """
 
     def __init__(self, prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
@@ -316,20 +314,14 @@ class _PairDraw(_Draw):
     @cached_property
     def _targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The target mean, the centred targets and their 1/n scatter."""
-        y_bar = self.ys.mean(axis=0)
-        yc = self.ys - y_bar
-        return y_bar, yc, yc.T @ yc / self.n
+        return _centred(self.ys)
 
     def xs(self, sigma2: float) -> np.ndarray:
         return self.signal + np.sqrt(sigma2) * self.noise
 
     def blocks(self, sigma2: float) -> tuple[np.ndarray, ...]:
         """``x_bar, y_bar, C_yx, C_yy, C_xx``, with ``sigma2`` unchecked."""
-        y_bar, yc, C_yy = self._targets
-        xs = self.xs(sigma2)
-        x_bar = xs.mean(axis=0)
-        xc = xs - x_bar
-        return x_bar, y_bar, yc.T @ xc / self.n, C_yy, xc.T @ xc / self.n
+        return _pair_blocks(self._targets, self.xs(sigma2))
 
 
 class _MomentDraw(_Draw):
