@@ -267,10 +267,14 @@ class SampleMoments:
 
 
 def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column means of the rows ``a``, the rows centred on them, and their 1/n scatter."""
+    """The column means of the rows ``a``, the centred rows over sqrt(n), and their product.
+
+    Scaled before the product, the centred rows give the 1/n scatter without
+    the n-fold sum that overflows where the scatter itself is finite.
+    """
     mean = a.mean(axis=0)
-    c = a - mean
-    return mean, c, c.T @ c / a.shape[0]
+    c = (a - mean) / np.sqrt(a.shape[0])
+    return mean, c, c.T @ c
 
 
 def _pair_blocks(targets: tuple, xs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -282,16 +286,18 @@ def _pair_blocks(targets: tuple, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     y_bar, yc, C_yy = targets
     x_bar, xc, C_xx = _centred(xs)
-    return x_bar, y_bar, yc.T @ xc / xs.shape[0], C_yy, C_xx
+    return x_bar, y_bar, yc.T @ xc, C_yy, C_xx
 
 
 def compute_moments(data: Dataset) -> SampleMoments:
     """Compute sample means and covariances of a paired dataset.
 
     Covariances use the 1/n_t normalization (not the unbiased 1/(n_t-1)),
-    matching the estimator formulas built on top of them. The pairs are
-    reduced by the same routine as the training draws of
-    :func:`~gendisc.synth.draw_training` under tanh and cubic maps.
+    matching the estimator formulas built on top of them. Each centred block
+    is scaled by 1/sqrt(n_t) before the product, so a covariance overflows
+    only where its value is out of the float range, not where its n_t-fold
+    sum would be. The pairs are reduced by the same routine as the training
+    draws of :func:`~gendisc.synth.draw_training` under tanh and cubic maps.
 
     Parameters
     ----------

@@ -313,7 +313,7 @@ class _PairDraw(_Draw):
 
     @cached_property
     def _targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The target mean, the centred targets and their 1/n scatter."""
+        """The target mean, the centred targets over sqrt(n) and their 1/n scatter."""
         return _centred(self.ys)
 
     def xs(self, sigma2: float) -> np.ndarray:
@@ -372,7 +372,10 @@ def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) ->
     differ only in how far the noise is scaled. Under a :class:`Linear` map
     the moments are drawn from their joint law and no pair is materialized;
     under tanh and cubic maps the ``n`` pairs of :func:`sample_pairs` are
-    drawn and reduced as by :func:`~gendisc.moments.compute_moments`.
+    drawn and reduced by the routine of
+    :func:`~gendisc.moments.compute_moments`, which scales the centred rows
+    by ``1/sqrt(n)`` before their products, so that a covariance overflows
+    only where its own value is out of the float range.
     """
     if isinstance(model.nonlinearity, Linear):
         return _MomentDraw(prior, model, n, seed)

@@ -109,11 +109,11 @@ GOLDEN = {
     ),
     "misspec": (
         MISSPEC_CONFIG,
-        "b3f914dcce3f2700d66fa2a311d3386edd1c54036a87ec377d092805c2917cf7",
+        "ef43c31c93ef596d457ab8144f90db89e27f96fd14cc1dc725cab5e2bb8512db",
     ),
     "cubic": (
         CUBIC_CONFIG,
-        "f2e22d9b589a8bf2996b81177deea858559d3b862284e896966084ad195a6e8c",
+        "9a57a9d0a257fc687f2d4c81750ad6dbc187d11842db17f508b98d32a12a3485",
     ),
     "nt": (
         NT_CONFIG,

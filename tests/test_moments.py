@@ -54,13 +54,21 @@ class TestComputeMoments:
 
     @pytest.mark.parametrize(
         "xs, ys, moment",
-        [([1e308, -1e308], [2.0, 3.0], "C_xx"), ([1.0, 3.0], [1e308, -1e308], "C_yx")],
+        [([1e308, -1e308], [2.0, 3.0], "C_xx"), ([1e200, -1e200], [1e200, -1e200], "C_yx")],
         ids=["C_xx", "C_yx"],
     )
     def test_finite_data_whose_moments_overflow_is_named(self, xs, ys, moment):
         data = Dataset(xs=xs, ys=ys)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"{moment} .*non-finite"):
             compute_moments(data)
+
+    def test_finite_moments_whose_sums_would_overflow_are_computed(self):
+        # The sum of squared deviations, 2e308, is out of range; the 1/n
+        # scatter, 2e308 / 3, is not.
+        m = compute_moments(Dataset(xs=[[1e154], [-1e154], [0.5]], ys=[[1.0], [2.0], [3.0]]))
+        assert m.C_xx[0, 0] == pytest.approx(2 / 3 * 1e308, rel=1e-14)
+        assert m.C_yx[0, 0] == pytest.approx(-1e154 / 3, rel=1e-14)
+        assert m.C_yy[0, 0] == pytest.approx(2 / 3, rel=1e-14)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
