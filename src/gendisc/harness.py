@@ -54,6 +54,7 @@ import pickle
 import signal
 import threading
 import traceback
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -71,6 +72,7 @@ from .estimators import (
     target_factor,
 )
 from .moments import (
+    IllConditionedWarning,
     SingularMatrixError,
     _solve,
     condition_events,
@@ -703,9 +705,11 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     (:func:`_worker_count`) and no more than the memory budget holds with a
     training draw in flight in each; once all are scored, each cell's
     tallies are merged in trial order, so the result is the same bits for
-    any number of them. Raises ``ValueError`` listing every violation when
-    the config is not runnable, and ``RuntimeError`` when a worker process
-    fails.
+    any number of them. Ill-conditioned factors are counted in each cell's
+    ``condition_warnings`` and emit no :class:`IllConditionedWarning`; the
+    caller's warning filters are restored afterwards. Raises ``ValueError``
+    listing every violation when the config is not runnable, and
+    ``RuntimeError`` when a worker process fails.
     """
     cfg.validate()
     sweep_name, points = sweep_points(cfg)
@@ -719,7 +723,12 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     # workers share.
     shape = (len(cfg.nt_grid), len(sigma2s), len(names), cfg.mc_trials)
     scores = np.frombuffer(mmap.mmap(-1, _score_bytes(cfg)), dtype=float).reshape(shape)
-    tallies = _score_split(cfg, constants, sigma2s, scores, workers)
+    with warnings.catch_warnings():
+        # Counted per cell in the report instead: a warning per factor would
+        # flood stderr, and grow the caller's warning registry with the trials.
+        # Set before the fork, so the workers inherit it.
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        tallies = _score_split(cfg, constants, sigma2s, scores, workers)
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
     for j, cell_tallies in enumerate(tallies):

@@ -159,7 +159,11 @@ def report_condition(name: str, cond: float) -> None:
 
 
 def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    """``a`` as a float array, or a ``ValueError`` naming ``name`` for anything malformed."""
+    try:
+        arr = np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not an array of real numbers ({exc})") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():

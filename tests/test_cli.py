@@ -400,6 +400,36 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
         assert "threads" not in manifest
 
+    def test_forked_run_counts_condition_warnings_without_printing_them(self, tmp_path):
+        # The workers inherit the sweep's filter, so even under -W always the
+        # ill-conditioned factors are counted in the manifest, not printed.
+        config = {
+            "n_x": 6, "n_y": 3, "snr_grid": [1e10, 1e12, 1e14], "nt_grid": [8],
+            "mc_trials": 12, "seed": 3, "estimator_set": ["generative", "discriminative"],
+        }
+        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
+        out_dir = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from gendisc import harness\n"
+            "from gendisc.cli import main\n"
+            "harness._worker_count = lambda cfg: 2\n"
+            "sys.exit(main(['run', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")
+        ])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-c", script, cfg_path, str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "IllConditionedWarning" not in proc.stderr
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["environment"]["workers"] == 2
+        assert sum(cell["condition_warnings"] for cell in manifest["cells"]) > 0
+
     def test_forked_run_writes_and_prints_once(self, tmp_path):
         # Three worker processes inherit the parent's unflushed stdout buffer
         # (a pipe is block-buffered); none may flush it, print, or write files.

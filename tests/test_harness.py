@@ -335,6 +335,31 @@ class TestSweeps:
             errs = [outcomes[(i, t)].errors[row.estimator] for t in range(cfg.mc_trials)]
             assert (row.mean_mse, row.std_err) == compute_mse(errs)
 
+    def test_a_sweep_counts_condition_warnings_without_emitting_them(self, monkeypatch):
+        # A warning per ill-conditioned factor would flood stderr and, one
+        # registry entry per distinct message, grow with the trials; the
+        # report counts them per cell instead. run_trial keeps them.
+        _force_workers(monkeypatch, 1)
+        cfg = _small_config(
+            n_x=6, n_y=3, snr_grid=(1e10, 1e12, 1e14), nt_grid=(8,), mc_trials=6, seed=Seed(3),
+            estimator_set=("generative", "discriminative", "oracle_lmmse"),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            report = sweep(cfg)
+            assert warnings.filters == filters
+            assert caught == []
+            replayed = [
+                [run_trial(cfg, point, t).warning_count for t in range(cfg.mc_trials)]
+                for point in sweep_points(cfg)[1]
+            ]
+        counts = [cell["condition_warnings"] for cell in report.metadata["cells"]]
+        assert counts == [sum(cell) for cell in replayed]
+        assert sum(counts) > 0
+        assert len(caught) == sum(counts)
+        assert all(issubclass(w.category, IllConditionedWarning) for w in caught)
+
     def test_row_layout_and_counts(self):
         cfg = _small_config(mc_trials=10)
         report = sweep(cfg)

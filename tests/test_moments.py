@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,10 +7,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from gendisc import moments
+from gendisc.estimators import AffineEstimator, FittedModel
 from gendisc.moments import (
     CONDITION_WARN_THRESHOLD,
     Dataset,
     IllConditionedWarning,
+    SampleMoments,
     SingularMatrixError,
     compute_moments,
     condition_estimate,
@@ -17,6 +20,7 @@ from gendisc.moments import (
     spd_solve,
     woodbury_invert,
 )
+from gendisc.synth import GaussianPrior, TrueModel
 
 from conftest import random_spd
 
@@ -407,3 +411,64 @@ class TestWoodburyInvert:
         H = np.array([[1.0, 0.0]])
         with pytest.raises(SingularMatrixError):
             woodbury_invert(H, np.eye(2), sigma2=0.0)
+
+
+def _given_arrays():
+    """Per value type: a builder and the float arrays it is given, by field name."""
+    return {
+        "Dataset": (Dataset, dict(xs=np.array([[1.0, 2.0], [3.0, 5.0]]), ys=np.array([1.0, 4.0]))),
+        "SampleMoments": (
+            lambda **a: SampleMoments(**a, n_t=3),
+            dict(
+                x_bar=np.array([1.0, 2.0]), y_bar=np.array([3.0]), C_yx=np.array([[0.5, 0.25]]),
+                C_yy=np.array([[2.0]]), C_xx=np.array([[1.0, 0.5], [0.5, 1.0]]),
+            ),
+        ),
+        "FittedModel": (FittedModel, dict(H_hat=np.array([[1.0, 2.0]]), mu_hat=np.array([0.5]))),
+        "AffineEstimator": (
+            lambda **a: AffineEstimator(**a, provenance="generative"),
+            dict(A=np.array([[1.0, 2.0]]), b=np.array([0.5])),
+        ),
+        "GaussianPrior": (
+            GaussianPrior, dict(mu_y=np.array([1.0, 2.0]), C_yy=np.array([[2.0, 0.5], [0.5, 1.0]]))
+        ),
+        "TrueModel": (
+            lambda **a: TrueModel(**a, sigma2=0.5),
+            dict(H=np.array([[1.0, 2.0]]), mu_w=np.array([0.5])),
+        ),
+    }
+
+
+class TestArrayFields:
+    @pytest.mark.parametrize("kind", sorted(_given_arrays()))
+    def test_array_fields_are_read_only_float_copies(self, kind):
+        build, given = _given_arrays()[kind]
+        obj = build(**given)
+        kept = {name: getattr(obj, name).copy() for name in given}
+        for array in given.values():
+            array += 1.0  # an edit of the caller's array does not reach the field
+        arrays = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+        assert set(given) <= set(arrays)
+        for name, field in arrays.items():
+            assert field.dtype == np.float64, name
+            assert np.array_equal(field, kept.get(name, field)), name
+            with pytest.raises(ValueError, match="read-only"):
+                field[(0,) * field.ndim] = 7.0
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Dataset(xs=[10**400, 1], ys=[1, 2]), "xs"),
+            (lambda: GaussianPrior(mu_y=[0.0], C_yy=[[10**400]]), "C_yy"),
+            (lambda: spd_solve([[10**400]], [1.0]), "matrix"),
+            (lambda: Dataset(xs={"a": 1}, ys=[1]), "xs"),
+            (lambda: Dataset(xs=["a", "b"], ys=[1, 2]), "xs"),
+            (lambda: Dataset(xs=[1.0, 2.0], ys=[[1.0, 2.0], [3.0]]), "ys"),
+        ],
+        ids=["int-past-float-range", "prior-int-past-float-range", "solve-int-past-float-range",
+             "dict", "strings", "ragged"],
+    )
+    def test_an_array_that_does_not_convert_is_named(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} is not an array of real numbers"):
+            build()

@@ -8,7 +8,16 @@ count) on one more, so that a diff names the rule and the config that moved.
 Two more lines cover the file formats: the bytes of ``results.csv`` as
 ``gendisc.fileio.write_results_csv`` writes the report, and the config echo
 of ``gendisc.fileio.config_to_dict`` as ``json.dumps`` writes it with sorted
-keys.
+keys. The last lines hash what ``gendisc.compute_moments`` returns (the
+bytes of each moment and ``n_t``), or the message it raises, for two fixed
+inputs, so that a change in the library's reduction of pairs shows next to
+the sweeps:
+
+- ``tanh-50-pairs``: 50 pairs of ``sample_pairs`` under ``tanh`` (4 x 5
+  H from ``Seed(24)``, noise mean 1, noise variance 0.5, ``Seed(25)``);
+- ``near-overflow``: ``xs = [1e154, -1e154, 0.5]``, ``ys = [1, 2, 3]``,
+  whose sum of squared input deviations is out of the float range.
+
 A change meant to keep the output bytes prints the same lines before and
 after::
 
@@ -152,8 +161,26 @@ def configs() -> dict[str, dict]:
     return out
 
 
+def moment_datasets() -> dict:
+    """The ``compute_moments`` inputs by name, as ``gendisc.Dataset`` objects."""
+    import numpy as np
+    from gendisc import (
+        Dataset, Seed, Tanh, TrueModel, exp_decay_prior, random_measurement_matrix, sample_pairs
+    )
+
+    model = TrueModel(
+        H=random_measurement_matrix(4, 5, Seed(24)), mu_w=np.ones(4), sigma2=0.5,
+        nonlinearity=Tanh(1.0),
+    )
+    return {
+        "tanh-50-pairs": sample_pairs(exp_decay_prior(5), model, 50, Seed(25)),
+        "near-overflow": Dataset(xs=[[1e154], [-1e154], [0.5]], ys=[[1.0], [2.0], [3.0]]),
+    }
+
+
 def main(src: Path = SRC) -> int:
     sys.path.insert(0, str(src))
+    from gendisc import compute_moments
     from gendisc.fileio import config_from_dict, config_to_dict, write_results_csv
     from gendisc.harness import sweep
 
@@ -175,6 +202,16 @@ def main(src: Path = SRC) -> int:
         parts["config_echo"] = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
         for part, data in parts.items():
             print(f"{hashlib.sha256(data).hexdigest()}  {name}  {part}")
+    for name, data in moment_datasets().items():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                m = compute_moments(data)
+            fields = (m.x_bar, m.y_bar, m.C_yx, m.C_yy, m.C_xx)
+            digest = b"".join(f.tobytes() for f in fields) + repr(m.n_t).encode()
+        except ValueError as exc:
+            digest = str(exc).encode()
+        print(f"{hashlib.sha256(digest).hexdigest()}  compute_moments  {name}")
     return 0
 
 
