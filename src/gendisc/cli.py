@@ -197,13 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="results", help="output directory (default: results)")
     run_p.add_argument("--trials", type=int, default=None, help="override mc_trials")
     run_p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    run_p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility and ignored: a sweep splits its trials "
-        "across one process per usable CPU",
-    )
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate", help="check a config and print it fully resolved")

@@ -7,12 +7,12 @@ estimator under the fitted model. The discriminative route minimizes the
 empirical squared error directly over all affine maps, which lands on the
 sample-LMMSE estimator. Alongside them live the oracle estimator, the
 population LMMSE built from the true moments under any measurement map and
-so also the discriminative route's large-sample limit; the generative
-route's large-sample limit, its own plug-in rule at the population fit
-C_xy C_yy^{-1}; and the closed-form vanishing-noise limit estimators used
-as analytical reference points. The oracle and both large-sample limits
-take the data's prior and true model, ``(prior, model)``, as
-:func:`affine_risk` does, and read the true moments from them.
+so also the discriminative route's large-sample limit, which has no name of
+its own; the generative route's large-sample limit, its own plug-in rule at
+the population fit C_xy C_yy^{-1}; and the closed-form vanishing-noise limit
+estimators used as analytical reference points. The oracle and the
+generative limit take the data's prior and true model, ``(prior, model)``,
+as :func:`affine_risk` does, and read the true moments from them.
 
 All estimators share one output type, :class:`AffineEstimator`, so they can
 be evaluated and compared uniformly, by their exact risk
@@ -54,7 +54,6 @@ class Provenance(str, enum.Enum):
     DISCRIMINATIVE = "discriminative"
     ORACLE_LMMSE = "oracle_lmmse"
     GENERATIVE_ASYMPTOTE = "generative_asymptote"
-    DISCRIMINATIVE_ASYMPTOTE = "discriminative_asymptote"
     GENERATIVE_HIGH_SNR = "generative_high_snr"
     DISCRIMINATIVE_HIGH_SNR = "discriminative_high_snr"
 
@@ -243,9 +242,14 @@ def measurement_moments(prior: GaussianPrior, H, nonlinearity: Nonlinearity) -> 
     Q = 6 alpha^2 S^3 + 18 alpha^2 (m m^T) S^2. Under tanh they come from the
     Hermite series of :func:`_hermite_moments`.
     """
-    H = np.asarray(H, dtype=float)
+    H = _as_float_array(H, "H")
     if H.ndim != 2 or H.shape[1] != prior.n_y:
         raise ValueError(f"H shape {H.shape} does not match prior dimension {prior.n_y}")
+    return _measurement_moments(prior, H, nonlinearity)
+
+
+def _measurement_moments(prior: GaussianPrior, H: np.ndarray, nonlinearity) -> MeasurementMoments:
+    """:func:`measurement_moments` without its input checks."""
     HL = H @ prior.L_yy
     m = H @ prior.mu_y
     if isinstance(nonlinearity, Linear):
@@ -274,7 +278,7 @@ class _Truth:
 
     def __init__(self, prior: GaussianPrior, H, mu_w, nonlinearity, measurement=None):
         if measurement is None:
-            measurement = measurement_moments(prior, H, nonlinearity)
+            measurement = _measurement_moments(prior, H, nonlinearity)
         self.prior, self.H, self.mu_w, self.nonlinearity = prior, H, mu_w, nonlinearity
         self.measurement = measurement
         self.mu_x = measurement.mu_g + mu_w
@@ -364,7 +368,7 @@ def _lmmse(C_xx, C_yx, mu_x, mu_y, ridge: float, name: str):
 
 
 def _oracle(truth: _Truth, sigma2: float):
-    """The population LMMSE rule: the oracle, and the discriminative asymptote, under every map."""
+    """The population LMMSE rule under every map: the oracle, the discriminative rule's limit."""
     C_xx, mu_y = truth.C_xx(sigma2), truth.prior.mu_y
     return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
 
@@ -479,8 +483,8 @@ def oracle_lmmse(
     C_yx = L_yy B^T and C_xx = B B^T + Q + sigma2 I, with B, mu_g and Q from
     ``measurement`` (:func:`measurement_moments` of the model, computed when
     omitted). It is therefore also the large-sample limit of the
-    discriminative estimator, :func:`discriminative_asymptote`. Under the
-    linear map A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1}, computed as L_yy
+    discriminative estimator; that limit has no constructor of its own. Under
+    the linear map A = C_yy H^T (H C_yy H^T + sigma2 I)^{-1}, computed as L_yy
     B^T (B B^T + sigma2 I)^{-1} with B = H L_yy; for the jointly Gaussian
     linear model it is the minimum-MSE estimator, and with sigma2 == 0 it
     needs a nonsingular H C_yy H^T.
@@ -517,19 +521,6 @@ def generative_asymptote(
         )
     A, b = _generative_asymptote(_truth(prior, model, measurement), side, sigma2)
     return AffineEstimator(A=A, b=b, provenance=Provenance.GENERATIVE_ASYMPTOTE)
-
-
-def discriminative_asymptote(
-    prior: GaussianPrior, model: TrueModel, measurement: Optional[MeasurementMoments] = None
-) -> AffineEstimator:
-    """Large-sample limit of the discriminative estimator: the population LMMSE.
-
-    A = C_yx C_xx^{-1}, b = mu_y - A mu_x at the true moments of the data
-    drawn from ``prior`` and ``model``: the rule of :func:`oracle_lmmse`, bit
-    for bit. ``measurement`` is as for :func:`oracle_lmmse`.
-    """
-    A, b = _oracle(_truth(prior, model, measurement), model.sigma2)
-    return AffineEstimator(A=A, b=b, provenance=Provenance.DISCRIMINATIVE_ASYMPTOTE)
 
 
 def generative_highsnr(prior: GaussianPrior, H, moments: SampleMoments) -> AffineEstimator:

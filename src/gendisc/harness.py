@@ -21,10 +21,10 @@ variance; the channel also holds the population moments of the map and the
 population fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A
 shared result's failures and condition warnings are counted in every cell
 that uses it. The oracle is the population LMMSE under every map, so it is
-also the discriminative asymptote, and the two are built once for both. The
-generative asymptote is the generative rule built from the population fit
-and means, with the generative rule's side information, by the helper its
-public constructor uses.
+also the discriminative rule's large-sample limit. The generative asymptote
+is the generative rule built from the population fit and means, with the
+generative rule's side information, by the helper its public constructor
+uses.
 :func:`sweep` cuts the trials into contiguous chunks, one per usable CPU: it
 scores the first chunk itself and each other chunk in a worker process,
 forked once per sweep; each trial is scored in every sample-count cell and
@@ -205,6 +205,8 @@ class ExperimentConfig:
             unknown = [e for e in self.estimator_set if e not in valid_names]
             if unknown:
                 problems.append(f"unknown estimators in estimator_set: {unknown}")
+            if "discriminative_asymptote" in unknown:
+                problems.append("discriminative_asymptote is retired: list oracle_lmmse, the same rule")
             if len(set(self.estimator_set)) != len(self.estimator_set):
                 problems.append("estimator_set contains duplicates")
         sizes_ok = all(_is_int(v) for v in (self.n_x, self.n_y, self.mc_trials))
@@ -449,12 +451,13 @@ def _score_cells(
                         G = _shared(memo, name, lambda: gain_direct(ch.H, C_yy, 0.0))
                         rule = G, y_bar - G @ x_bar
                     elif name == Provenance.GENERATIVE_ASYMPTOTE:
-                        key, build = (name, sigma2), partial(_generative_asymptote, ch, ch.known)
-                    else:  # oracle_lmmse and discriminative_asymptote: one population LMMSE rule
-                        key, build = ("population LMMSE", sigma2), partial(_oracle, ch)
+                        build = partial(_generative_asymptote, ch, ch.known)
+                    else:
+                        build = partial(_oracle, ch)
                     if name in _TRAINED:
                         out[k, e] = ch.risk(*rule, sigma2)
                     else:  # an untrained rule is scored once per channel and noise variance
+                        key = (name, sigma2)
                         out[k, e] = _shared(ch.memo, key, lambda: ch.risk(*build(sigma2), sigma2))
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)

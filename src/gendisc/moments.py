@@ -158,15 +158,21 @@ def report_condition(name: str, cond: float) -> None:
     )
 
 
-def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
-    """``a`` as a float array, or a ``ValueError`` naming ``name`` for anything malformed."""
+def _as_float_array(a, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
+    """``a`` as a float array, or a ``ValueError`` naming ``name`` for anything malformed.
+
+    Non-finite entries are malformed unless ``finite`` is false.
+    """
     try:
-        arr = np.asarray(a, dtype=float)
+        arr = np.asarray(a)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
+            raise TypeError(f"dtype {arr.dtype} is complex")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} is not an array of real numbers ({exc})") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -333,9 +339,12 @@ def condition_estimate(M: np.ndarray) -> float:
 
     Returns ``inf`` when the smallest eigenvalue is not strictly positive,
     i.e. when the matrix has no SPD factorization, and when an entry is not
-    finite, so that the matrix has no eigenvalues to read.
+    finite, so that the matrix has no eigenvalues to read. A matrix that is
+    not real, square and 2-dimensional raises ``ValueError``.
     """
-    M = np.asarray(M, dtype=float)
+    M = _as_float_array(M, "matrix", finite=False)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square and 2-dimensional, got shape {M.shape}")
     if not np.isfinite(M).all():
         return float("inf")
     evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first, so no overflow near 1e308

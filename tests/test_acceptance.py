@@ -61,15 +61,15 @@ def _cells(rows):
 
 @pytest.fixture(scope="module")
 def snr_runs(tmp_path_factory):
-    """Criterion 5/8 runs: the SNR-sweep config, same seed, two thread counts."""
+    """Criterion 5/8 runs: the SNR-sweep config, same seed, two and one worker processes."""
     base = tmp_path_factory.mktemp("snr_runs")
     runs = {}
-    for label, threads in (("a", 2), ("b", 1)):
+    for label, workers in (("a", 2), ("b", 1)):
         out = base / label
         start = time.perf_counter()
-        rc = cli_main(
-            ["run", "mse_vs_snr", "--trials", "2000", "--out", str(out), "--threads", str(threads)]
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(g.harness, "_worker_count", lambda cfg: workers)
+            rc = cli_main(["run", "mse_vs_snr", "--trials", "2000", "--out", str(out)])
         duration = time.perf_counter() - start
         assert rc == 0
         runs[label] = (out, duration)
@@ -262,8 +262,8 @@ def test_criterion_7_exact_risk_prefers_discriminative():
         assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_8_determinism_across_thread_counts(snr_runs):
-    with criterion(8, "byte-identical reruns across thread counts"):
+def test_criterion_8_determinism_across_worker_counts(snr_runs):
+    with criterion(8, "byte-identical reruns across worker counts"):
         (dir_a, dur_a), (dir_b, dur_b) = snr_runs["a"], snr_runs["b"]
         assert dur_a + dur_b < 600.0
         bytes_a = (dir_a / "results.csv").read_bytes()
@@ -274,6 +274,7 @@ def test_criterion_8_determinism_across_thread_counts(snr_runs):
         man_b = json.loads((dir_b / "manifest.json").read_text())
         assert man_a["config"] == man_b["config"]
         assert man_a["cells"] == man_b["cells"]
+        assert (man_a["environment"]["workers"], man_b["environment"]["workers"]) == (2, 1)
 
 
 def test_criterion_9_property_suites():

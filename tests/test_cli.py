@@ -200,6 +200,10 @@ class TestValidateCommand:
             # 0.72 GB of scores per SNR cell fits the 1 GiB budget; two cells held together do not.
             ({"mc_trials": 30_000_000, "snr_grid": [1.0, 10.0]}, "budget"),
             ({"estimator_set": ["generative", "generative"]}, "estimator_set contains duplicates"),
+            # The discriminative rule's large-sample limit is the oracle, so its retired
+            # duplicate's name points there.
+            ({"estimator_set": ["generative", "discriminative_asymptote"]},
+             "error: discriminative_asymptote is retired: list oracle_lmmse, the same rule"),
             ({"snr_grid": [0.0]}, "snr_grid entries must be finite and positive"),
             ({"snr_grid": [-1.0]}, "snr_grid entries must be finite and positive"),
             ({"snr_grid": [float("inf")]}, "snr_grid entries must be finite and positive"),
@@ -238,7 +242,7 @@ class TestValidateCommand:
     def test_distorted_config_with_oracle_and_asymptotes_runs(self, tmp_path, nonlinearity):
         config = dict(
             TINY_CONFIG, mc_trials=2, nonlinearity=nonlinearity,
-            estimator_set=["oracle_lmmse", "generative_asymptote", "discriminative_asymptote"],
+            estimator_set=["oracle_lmmse", "generative_asymptote"],
         )
         path = _write(tmp_path / "c.json", json.dumps(config))
         assert main(["validate", path]) == 0
@@ -390,15 +394,24 @@ class TestRunCommand:
         assert list(rows_a[0].keys()) == list(rows_b[0].keys())
         assert all(row["trials_ok"] == "7" for row in rows_b)
 
-    def test_byte_identical_across_threads_and_reruns(self, tmp_path):
+    def test_byte_identical_across_worker_counts_and_reruns(self, tmp_path, monkeypatch):
         cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
-        for i, threads in enumerate(("1", "3", "1")):
-            main(["run", cfg_path, "--threads", threads, "--out", str(tmp_path / f"r{i}")])
+        for i, workers in enumerate((1, 3, 1)):
+            monkeypatch.setattr(harness, "_worker_count", lambda cfg, n=workers: n)
+            assert main(["run", cfg_path, "--out", str(tmp_path / f"r{i}")]) == 0
         blobs = [(tmp_path / f"r{i}" / "results.csv").read_bytes() for i in range(3)]
         assert blobs[0] == blobs[1] == blobs[2]
-        # --threads is accepted and ignored: the manifest records no thread count.
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
-        assert "threads" not in manifest
+        assert manifest["environment"]["workers"] == 3
+
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
+        # Trials split across one process per usable CPU; no flag sets a count.
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg_path, "--threads", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_forked_run_counts_condition_warnings_without_printing_them(self, tmp_path):
         # The workers inherit the sweep's filter, so even under -W always the

@@ -11,7 +11,6 @@ from gendisc.estimators import (
     KnownStatistics,
     Provenance,
     affine_risk,
-    discriminative_asymptote,
     discriminative_estimator,
     discriminative_highsnr,
     fit_ml,
@@ -375,16 +374,6 @@ class TestOracleLmmse:
         learned = discriminative_estimator(compute_moments(data))
         assert np.linalg.norm(learned.A - oracle.A) / np.linalg.norm(oracle.A) <= 0.02
 
-    @pytest.mark.parametrize("nonlinearity", [Tanh(scale=1.0), Cubic(alpha=0.1)])
-    def test_distorted_oracle_is_the_discriminative_asymptote(self, nonlinearity):
-        prior = exp_decay_prior(5)
-        H = random_measurement_matrix(4, 5, Seed(37))
-        model = TrueModel(H=H, mu_w=np.zeros(4), sigma2=0.3, nonlinearity=nonlinearity)
-        oracle = oracle_lmmse(prior, model)
-        asym = discriminative_asymptote(prior, model)
-        assert oracle.provenance is Provenance.ORACLE_LMMSE
-        assert affine_rel_diff(asym, oracle) <= 1e-10
-
 
 class TestAsymptotes:
     def test_generative_asymptote_coincides_with_oracle_for_linear_model(self):
@@ -407,16 +396,15 @@ class TestAsymptotes:
         assert [name for name, _ in events] == ["prior covariance", "lemma inner matrix"]
 
     def test_asymptotes_read_the_measurement_moments_they_are_given(self, monkeypatch):
-        # Given the model's measurement moments, each asymptote is the same
-        # rule bit for bit, and one tanh quadrature serves both rules, the
-        # oracle and their risks.
+        # Given the model's measurement moments, the generative asymptote and
+        # the oracle (the discriminative rule's limit) are the same rules bit
+        # for bit, and one tanh quadrature serves both rules and their risks.
         prior = exp_decay_prior(5)
         H = 2.0 * random_measurement_matrix(6, 5, Seed(43))
         model = TrueModel(H=H, mu_w=np.zeros(6), sigma2=0.3, nonlinearity=Tanh(scale=1.0))
         known = KnownStatistics(GaussianPrior(np.zeros(5), np.eye(5)), 0.5)
         builds = {
             "generative": lambda m=None: generative_asymptote(prior, model, known, m),
-            "discriminative": lambda m=None: discriminative_asymptote(prior, model, m),
             "oracle": lambda m=None: oracle_lmmse(prior, model, m),
         }
         alone = {name: build() for name, build in builds.items()}
@@ -432,18 +420,6 @@ class TestAsymptotes:
             affine_risk(est, prior, model, m)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
-    def test_discriminative_asymptote_is_population_lmmse(self, nonlinearity):
-        # One rule under every map: the oracle is the discriminative asymptote,
-        # bit for bit.
-        prior = exp_decay_prior(5)
-        H = random_measurement_matrix(4, 5, Seed(41))
-        model = TrueModel(H=H, mu_w=np.full(4, 0.2), sigma2=0.3, nonlinearity=nonlinearity)
-        asym = discriminative_asymptote(prior, model)
-        oracle = oracle_lmmse(prior, model)
-        assert np.array_equal(asym.A, oracle.A)
-        assert np.array_equal(asym.b, oracle.b)
-
     def test_zero_noise_reduces_to_inverse_of_square_channel(self):
         # sigma2 = 0 with consistent linear moments gives the direct-form
         # gain at H_hat = H; for a square invertible channel that is H^{-1}.
@@ -457,16 +433,17 @@ class TestAsymptotes:
 
     def test_nonlinear_model_separates_the_asymptotes(self):
         # Under tanh saturation the plug-in limit no longer matches the
-        # population LMMSE gain; the gap is the asymptotic price of the
-        # model mismatch.
+        # population LMMSE gain, the oracle that the discriminative rule
+        # tends to; the gap is the asymptotic price of the model mismatch.
         prior = exp_decay_prior(5)
         H = 2.0 * random_measurement_matrix(6, 5, Seed(43))
         model = TrueModel(H=H, mu_w=np.zeros(6), sigma2=0.25, nonlinearity=Tanh(scale=1.0))
         gen = generative_asymptote(prior, model)
-        disc = discriminative_asymptote(prior, model)
+        disc = oracle_lmmse(prior, model)
+        assert disc.provenance is Provenance.ORACLE_LMMSE
         assert np.linalg.norm(gen.A - disc.A) > 1e-3
 
-    @pytest.mark.parametrize("asymptote", [generative_asymptote, discriminative_asymptote])
+    @pytest.mark.parametrize("asymptote", [generative_asymptote, oracle_lmmse])
     def test_asymptotes_check_their_inputs(self, asymptote):
         prior = exp_decay_prior(5)
         H = random_measurement_matrix(4, 5, Seed(40))

@@ -23,7 +23,6 @@ from gendisc.estimators import (
     KnownStatistics,
     Provenance,
     affine_risk,
-    discriminative_asymptote,
     discriminative_estimator,
     discriminative_highsnr,
     fit_ml,
@@ -630,13 +629,10 @@ class TestSharedDraws:
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
         # Under a frozen H the untrained rules do not depend on the trial: each
         # is built and scored once per SNR cell of the sweep, and its
-        # condition warnings still count in every trial. The oracle and the
-        # discriminative asymptote are one rule, the population LMMSE, built
-        # and scored once for both. The generative asymptote is the
-        # generative rule at the population fit, which is solved once per sweep.
-        calls = {
-            "population LMMSE": 0, "population fit": 0, "generative asymptote": 0, "risk": 0
-        }
+        # condition warnings still count in every trial. The generative
+        # asymptote is the generative rule at the population fit, which is
+        # solved once per sweep.
+        calls = {"oracle": 0, "population fit": 0, "generative asymptote": 0, "risk": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -646,7 +642,7 @@ class TestSharedDraws:
             return wrapper
 
         _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
-        monkeypatch.setattr(harness, "_oracle", counted("population LMMSE", harness._oracle))
+        monkeypatch.setattr(harness, "_oracle", counted("oracle", harness._oracle))
         fit = functools.cached_property(
             counted("population fit", estimators._Truth.population_fit.func)
         )
@@ -661,7 +657,7 @@ class TestSharedDraws:
         cfg = ExperimentConfig(
             n_x=6, n_y=3, snr_grid=(1.0, 1e12, 3e13), nt_grid=(12,), mc_trials=4, seed=Seed(11),
             h_mode="fixed_once",
-            estimator_set=("oracle_lmmse", "generative_asymptote", "discriminative_asymptote"),
+            estimator_set=("oracle_lmmse", "generative_asymptote"),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -670,15 +666,13 @@ class TestSharedDraws:
             _, points = sweep_points(cfg)
             alone = [run_trial(cfg, p, 0) for p in points]
         assert built == {
-            "population LMMSE": 3, "population fit": 1, "generative asymptote": 3, "risk": 2 * 3
+            "oracle": 3, "population fit": 1, "generative asymptote": 3, "risk": 2 * 3
         }
         assert any(out.warning_count for out in alone)
         cells = report.metadata["cells"]
         assert [c["condition_warnings"] for c in cells] == [4 * o.warning_count for o in alone]
         for row in report.rows:
             assert row.trials_ok == 4 and row.std_err == 0.0
-        for out in alone:
-            assert out.errors["oracle_lmmse"] == out.errors["discriminative_asymptote"]
 
     def test_untrained_scores_are_the_same_bits_in_every_sample_count_cell(self, monkeypatch):
         # The sample-count cells of a trial share its H, so a rule that reads
@@ -787,7 +781,6 @@ def _public_scores(prior, model, known, n_t, names, seed, ridge=0.0):
         "discriminative": lambda: discriminative_estimator(m, ridge),
         "oracle_lmmse": lambda: oracle_lmmse(prior, model),
         "generative_asymptote": lambda: generative_asymptote(prior, model, known),
-        "discriminative_asymptote": lambda: discriminative_asymptote(prior, model),
         "generative_high_snr": lambda: generative_highsnr(known.prior, model.H, m),
         "discriminative_high_snr": lambda: discriminative_highsnr(model.H, m),
     }

@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from gendisc import moments
-from gendisc.estimators import AffineEstimator, FittedModel
+from gendisc.estimators import AffineEstimator, FittedModel, measurement_moments
 from gendisc.moments import (
     CONDITION_WARN_THRESHOLD,
     Dataset,
@@ -20,7 +20,7 @@ from gendisc.moments import (
     spd_solve,
     woodbury_invert,
 )
-from gendisc.synth import GaussianPrior, TrueModel
+from gendisc.synth import GaussianPrior, Linear, TrueModel, exp_decay_prior
 
 from conftest import random_spd
 
@@ -353,6 +353,12 @@ class TestConditionEstimate:
     def test_non_finite_entry_is_inf(self, entry):
         assert condition_estimate(np.array([[1.0, 0.0], [0.0, entry]])) == np.inf
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)], ids=["2x3", "1-d", "3-d"])
+    def test_a_matrix_that_is_not_square_and_2d_is_named(self, shape):
+        with pytest.raises(ValueError, match="^matrix must be square and 2-dimensional") as exc:
+            condition_estimate(np.ones(shape))
+        assert str(exc.value).endswith(f"got shape {shape}")
+
     def test_entries_near_the_float_range_do_not_overflow(self):
         # M + M^T overflows here; halving each side first does not.
         M = np.array([[1e308, 1e307], [np.nextafter(1e307, np.inf), 1e308]])
@@ -465,9 +471,16 @@ class TestArrayFields:
             (lambda: Dataset(xs={"a": 1}, ys=[1]), "xs"),
             (lambda: Dataset(xs=["a", "b"], ys=[1, 2]), "xs"),
             (lambda: Dataset(xs=[1.0, 2.0], ys=[[1.0, 2.0], [3.0]]), "ys"),
+            (lambda: Dataset(xs=np.array([1 + 5j, 2, 3]), ys=[1.0, 2.0, 3.0]), "xs"),
+            (lambda: GaussianPrior(mu_y=np.zeros(2, dtype=complex), C_yy=np.eye(2)), "mu_y"),
+            (lambda: spd_solve(np.eye(2) * (1 + 0j), [1.0, 2.0]), "matrix"),
+            (lambda: condition_estimate(np.eye(2) * (1 + 0j)), "matrix"),
+            (lambda: measurement_moments(
+                exp_decay_prior(2), np.eye(2) * (1 + 0j), Linear()), "H"),
         ],
         ids=["int-past-float-range", "prior-int-past-float-range", "solve-int-past-float-range",
-             "dict", "strings", "ragged"],
+             "dict", "strings", "ragged", "complex-array", "prior-complex-array",
+             "solve-complex-array", "condition-complex-array", "measurement-complex-array"],
     )
     def test_an_array_that_does_not_convert_is_named(self, build, field):
         with pytest.raises(ValueError, match=f"^{field} is not an array of real numbers"):

@@ -8,10 +8,12 @@ count) on one more, so that a diff names the rule and the config that moved.
 Two more lines cover the file formats: the bytes of ``results.csv`` as
 ``gendisc.fileio.write_results_csv`` writes the report, and the config echo
 of ``gendisc.fileio.config_to_dict`` as ``json.dumps`` writes it with sorted
-keys. The last lines hash what ``gendisc.compute_moments`` returns (the
-bytes of each moment and ``n_t``), or the message it raises, for two fixed
-inputs, so that a change in the library's reduction of pairs shows next to
-the sweeps:
+keys. A config that the imported checkout rejects prints one line instead,
+``<config>: rejected: <violations>``, so that a diff across the removal of
+a rule still names the config. The last lines hash what
+``gendisc.compute_moments`` returns (the bytes of each moment and ``n_t``),
+or the message it raises, for two fixed inputs, so that a change in the
+library's reduction of pairs shows next to the sweeps:
 
 - ``tanh-50-pairs``: 50 pairs of ``sample_pairs`` under ``tanh`` (4 x 5
   H from ``Seed(24)``, noise mean 1, noise variance 0.5, ``Seed(25)``);
@@ -52,7 +54,6 @@ EVERY_RULE = [
     "discriminative",
     "oracle_lmmse",
     "generative_asymptote",
-    "discriminative_asymptote",
     "generative_high_snr",
     "discriminative_high_snr",
 ]
@@ -185,9 +186,13 @@ def main(src: Path = SRC) -> int:
     from gendisc.harness import sweep
 
     for name, raw in configs().items():
+        cfg = config_from_dict(raw)
+        problems = cfg.violations()
+        if problems:
+            print(f"{name}: rejected: {'; '.join(problems)}")
+            continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = config_from_dict(raw)
             report = sweep(cfg)
         rules = cfg.estimator_set
         parts = {
