@@ -296,7 +296,9 @@ class _Truth:
         return B @ B.T if Q is None else B @ B.T + Q
 
     def C_xx(self, sigma2: float) -> np.ndarray:
-        return self.C_xx_signal + sigma2 * np.eye(self.H.shape[0])
+        C = self.C_xx_signal.copy()
+        C.flat[:: C.shape[0] + 1] += sigma2
+        return C
 
     @cached_property
     def population_fit(self) -> np.ndarray:
@@ -361,16 +363,21 @@ def _generative(H, prior: GaussianPrior, sigma2: float, x_bar, y_bar):
     return G, _generative_offset(G, prior.mu_y, x_bar, y_bar, H)
 
 
-def _lmmse(C_xx, C_yx, mu_x, mu_y, ridge: float, name: str):
-    """A = C_yx C_xx^{-1}, b = mu_y - A mu_x, solving with ``C_xx`` named ``name``."""
-    A = _solve(_factor(C_xx, ridge, name), C_yx.T).T
+def _lmmse(C_xx, C_yx, mu_x, mu_y, ridge: float, name: str, floor: float = 0.0):
+    """A = C_yx C_xx^{-1}, b = mu_y - A mu_x, solving with ``C_xx`` named ``name``.
+
+    ``floor`` bounds the smallest eigenvalue of ``C_xx + ridge*I`` from below
+    (see :func:`~gendisc.moments._factor`).
+    """
+    A = _solve(_factor(C_xx, ridge, name, floor), C_yx.T).T
     return A, mu_y - A @ mu_x
 
 
 def _oracle(truth: _Truth, sigma2: float):
     """The population LMMSE rule under every map: the oracle, the discriminative rule's limit."""
     C_xx, mu_y = truth.C_xx(sigma2), truth.prior.mu_y
-    return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance")
+    # C_xx is sigma2 I loaded on a covariance, so sigma2 bounds its spectrum.
+    return _lmmse(C_xx, truth.C_yx, truth.mu_x, mu_y, 0.0, "population input covariance", sigma2)
 
 
 def _generative_asymptote(truth: _Truth, known: GaussianPrior, sigma2: float):

@@ -2,8 +2,9 @@
 
 Every matrix inverse in the estimator formulas is routed through one Cholesky
 routine, public as :func:`spd_solve`, which screens the condition number from
-the factor and fails loudly (no silent pseudo-inverses) when the matrix is not
-positive definite after optional ridge regularization. The public functions
+the factor, or certifies it from an eigenvalue floor that the caller proves,
+and fails loudly (no silent pseudo-inverses) when the matrix is not positive
+definite after optional ridge regularization. The public functions
 check their inputs, then call the same unchecked routine the sweep calls.
 """
 
@@ -83,6 +84,14 @@ _SCREEN_MARGIN = 10.0
 _SINGULAR_RCOND = np.finfo(float).eps
 
 _SYMMETRY_RTOL = 1e-10
+
+# A factor is certified without the screen when a caller's eigenvalue floor
+# proves n * cond_2 at most _CERTIFIED_COND: the screen's reciprocal estimate
+# is then at least its inverse, ten times the bar of its skip. Floors outside
+# _CERTIFIED_FLOORS keep the screen: there the estimate's inverse vectors, up
+# to 2 sqrt(n) / floor in size, could overflow LAPACK's scaling and read 0.
+_CERTIFIED_COND = CONDITION_WARN_THRESHOLD / _SCREEN_MARGIN / 10.0
+_CERTIFIED_FLOORS = (1e-280, 1e280)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -340,15 +349,21 @@ def condition_estimate(M: np.ndarray) -> float:
     Returns ``inf`` when the smallest eigenvalue is not strictly positive,
     i.e. when the matrix has no SPD factorization, and when an entry is not
     finite, so that the matrix has no eigenvalues to read. A matrix that is
-    not real, square and 2-dimensional raises ``ValueError``.
+    not real, square, 2-dimensional and nonempty raises ``ValueError``.
     """
     M = _as_float_array(M, "matrix", finite=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square and 2-dimensional, got shape {M.shape}")
+    _check_nonempty(M, "matrix")
     if not np.isfinite(M).all():
         return float("inf")
     evals = np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)  # halved first, so no overflow near 1e308
     return float(evals[-1] / evals[0]) if evals[0] > 0.0 else float("inf")
+
+
+def _check_nonempty(M: np.ndarray, name: str) -> None:
+    if M.size == 0:
+        raise ValueError(f"{name} is empty, got shape {M.shape}")
 
 
 def _check_ridge(ridge: float) -> None:
@@ -356,8 +371,22 @@ def _check_ridge(ridge: float) -> None:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
 
 
-def _factor(M: np.ndarray, ridge: float, name: str) -> np.ndarray:
-    """The lower factor of :func:`spd_solve`, with all its checks but those of its inputs."""
+def _factor(M: np.ndarray, ridge: float, name: str, floor: float = 0.0) -> np.ndarray:
+    """The lower factor of :func:`spd_solve`, with all its checks but those of its inputs.
+
+    ``floor`` is a lower bound on the smallest eigenvalue of ``M + ridge*I``
+    that the caller can prove, such as the noise variance loaded on a
+    positive semidefinite matrix (0: unknown). When it certifies the
+    factor, that is ``n**2 * max(diag) <= 1e10 * floor`` with ``floor`` in
+    ``[1e-280, 1e280]``, the factor is returned without the LAPACK 1-norm
+    screen. That bound gives lambda_max / lambda_min <= n * max(diag) /
+    floor, so n * cond_2 <= 1e10, and the screen's reciprocal estimate,
+    which is at least 1 / (n * cond_2), would pass both its singularity and
+    its warning bars: the screen could only have returned the same factor
+    with no warning. A floor that overstates the smallest eigenvalue by a
+    factor below 10, as rounding in a computed ``X + floor*I`` does, is
+    still covered by the screen's margin.
+    """
     if M.tobytes() == M.T.tobytes():
         A = M
     elif _symmetry_defect(M) > _SYMMETRY_RTOL:
@@ -373,6 +402,10 @@ def _factor(M: np.ndarray, ridge: float, name: str) -> np.ndarray:
         raise SingularMatrixError(
             name, condition_estimate(A), hint="increase the ridge or supply more samples"
         )
+    n = A.shape[0]
+    low, high = _CERTIFIED_FLOORS
+    if low <= floor <= high and n * n * float(A.diagonal().max()) <= _CERTIFIED_COND * floor:
+        return factor  # a Python float product: an overflow reads inf and fails
     rcond, info = dpocon(factor, np.abs(A).sum(axis=0).max(), uplo="L")
     if info == 0 and rcond < _SINGULAR_RCOND:
         raise SingularMatrixError(
@@ -406,11 +439,18 @@ def spd_solve(M, B, ridge: float = 0.0, name: str = "matrix") -> np.ndarray:
     failed factorization, or one whose 1-norm estimate marks the matrix
     singular to working precision (reciprocal condition below machine
     epsilon), raises :class:`SingularMatrixError` carrying the spectral
-    estimate.
+    estimate. An empty ``M`` raises ``ValueError``.
+
+    This function screens every factor. The estimators' noise-loaded
+    matrices, the innovation covariance of :func:`gain_direct` and the
+    oracle's population input covariance, skip the screen where their noise
+    variance proves that it would pass them without a warning, so their
+    outcomes are the same.
     """
     M = _as_float_array(M, name, ndim=2)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    _check_nonempty(M, name)
     _check_ridge(ridge)
     B = _as_float_array(B, "right-hand side")
     if B.ndim not in (1, 2) or B.shape[0] != M.shape[0]:
@@ -432,6 +472,7 @@ def woodbury_invert(H, C, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     H : (N_x, N_y) array_like
+        Nonempty.
     C : (N_y, N_y) array_like
         Symmetric positive definite.
     sigma2 : float
@@ -448,6 +489,7 @@ def woodbury_invert(H, C, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     if C.shape[0] != C.shape[1] or C.shape[0] != H.shape[1]:
         raise ValueError(f"shape mismatch: H is {H.shape}, C is {C.shape}")
+    _check_nonempty(H, "H")
     return gain_direct(H, C, sigma2), gain_lemma(H, C, sigma2)
 
 
@@ -455,11 +497,23 @@ def woodbury_invert(H, C, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gain_direct(H, C, sigma2: float) -> np.ndarray:
-    """Gain via the N_x-sized inverse: ``C H^T (H C H^T + sigma2 I)^{-1}``."""
+    """Gain via the N_x-sized inverse: ``C H^T (H C H^T + sigma2 I)^{-1}``.
+
+    The innovation covariance is loaded with ``sigma2`` on its diagonal and
+    symmetrized as :func:`_factor` would symmetrize it (halving is exact, so
+    a product already equal to its transpose is unchanged), and its factor
+    is certified from ``sigma2``: with ``H C H^T`` positive semidefinite,
+    ``sigma2`` bounds its smallest eigenvalue, and where that bound alone
+    rules out ``CONDITION_WARN_THRESHOLD`` the condition screen, which could
+    only pass it without a warning, is skipped. With ``sigma2 == 0``, as in
+    the high-SNR rules, the factor is screened in full.
+    """
     HC = H @ C
-    S = HC @ H.T + sigma2 * np.eye(H.shape[0])
+    S = HC @ H.T
+    S.flat[:: S.shape[0] + 1] += sigma2
+    S = 0.5 * S + 0.5 * S.T  # as _factor would symmetrize it, without its guard
     # C symmetric: C H^T S^{-1} = (S^{-1} H C)^T
-    return _solve(_factor(S, 0.0, "innovation covariance"), HC).T
+    return _solve(_factor(S, 0.0, "innovation covariance", floor=sigma2), HC).T
 
 
 def gain_lemma(H, C, sigma2: float) -> np.ndarray:

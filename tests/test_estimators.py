@@ -26,6 +26,7 @@ from gendisc.moments import (
     SampleMoments,
     SingularMatrixError,
     compute_moments,
+    condition_estimate,
     condition_events,
     gain_direct,
     gain_lemma,
@@ -800,6 +801,10 @@ _MOMENTS_2 = dict(x_bar=np.zeros(2), y_bar=np.zeros(2), C_yx=np.eye(2), C_yy=np.
         (lambda: spd_solve(np.ones((2, 3)), np.ones(2)), "matrix must be square, got shape (2, 3)"),
         (lambda: woodbury_invert(np.ones((3, 2)), np.eye(3), 1.0),
          "shape mismatch: H is (3, 2), C is (3, 3)"),
+        (lambda: condition_estimate(np.zeros((0, 0))), "matrix is empty, got shape (0, 0)"),
+        (lambda: spd_solve(np.zeros((0, 0)), np.zeros(0), name="probe"),
+         "probe is empty, got shape (0, 0)"),
+        (lambda: woodbury_invert(np.zeros((0, 2)), np.eye(2), 1.0), "H is empty, got shape (0, 2)"),
     ],
 )
 def test_public_constructor_rejects_malformed_input(build, message):

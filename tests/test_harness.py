@@ -1,6 +1,7 @@
 import collections
 import functools
 import gc
+import json
 import os
 import pickle
 import signal
@@ -11,6 +12,7 @@ import time
 import traceback
 import tracemalloc
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from gendisc.estimators import (
     generative_highsnr,
     oracle_lmmse,
 )
+from gendisc.fileio import config_from_dict
 from gendisc.harness import (
     H_MODES,
     PRIOR_MODES,
@@ -562,6 +565,22 @@ class TestSharedDraws:
         report = sweep(cfg)
         assert all(row.trials_ok == 6 for row in report.rows)
         assert calls == {"draw": 6, "factor": 6, "gain": 1 + 6}
+
+    def test_noise_loaded_factors_skip_the_condition_screen(self, monkeypatch):
+        # A trial of the bundled SNR sweep (28 x 30, 13 SNRs) factors 40
+        # matrices. The 26 loaded with the noise variance, the generative
+        # rule's innovation covariance and the oracle's input covariance at
+        # each SNR, are certified from it; only the target sample covariance
+        # and the 13 input sample covariances pay LAPACK's condition estimate.
+        bundled = resources.files("gendisc").joinpath("configs", "mse_vs_snr.json")
+        cfg = config_from_dict({**json.loads(bundled.read_text()), "mc_trials": 3})
+        calls = []
+        dpocon = moments.dpocon
+        monkeypatch.setattr(moments, "dpocon", lambda *a, **k: calls.append(1) or dpocon(*a, **k))
+        _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
+        report = sweep(cfg)
+        assert all(row.trials_ok == 3 for row in report.rows)
+        assert len(calls) == 14 * 3
 
     def test_shared_warning_counts_in_every_use(self):
         M = np.diag([1.0, 1e-13])

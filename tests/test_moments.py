@@ -20,7 +20,7 @@ from gendisc.moments import (
     spd_solve,
     woodbury_invert,
 )
-from gendisc.synth import GaussianPrior, Linear, TrueModel, exp_decay_prior
+from gendisc.synth import GaussianPrior, Linear, Tanh, TrueModel, exp_decay_prior
 
 from conftest import random_spd
 
@@ -324,6 +324,56 @@ class TestSpdSolve:
         assert calls == [1] and len(caught) == 1
         assert [name for name, _ in events] == ["probe"]
         assert np.allclose(X, np.column_stack(columns), rtol=1e-12, atol=0)
+
+    def test_a_noise_floor_changes_no_outcome_of_the_factor(self, monkeypatch):
+        # X + sigma2 I with X positive semidefinite, loaded and symmetrized as
+        # the gain and the oracle build it: where sigma2 certifies the factor
+        # the screen is skipped, and either way the factor bytes, or the
+        # error, and the warnings are those of the unfloored screen. The
+        # tiny source and sigma2 = 1e-310 put the inverse out of the float
+        # range, where LAPACK's estimate reads 0 and the matrix is singular.
+        rng = np.random.default_rng(12)
+
+        def gram(n_x, prior):
+            H = rng.standard_normal((n_x, prior.n_y))
+            return (H @ prior.C_yy) @ H.T
+
+        tanh = measurement_moments(exp_decay_prior(5), rng.standard_normal((4, 5)), Tanh())
+        rank_3 = gram(6, exp_decay_prior(3))
+        sources = {
+            "28x30": gram(28, exp_decay_prior(30)),
+            "6x3": rank_3,
+            "tanh": tanh.B @ tanh.B.T + tanh.Q,
+            "tiny": 1e-312 * rank_3,
+        }
+        # Condition 1.2e12 at sigma2 = lambda_max / 1.2e12, which the screen warns on.
+        warned = np.linalg.eigvalsh(rank_3)[-1] / 1.2e12
+        calls = []
+        dpocon = moments.dpocon
+        monkeypatch.setattr(moments, "dpocon", lambda *a, **k: calls.append(1) or dpocon(*a, **k))
+
+        def outcome(A, **floor):
+            with warnings.catch_warnings(record=True) as caught, condition_events() as events:
+                warnings.simplefilter("always")
+                try:
+                    result = moments._factor(A, 0.0, "probe", **floor).tobytes()
+                except SingularMatrixError as exc:
+                    result = (exc.name, exc.condition)
+            return result, events, [str(w.message) for w in caught]
+
+        certified = 0
+        for source, X in sources.items():
+            for sigma2 in (1e308, 1e12, 1.0, 1e-4, 1e-12, 1e-15, 1e-300, 1e-310, warned):
+                A = X.copy()
+                A.flat[:: A.shape[0] + 1] += sigma2
+                A = 0.5 * A + 0.5 * A.T
+                screened = outcome(A)
+                calls.clear()
+                assert outcome(A, floor=sigma2) == screened, (source, sigma2)
+                certified += not calls and isinstance(screened[0], bytes)
+                if source == "6x3" and sigma2 == warned:
+                    assert screened[1]  # the screen warns
+        assert certified >= 12
 
     def test_right_hand_side_shape_checked(self):
         with pytest.raises(ValueError, match="right-hand side shape"):
