@@ -32,7 +32,7 @@ from .fileio import (
     write_plot_script,
     write_results_csv,
 )
-from .harness import run_trial, sweep, sweep_points
+from .harness import run_trial, sweep, swept_grid
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -162,19 +162,16 @@ def cmd_replay(args) -> int:
     cfg, code = _resolved_config(args)
     if cfg is None:
         return code
-    sweep_name, points = sweep_points(cfg)
-    if not 0 <= args.cell < len(points):
-        print(f"error: --cell must be in [0, {len(points)}), got {args.cell}", file=sys.stderr)
+    try:
+        outcome = run_trial(cfg, args.cell, args.trial)
+    except ValueError as exc:  # the cell or trial is not one of the sweep's
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0 <= args.trial < cfg.mc_trials:
-        print(f"error: --trial must be in [0, {cfg.mc_trials}), got {args.trial}", file=sys.stderr)
-        return EXIT_USAGE
-    point = points[args.cell]
-    outcome = run_trial(cfg, point, args.trial)
+    sweep_name, grid = swept_grid(cfg)
     record = {
         "sweep": sweep_name,
         "cell": args.cell,
-        "sweep_value": point.n_t if sweep_name == "nt" else point.snr,
+        "sweep_value": grid[args.cell],
         "trial": args.trial,
         "errors": outcome.errors,
         "failures": outcome.failures,

@@ -41,7 +41,9 @@ non-finite moments) are recorded per cell rather than aborting the sweep.
 Memory is one float64 score per trial, estimator and cell of the sweep, kept
 at the trial's index with NaN for a failure, plus failure counts grouped by
 reason, each with the first trial it struck so that it can be replayed with
-:func:`run_trial`, the one-SNR case of the same code.
+:func:`run_trial`, the one-cell case of the same code. :func:`swept_grid`
+alone decides which grid a sweep runs along, and so what a cell index names:
+it labels the report's rows and places :func:`run_trial`'s cell.
 """
 
 from __future__ import annotations
@@ -130,12 +132,13 @@ class ExperimentConfig:
     """Full description of one sweep experiment.
 
     ``snr_grid`` holds signal-to-noise ratios (SNR = 1 / sigma2). At most one
-    of ``snr_grid`` / ``nt_grid`` may hold more than one value; that grid is
-    swept (``snr_grid`` when both hold one) and the other supplies the fixed
-    parameter. ``prior_mode == "identity_mismatch"`` replaces the prior
-    covariance by the identity inside the side information handed to the
-    generative estimator, never in data generation. ``nonlinearity`` may be
-    given as a map or in its JSON form, a kind string or a dict (see
+    of ``snr_grid`` / ``nt_grid`` may hold more than one value, and neither
+    repeats an entry; that grid is swept (:func:`swept_grid`) and the other
+    supplies the fixed parameter. ``prior_mode == "identity_mismatch"``
+    replaces the prior covariance by the identity inside the side
+    information handed to the generative estimator, never in data
+    generation. ``nonlinearity`` may be given as a map or in its JSON form,
+    a kind string or a dict (see
     :func:`~gendisc.synth.nonlinearity_from_dict`), which is parsed; an
     integer ``seed`` becomes a :class:`~gendisc.synth.Seed`. Construction
     never raises: a field of the wrong type, or a map that does not parse,
@@ -195,6 +198,8 @@ class ExperimentConfig:
             problems.append("snr_grid entries must be finite and positive")
         elif any(1.0 / s == float("inf") for s in self.snr_grid):
             problems.append("snr_grid entries must be large enough that 1/snr is finite")
+        elif len(set(self.snr_grid)) != len(self.snr_grid):
+            problems.append("snr_grid contains duplicates")
         names_ok = _entries_are(self.estimator_set, lambda e: isinstance(e, str))
         if not names_ok:
             problems.append(f"estimator_set must be a list of names, got {self.estimator_set!r}")
@@ -217,6 +222,8 @@ class ExperimentConfig:
             problems.append("nt_grid must be nonempty")
         elif any(n < 1 for n in self.nt_grid):
             problems.append("nt_grid entries must be >= 1")
+        elif len(set(self.nt_grid)) != len(self.nt_grid):
+            problems.append("nt_grid contains duplicates")
         elif sizes_ok and snr_ok and names_ok and min(self.n_x, self.n_y) >= 1:
             need = _draw_bytes(self) + _score_bytes(self)
             if need > _BYTE_BUDGET:
@@ -275,19 +282,6 @@ def _score_bytes(cfg: ExperimentConfig) -> int:
     """Bytes of the float64 scores of a sweep: per sample count, SNR, estimator and trial."""
     trials = max(cfg.mc_trials, 0)
     return 8 * trials * len(cfg.estimator_set) * len(cfg.snr_grid) * len(cfg.nt_grid)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One cell of a sweep: a grid position with its SNR and sample count."""
-
-    index: int
-    snr: float
-    n_t: int
-
-    @property
-    def sigma2(self) -> float:
-        return 1.0 / self.snr
 
 
 @dataclass(frozen=True)
@@ -489,17 +483,14 @@ def _channel(cfg: ExperimentConfig, prior, known_prior, seed: Seed) -> _Channel:
     return _Channel(prior, known_prior, H, np.zeros(cfg.n_x), cfg.nonlinearity)
 
 
-def sweep_points(cfg: ExperimentConfig) -> tuple[str, list[SweepPoint]]:
-    """The swept grid's name (``"snr"`` or ``"nt"``) and its cells, in grid order.
+def swept_grid(cfg: ExperimentConfig) -> tuple[str, tuple]:
+    """The swept grid's name and entries, a cell index naming an entry.
 
-    ``nt_grid`` is swept at the single SNR when it has several entries,
-    otherwise ``snr_grid`` at the single sample count.
+    ``("nt", cfg.nt_grid)``, swept at the single SNR, when ``nt_grid`` has
+    several entries, otherwise ``("snr", cfg.snr_grid)`` at the single sample
+    count.
     """
-    if len(cfg.nt_grid) > 1:
-        snr = cfg.snr_grid[0]
-        return "nt", [SweepPoint(index=i, snr=snr, n_t=n) for i, n in enumerate(cfg.nt_grid)]
-    n_t = cfg.nt_grid[0]
-    return "snr", [SweepPoint(index=i, snr=s, n_t=n_t) for i, s in enumerate(cfg.snr_grid)]
+    return ("nt", cfg.nt_grid) if len(cfg.nt_grid) > 1 else ("snr", cfg.snr_grid)
 
 
 def _trial(cfg: ExperimentConfig, trial_index: int, constants) -> _Channel:
@@ -509,31 +500,35 @@ def _trial(cfg: ExperimentConfig, trial_index: int, constants) -> _Channel:
 
 
 def run_trial(
-    cfg: ExperimentConfig, point: SweepPoint, trial_index: int, constants: Optional[tuple] = None
+    cfg: ExperimentConfig, cell: int, trial_index: int, constants: Optional[tuple] = None
 ) -> TrialOutcome:
-    """Run one Monte Carlo trial at the given sweep cell.
+    """Run one Monte Carlo trial at cell ``cell`` of the swept grid (:func:`swept_grid`).
 
-    Deterministic in (cfg, point, trial_index), and bitwise equal to the
-    outcome :func:`sweep` scored for that cell and trial. The trial's
-    training draw comes from the child stream (master, 0, sample-count cell
-    index, trial index), the sample-count cell index being ``point.index``
-    in a sweep of ``nt_grid`` and 0 in a sweep of ``snr_grid``: every SNR
-    cell shares the trial's draws. Its measurement matrix comes from
-    (master, 0, 0, trial index, 2), cell 0's stream, in every sample-count
-    cell, or, frozen when ``h_mode == "fixed_once"``, once from (master, 1).
-    ``constants`` is ``sweep_constants(cfg)``, built here when omitted.
-    Raises ``ValueError`` listing every violation when the config is not
-    runnable.
+    Deterministic in (cfg, cell, trial_index), and bitwise equal to the
+    outcome :func:`sweep` scored for that cell and trial. The cell is
+    sample-count cell ``j`` at SNR cell ``k`` of the sweep: ``(cell, 0)`` in
+    a sweep of ``nt_grid`` and ``(0, cell)`` in a sweep of ``snr_grid``. The
+    trial's training draw comes from the child stream (master, 0, j, trial
+    index), so every SNR cell shares the trial's draws. Its measurement
+    matrix comes from (master, 0, 0, trial index, 2), cell 0's stream, in
+    every sample-count cell, or, frozen when ``h_mode == "fixed_once"``,
+    once from (master, 1). ``constants`` is ``sweep_constants(cfg)``, built
+    here when omitted. Raises ``ValueError`` listing every violation when
+    the config is not runnable, or naming ``cell`` or ``trial`` when it is
+    not an index of the swept grid or of the config's ``mc_trials`` trials.
     """
     cfg.validate()
-    sweep_name, _ = sweep_points(cfg)
-    nt_index = point.index if sweep_name == "nt" else 0
+    sweep_name, grid = swept_grid(cfg)
+    for name, index, count in (("cell", cell, len(grid)), ("trial", trial_index, cfg.mc_trials)):
+        if not (_is_int(index) and 0 <= index < count):
+            raise ValueError(f"{name} must be an integer in [0, {count}), got {index!r}")
+    j, k = (cell, 0) if sweep_name == "nt" else (0, cell)
     ch = _trial(cfg, trial_index, constants or sweep_constants(cfg))
-    seed = cfg.seed.child(_NS_TRIAL, nt_index, trial_index)
+    seed = cfg.seed.child(_NS_TRIAL, j, trial_index)
     names = cfg.estimator_set
     out = np.empty((1, len(names)))
     ((failures, warning_count),) = _score_cells(
-        ch, names, cfg.ridge, point.n_t, seed, [point.sigma2], out
+        ch, names, cfg.ridge, cfg.nt_grid[j], seed, [1.0 / cfg.snr_grid[k]], out
     )
     errors = {name: float(r) for name, r in zip(names, out[0]) if name not in failures}
     return TrialOutcome(errors=errors, failures=failures, warning_count=warning_count)
@@ -699,8 +694,9 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
 def sweep(cfg: ExperimentConfig) -> MseReport:
     """MSE of every requested estimator across the config's swept grid.
 
-    ``nt_grid`` is swept at the single SNR when it has several entries,
-    otherwise ``snr_grid`` at the single sample count. Each trial of a
+    Each cell's rows are labelled with its entry of :func:`swept_grid`'s
+    grid, ``nt_grid`` at the single SNR when it has several entries and
+    ``snr_grid`` at the single sample count otherwise. Each trial of a
     sample-count cell is drawn once and scored at every SNR, so the SNR
     cells of a trial share its H and training randomness, and its
     sample-count cells share its H. The trials are split across processes,
@@ -715,7 +711,7 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     ``RuntimeError`` when a worker process fails.
     """
     cfg.validate()
-    sweep_name, points = sweep_points(cfg)
+    sweep_name, grid = swept_grid(cfg)
     constants = sweep_constants(cfg)
     sigma2s = [1.0 / snr for snr in cfg.snr_grid]
     names = cfg.estimator_set
@@ -736,8 +732,7 @@ def sweep(cfg: ExperimentConfig) -> MseReport:
     cells_meta: list[dict] = []
     for j, cell_tallies in enumerate(tallies):
         for k, tally in enumerate(cell_tallies):
-            point = points[j + k]  # one of the grids has a single entry, so j or k is 0
-            value = point.n_t if sweep_name == "nt" else point.snr
+            value = grid[j + k]  # one of the grids has a single entry, so j or k is 0
             failed = {}
             for e, name in enumerate(names):
                 row = scores[j, k, e]

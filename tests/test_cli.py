@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,10 @@ class TestValidateCommand:
             ({"snr_grid": [-1.0]}, "snr_grid entries must be finite and positive"),
             ({"snr_grid": [float("inf")]}, "snr_grid entries must be finite and positive"),
             ({"snr_grid": [float("nan")]}, "snr_grid entries must be finite and positive"),
+            # A repeated entry would write two rows of one sweep_value, with
+            # different means for sample counts: each cell draws its own stream.
+            ({"snr_grid": [10.0, 10]}, "snr_grid contains duplicates"),
+            ({"snr_grid": [10.0], "nt_grid": [20, 20.0]}, "nt_grid contains duplicates"),
         ],
     )
     def test_validate_and_run_agree_on_unrunnable_config(self, tmp_path, capsys, override, message):
@@ -403,6 +408,26 @@ class TestRunCommand:
         assert blobs[0] == blobs[1] == blobs[2]
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
         assert manifest["environment"]["workers"] == 3
+
+    def test_a_run_enters_the_harness_once_through_sweep(self, tmp_path, monkeypatch):
+        # A benchmark of `gendisc run` stamps the sweep's start at the first
+        # call from the CLI into any function defined in the harness, so the
+        # first such call is the sweep, made once.
+        from gendisc import cli
+
+        calls = []
+        for name, value in list(vars(cli).items()):
+            if isinstance(value, types.FunctionType) and value.__module__ == harness.__name__:
+
+                def recorded(*args, _name=name, _fn=value, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(cli, name, recorded)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert calls[0] == "sweep"
+        assert calls.count("sweep") == 1
 
     def test_threads_is_not_an_option(self, tmp_path, capsys):
         # Trials split across one process per usable CPU; no flag sets a count.
@@ -655,9 +680,9 @@ class TestReplayCommand:
     def test_out_of_range_cell_or_trial_is_usage_error(self, tmp_path, capsys):
         cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
         assert main(["replay", cfg_path, "--cell", "2", "--trial", "0"]) == 2
-        assert "--cell" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: cell must be an integer in [0, 2), got 2\n"
         assert main(["replay", cfg_path, "--cell", "0", "--trial", "15"]) == 2
-        assert "--trial" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: trial must be an integer in [0, 15), got 15\n"
 
     def test_invalid_config_is_rejected_as_by_run(self, tmp_path, capsys):
         cfg_path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, mc_trials=0)))

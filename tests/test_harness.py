@@ -38,11 +38,10 @@ from gendisc.harness import (
     H_MODES,
     PRIOR_MODES,
     ExperimentConfig,
-    SweepPoint,
     compute_mse,
     run_trial,
     sweep,
-    sweep_points,
+    swept_grid,
 )
 from gendisc.moments import (
     IllConditionedWarning,
@@ -113,9 +112,8 @@ class TestTrialScores:
         H = random_measurement_matrix(2, 2, cfg.seed.child(1))
         C = exp_decay_prior(2).C_yy
         A = C @ H.T @ np.linalg.inv(H @ C @ H.T + np.eye(2))
-        point = sweep_points(cfg)[1][0]
         for t in range(3):
-            out = run_trial(cfg, point, t)
+            out = run_trial(cfg, 0, t)
             assert out.errors["oracle_lmmse"] == pytest.approx(np.trace(C - A @ H @ C), rel=1e-12)
 
     def test_nearly_noiseless_square_channel(self):
@@ -124,9 +122,8 @@ class TestTrialScores:
         # finite-SNR generative rule, which needs a positive noise variance.
         names = ("discriminative", "oracle_lmmse", "generative_high_snr", "discriminative_high_snr")
         cfg = _small_config(n_x=3, n_y=3, snr_grid=(1e300,), nt_grid=(50,), estimator_set=names)
-        point = sweep_points(cfg)[1][0]
         for t in range(3):
-            out = run_trial(cfg, point, t)
+            out = run_trial(cfg, 0, t)
             assert not out.failures
             for name in names:
                 assert out.errors[name] <= 1e-6
@@ -138,7 +135,7 @@ class TestTrialScores:
             n_x=3, n_y=8, snr_grid=(1.0,), nt_grid=(5,),
             estimator_set=("generative", "discriminative", "oracle_lmmse"),
         )
-        out = run_trial(cfg, sweep_points(cfg)[1][0], 0)
+        out = run_trial(cfg, 0, 0)
         assert set(out.failures) == {"generative"}
         assert "target sample covariance" in out.failures["generative"]
         assert set(out.errors) == {"discriminative", "oracle_lmmse"}
@@ -146,13 +143,13 @@ class TestTrialScores:
     def test_unknown_estimator_name_rejected(self):
         cfg = _small_config(estimator_set=("oracle_lmmse", "bogus"))
         with pytest.raises(ValueError, match="bogus"):
-            run_trial(cfg, SweepPoint(index=0, snr=1.0, n_t=60), 0)
+            run_trial(cfg, 0, 0)
 
     def test_all_provenances_constructible(self):
         cfg = _small_config(
             n_x=3, n_y=4, snr_grid=(2.0,), nt_grid=(100,), estimator_set=ALL_RULES
         )
-        out = run_trial(cfg, sweep_points(cfg)[1][0], 0)
+        out = run_trial(cfg, 0, 0)
         assert not out.failures
         assert set(out.errors) == set(ALL_RULES)
 
@@ -177,22 +174,20 @@ class TestScoring:
             snr_grid=(2.0,), prior_mode="identity_mismatch",
             estimator_set=("generative", "discriminative", "oracle_lmmse"),
         )
-        point = sweep_points(cfg)[1][0]
         seeds = self._count_draws(monkeypatch)
-        out = run_trial(cfg, point, 3)
+        out = run_trial(cfg, 0, 3)
         assert seeds == [cfg.seed.child(0, 0, 3).child(0)]
-        assert out.errors == _public_outcome(cfg, point, 3)[0]
+        assert out.errors == _public_outcome(cfg, 0, 3)[0]
 
     def test_tanh_trial_scores_exact_risk(self, monkeypatch):
         cfg = _small_config(
             snr_grid=(2.0,), nonlinearity=Tanh(scale=1.0),
             estimator_set=("generative", "discriminative"),
         )
-        point = sweep_points(cfg)[1][0]
         seeds = self._count_draws(monkeypatch)
-        out = run_trial(cfg, point, 4)
+        out = run_trial(cfg, 0, 4)
         assert seeds == [cfg.seed.child(0, 0, 4).child(0)]
-        assert out.errors == _public_outcome(cfg, point, 4)[0]
+        assert out.errors == _public_outcome(cfg, 0, 4)[0]
 
     def test_generative_rule_tends_to_its_asymptote_under_a_mismatched_prior(self):
         # The asymptote reads the generative rule's side information, the
@@ -202,10 +197,9 @@ class TestScoring:
             n_x=6, n_y=4, snr_grid=(0.5, 5.0, 50.0), nt_grid=(10**6,), mc_trials=5,
             prior_mode="identity_mismatch", estimator_set=("generative", "generative_asymptote"),
         )
-        _, points = sweep_points(cfg)
-        for point in points:
+        for cell in range(len(cfg.snr_grid)):
             for trial in range(cfg.mc_trials):
-                errors = run_trial(cfg, point, trial).errors
+                errors = run_trial(cfg, cell, trial).errors
                 gen, asym = errors["generative"], errors["generative_asymptote"]
                 assert gen == pytest.approx(asym, rel=0.01)
 
@@ -216,9 +210,8 @@ class TestScoring:
         cfg = _small_config(
             snr_grid=(5.0,), mc_trials=5, nonlinearity=nonlinearity, estimator_set=ALL_RULES
         )
-        point = sweep_points(cfg)[1][0]
         for t in range(cfg.mc_trials):
-            out = run_trial(cfg, point, t)
+            out = run_trial(cfg, 0, t)
             assert not out.failures
             oracle = out.errors["oracle_lmmse"]
             for name, err in out.errors.items():
@@ -228,21 +221,18 @@ class TestScoring:
 class TestRunTrial:
     def test_deterministic_per_trial(self):
         cfg = _small_config()
-        point = SweepPoint(index=1, snr=10.0, n_t=60)
-        a = run_trial(cfg, point, 7)
-        b = run_trial(cfg, point, 7)
+        a = run_trial(cfg, 1, 7)
+        b = run_trial(cfg, 1, 7)
         assert a.errors == b.errors
         assert a.failures == b.failures
 
     def test_distinct_trials_differ(self):
         cfg = _small_config()
-        point = SweepPoint(index=0, snr=1.0, n_t=60)
-        assert run_trial(cfg, point, 0).errors != run_trial(cfg, point, 1).errors
+        assert run_trial(cfg, 0, 0).errors != run_trial(cfg, 0, 1).errors
 
     def test_matches_manual_assembly_per_trial_h(self):
         cfg = _small_config(h_mode="per_trial")
-        point = SweepPoint(index=0, snr=1.0, n_t=60)
-        out = run_trial(cfg, point, 3)
+        out = run_trial(cfg, 0, 3)
         trial_seed = cfg.seed.child(0, 0, 3)
         H = random_measurement_matrix(cfg.n_x, cfg.n_y, trial_seed.child(2))
         prior = exp_decay_prior(cfg.n_y)
@@ -267,14 +257,14 @@ class TestRunTrial:
         _force_workers(monkeypatch, 1)  # a worker's calls are not recorded here
         cfg = _small_config(snr_grid=(10.0,), nt_grid=(8, 20, 60), mc_trials=4)
         sweep(cfg)
-        _, points = sweep_points(cfg)
-        for p in points:
+        cells = range(len(cfg.nt_grid))
+        for j in cells:
             for t in range(cfg.mc_trials):
-                run_trial(cfg, p, t)
-        assert len(channels) == len(points) * cfg.mc_trials
+                run_trial(cfg, j, t)
+        assert len(channels) == len(cells) * cfg.mc_trials
         for t in range(cfg.mc_trials):
             H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(0, 0, t, 2))
-            in_sweep, alone = zip(*(channels[cfg.seed.child(0, p.index, t)] for p in points))
+            in_sweep, alone = zip(*(channels[cfg.seed.child(0, j, t)] for j in cells))
             assert all(ch is in_sweep[0] for ch in in_sweep)  # built once for the trial
             for ch in in_sweep + alone:
                 assert np.array_equal(ch.H, H)
@@ -283,8 +273,7 @@ class TestRunTrial:
 
     def test_fixed_once_draws_h_from_reserved_stream(self):
         cfg = _small_config(h_mode="fixed_once")
-        point = SweepPoint(index=0, snr=1.0, n_t=60)
-        out = run_trial(cfg, point, 3)
+        out = run_trial(cfg, 0, 3)
         trial_seed = cfg.seed.child(0, 0, 3)
         H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(1))
         prior = exp_decay_prior(cfg.n_y)
@@ -300,8 +289,7 @@ class TestRunTrial:
         cfg = _small_config(
             h_mode="fixed_once", nonlinearity=nonlinearity, estimator_set=ALL_RULES
         )
-        point = SweepPoint(index=0, snr=1.0, n_t=60)
-        out = run_trial(cfg, point, 3)
+        out = run_trial(cfg, 0, 3)
         H = random_measurement_matrix(cfg.n_x, cfg.n_y, cfg.seed.child(1))
         prior = exp_decay_prior(cfg.n_y)
         model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=1.0, nonlinearity=nonlinearity)
@@ -314,13 +302,42 @@ class TestRunTrial:
     def test_identity_mismatch_changes_only_generative(self):
         cfg_true = _small_config(prior_mode="true_prior")
         cfg_mis = _small_config(prior_mode="identity_mismatch")
-        point = SweepPoint(index=0, snr=1.0, n_t=60)
-        out_true = run_trial(cfg_true, point, 0)
-        out_mis = run_trial(cfg_mis, point, 0)
+        out_true = run_trial(cfg_true, 0, 0)
+        out_mis = run_trial(cfg_mis, 0, 0)
         # Same data streams: the prior-free estimators are untouched.
         assert out_true.errors["discriminative"] == out_mis.errors["discriminative"]
         assert out_true.errors["oracle_lmmse"] == out_mis.errors["oracle_lmmse"]
         assert out_true.errors["generative"] != out_mis.errors["generative"]
+
+    def test_the_swept_grid_is_the_grid_with_several_entries(self):
+        assert swept_grid(_small_config()) == ("snr", (1.0, 10.0))
+        assert swept_grid(_small_config(snr_grid=(10.0,))) == ("snr", (10.0,))
+        nt_cfg = _small_config(snr_grid=(10.0,), nt_grid=(20, 60))
+        assert swept_grid(nt_cfg) == ("nt", (20, 60))
+
+    @pytest.mark.parametrize(
+        "grids", [dict(snr_grid=(1.0, 10.0, 100.0)), dict(snr_grid=(10.0,), nt_grid=(20, 60))],
+        ids=["snr", "nt"],
+    )
+    @pytest.mark.parametrize(
+        "cell, trial, named",
+        [(-1, 0, "cell"), ("len", 0, "cell"), (True, 0, "cell"), (0, -1, "trial"),
+         (0, "mc_trials", "trial")],
+    )
+    def test_a_cell_or_trial_outside_the_sweep_is_named(self, grids, cell, trial, named):
+        # The cell indexes the swept grid and the trial the config's trials;
+        # anything else is a ValueError that names it, before any scoring.
+        cfg = _small_config(mc_trials=5, **grids)
+        grid = swept_grid(cfg)[1]
+        cell = len(grid) if cell == "len" else cell
+        trial = cfg.mc_trials if trial == "mc_trials" else trial
+        count = len(grid) if named == "cell" else cfg.mc_trials
+        given = cell if named == "cell" else trial
+        message = f"{named} must be an integer in [0, {count}), got {given!r}"
+        with pytest.raises(ValueError) as excinfo:
+            run_trial(cfg, cell, trial)
+        assert str(excinfo.value) == message
+        assert run_trial(cfg, len(grid) - 1, cfg.mc_trials - 1).errors
 
 
 class TestSweeps:
@@ -329,9 +346,8 @@ class TestSweeps:
         # rows equal those aggregated from trials run in reverse order.
         cfg = _small_config(mc_trials=6)
         report = sweep(cfg)
-        points = [SweepPoint(index=i, snr=s, n_t=60) for i, s in enumerate(cfg.snr_grid)]
-        tasks = [(point, t) for point in points for t in range(cfg.mc_trials)]
-        outcomes = {(p.index, t): run_trial(cfg, p, t) for p, t in reversed(tasks)}
+        tasks = [(cell, t) for cell in range(len(cfg.snr_grid)) for t in range(cfg.mc_trials)]
+        outcomes = {(cell, t): run_trial(cfg, cell, t) for cell, t in reversed(tasks)}
         for row in report.rows:
             i = cfg.snr_grid.index(row.sweep_value)
             errs = [outcomes[(i, t)].errors[row.estimator] for t in range(cfg.mc_trials)]
@@ -353,8 +369,8 @@ class TestSweeps:
             assert warnings.filters == filters
             assert caught == []
             replayed = [
-                [run_trial(cfg, point, t).warning_count for t in range(cfg.mc_trials)]
-                for point in sweep_points(cfg)[1]
+                [run_trial(cfg, cell, t).warning_count for t in range(cfg.mc_trials)]
+                for cell in range(len(cfg.snr_grid))
             ]
         counts = [cell["condition_warnings"] for cell in report.metadata["cells"]]
         assert counts == [sum(cell) for cell in replayed]
@@ -386,8 +402,7 @@ class TestSweeps:
         assert {row.sweep_name for row in report.rows} == {"nt"}
         for row in report.rows:
             index = cfg.nt_grid.index(row.sweep_value)
-            point = SweepPoint(index=index, snr=10.0, n_t=row.sweep_value)
-            errs = [run_trial(cfg, point, t).errors[row.estimator] for t in range(3)]
+            errs = [run_trial(cfg, index, t).errors[row.estimator] for t in range(3)]
             assert (row.mean_mse, row.std_err) == compute_mse(errs)
 
     def test_invalid_config_rejected(self):
@@ -516,8 +531,10 @@ class TestSharedDraws:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = sweep(cfg)
-            _, points = sweep_points(cfg)
-            outcomes = [[run_trial(cfg, p, t) for t in range(cfg.mc_trials)] for p in points]
+            outcomes = [
+                [run_trial(cfg, cell, t) for t in range(cfg.mc_trials)]
+                for cell in range(len(swept_grid(cfg)[1]))
+            ]
         cells = report.metadata["cells"]
         assert all(c["condition_warnings"] > 0 for c in cells[1:])
         assert all(c["failures"] for c in cells) == name.startswith("singular")
@@ -627,16 +644,16 @@ class TestSharedDraws:
             estimator_set=("generative_high_snr", "discriminative_high_snr", "oracle_lmmse"),
         )
         constants = harness.sweep_constants(cfg)
-        _, points = sweep_points(cfg)
+        cells = range(len(cfg.snr_grid))
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
-            outs = [run_trial(cfg, p, 0, constants) for p in points]
+            outs = [run_trial(cfg, cell, 0, constants) for cell in cells]
             before = tracemalloc.get_traced_memory()[0]
             for trial in range(1, 21):
-                for p in points:
-                    run_trial(cfg, p, trial, constants)
+                for cell in cells:
+                    run_trial(cfg, cell, trial, constants)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -682,8 +699,7 @@ class TestSharedDraws:
             warnings.simplefilter("ignore")
             report = sweep(cfg)
             built = dict(calls)
-            _, points = sweep_points(cfg)
-            alone = [run_trial(cfg, p, 0) for p in points]
+            alone = [run_trial(cfg, cell, 0) for cell in range(len(cfg.snr_grid))]
         assert built == {
             "oracle": 3, "population fit": 1, "generative asymptote": 3, "risk": 2 * 3
         }
@@ -712,14 +728,14 @@ class TestSharedDraws:
             estimator_set=("generative", "oracle_lmmse", "generative_asymptote"),
         )
         report = sweep(cfg)
-        _, points = sweep_points(cfg)
-        assert len(scored) == len(points) * cfg.mc_trials
+        nt_cells = range(len(cfg.nt_grid))
+        assert len(scored) == len(nt_cells) * cfg.mc_trials
         for t in range(cfg.mc_trials):
-            cells = [scored[cfg.seed.child(0, p.index, t)][0] for p in points]
-            alone = [run_trial(cfg, p, t).errors for p in points]
+            cells = [scored[cfg.seed.child(0, j, t)][0] for j in nt_cells]
+            alone = [run_trial(cfg, j, t).errors for j in nt_cells]
             for e, name in enumerate(cfg.estimator_set):
                 column = {cell[e].tobytes() for cell in cells}
-                assert len(column) == (len(points) if name == "generative" else 1), name
+                assert len(column) == (len(nt_cells) if name == "generative" else 1), name
                 assert [cell[e] for cell in cells] == [errors[name] for errors in alone]
         for name in ("oracle_lmmse", "generative_asymptote"):
             rows = [row for row in report.rows if row.estimator == name]
@@ -765,26 +781,30 @@ class TestSharedDraws:
         assert cells[1]["failures"] == {}
 
 
-def _public_outcome(cfg, point, trial):
-    """A trial's errors and failure reasons, by :func:`_public_scores`.
+def _public_outcome(cfg, cell, trial):
+    """A trial's errors and failure reasons at cell ``cell`` of the swept grid, by
+    :func:`_public_scores`.
 
-    H is drawn as ``run_trial`` draws it: from the trial's stream of
-    sample-count cell 0, whatever the cell, or from the sweep's stream.
-    The generative rules read the identity prior under ``identity_mismatch``.
+    The cell is sample-count cell ``j`` at SNR cell ``k``: ``(cell, 0)`` when
+    ``nt_grid`` has several entries, else ``(0, cell)``. H is drawn as
+    ``run_trial`` draws it: from the trial's stream of sample-count cell 0,
+    whatever the cell, or from the sweep's stream. The generative rules read
+    the identity prior under ``identity_mismatch``.
     """
     prior = exp_decay_prior(cfg.n_y)
     if cfg.prior_mode == "identity_mismatch":
         known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
     else:
         known_prior = prior
-    sweep_name, _ = sweep_points(cfg)
-    seed = cfg.seed.child(0, point.index if sweep_name == "nt" else 0, trial)
+    j, k = (cell, 0) if len(cfg.nt_grid) > 1 else (0, cell)
+    sigma2 = 1.0 / cfg.snr_grid[k]
+    seed = cfg.seed.child(0, j, trial)
     fixed = cfg.h_mode == "fixed_once"
     H_seed = cfg.seed.child(1) if fixed else cfg.seed.child(0, 0, trial, 2)
     H = random_measurement_matrix(cfg.n_x, cfg.n_y, H_seed)
-    model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=point.sigma2, nonlinearity=cfg.nonlinearity)
-    known = KnownStatistics(prior=known_prior, sigma2=point.sigma2)
-    return _public_scores(prior, model, known, point.n_t, cfg.estimator_set, seed, cfg.ridge)
+    model = TrueModel(H=H, mu_w=np.zeros(cfg.n_x), sigma2=sigma2, nonlinearity=cfg.nonlinearity)
+    known = KnownStatistics(prior=known_prior, sigma2=sigma2)
+    return _public_scores(prior, model, known, cfg.nt_grid[j], cfg.estimator_set, seed, cfg.ridge)
 
 
 def _public_scores(prior, model, known, n_t, names, seed, ridge=0.0):
@@ -831,10 +851,10 @@ class TestOnePath:
                 prior_mode=prior_mode, nonlinearity=nonlinearity, estimator_set=ALL_RULES,
                 **grids,
             )
-            for point in sweep_points(cfg)[1]:
+            for cell in range(len(swept_grid(cfg)[1])):
                 for trial in range(cfg.mc_trials):
-                    out = run_trial(cfg, point, trial)
-                    errors, failures = _public_outcome(cfg, point, trial)
+                    out = run_trial(cfg, cell, trial)
+                    errors, failures = _public_outcome(cfg, cell, trial)
                     assert out.errors == errors
                     assert out.failures == failures
                     n_failures += len(failures)
@@ -1008,12 +1028,11 @@ class TestWorkers:
         # an integer by a byte, so the tallies must pickle to the same size.
         cfg = ExperimentConfig(**dict(INTERLEAVED_5X3, snr_grid=(1e14,)))
         constants = harness.sweep_constants(cfg)
-        point = harness.sweep_points(cfg)[1][0]
         sizes = []
         for trials in (500, 1500):
             scores = np.empty((1, len(cfg.estimator_set), trials))
             ((tally,),) = harness._score_trials(
-                cfg, constants, [point.sigma2], scores[None], 0, trials
+                cfg, constants, [1.0 / cfg.snr_grid[0]], scores[None], 0, trials
             )
             sizes.append(len(pickle.dumps(tally)))
         assert sizes[0] == sizes[1]
@@ -1024,7 +1043,7 @@ class TestWorkers:
             assert len(reasons.get(name, {})) == (failed.size > 0)
             for why, seen in reasons.get(name, {}).items():
                 assert seen == {"count": failed.size, "first_trial": failed[0]}
-                assert run_trial(cfg, point, int(failed[0])).failures[name] == why
+                assert run_trial(cfg, 0, int(failed[0])).failures[name] == why
         # The discriminative rule and the oracle fail in some trials, not all.
         assert 0 < reasons["discriminative"]["input sample covariance"]["count"] < 1500
         assert 0 < reasons["oracle_lmmse"]["population input covariance"]["count"] < 1500
@@ -1143,11 +1162,13 @@ class TestConfigValidation:
         assert ExperimentConfig().violations() == []
 
     def test_violations_are_collected_not_raised(self):
-        cfg = ExperimentConfig(n_x=0, mc_trials=0, ridge=-1.0, prior_mode="bogus")
+        cfg = ExperimentConfig(
+            n_x=0, mc_trials=0, ridge=-1.0, prior_mode="bogus", snr_grid=(10.0, 10.0)
+        )
         problems = cfg.violations()
-        assert len(problems) == 4
+        assert len(problems) == 5
         joined = " ".join(problems)
-        for token in ("n_x", "mc_trials", "ridge", "prior_mode"):
+        for token in ("n_x", "mc_trials", "ridge", "prior_mode", "snr_grid contains duplicates"):
             assert token in joined
 
     @pytest.mark.parametrize(

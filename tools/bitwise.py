@@ -8,7 +8,13 @@ count) on one more, so that a diff names the rule and the config that moved.
 Two more lines cover the file formats: the bytes of ``results.csv`` as
 ``gendisc.fileio.write_results_csv`` writes the report, and the config echo
 of ``gendisc.fileio.config_to_dict`` as ``json.dumps`` writes it with sorted
-keys. A config that the imported checkout rejects prints one line instead,
+keys. One more line, ``replay``, hashes what ``gendisc replay`` prints for
+every (cell, trial) of the sweep, cells outer and trials inner, each run
+through ``gendisc.cli.main`` on the config written as a JSON file: the
+replayed errors, failure reasons, condition-warning counts and the cell's
+``sweep_value``, so that a change in how a cell index names its grid entry
+shows next to the sweep it replays. A config that the imported checkout
+rejects prints one line instead,
 ``<config>: rejected: <violations>``, so that a diff across the removal of
 a rule still names the config. The last lines hash what
 ``gendisc.compute_moments`` returns (the bytes of each moment and ``n_t``),
@@ -41,7 +47,9 @@ integer SNRs and ridge and integral-float sample counts as JSON writes them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -179,9 +187,26 @@ def moment_datasets() -> dict:
     }
 
 
+def replays(gendisc_main, raw: dict, cells: int, trials: int) -> bytes:
+    """What ``gendisc replay`` prints for each of ``cells`` x ``trials`` of config ``raw``."""
+    printed = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(printed):
+            warnings.simplefilter("ignore")
+            for cell in range(cells):
+                for trial in range(trials):
+                    argv = ["replay", str(path), "--cell", str(cell), "--trial", str(trial)]
+                    if gendisc_main(argv) != 0:
+                        raise RuntimeError(f"gendisc {' '.join(argv)} failed")
+    return printed.getvalue().encode()
+
+
 def main(src: Path = SRC) -> int:
     sys.path.insert(0, str(src))
     from gendisc import compute_moments
+    from gendisc.cli import main as gendisc_main
     from gendisc.fileio import config_from_dict, config_to_dict, write_results_csv
     from gendisc.harness import sweep
 
@@ -205,6 +230,7 @@ def main(src: Path = SRC) -> int:
             write_results_csv(path, report)
             parts["results.csv"] = path.read_bytes()
         parts["config_echo"] = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
+        parts["replay"] = replays(gendisc_main, raw, len(report.metadata["cells"]), cfg.mc_trials)
         for part, data in parts.items():
             print(f"{hashlib.sha256(data).hexdigest()}  {name}  {part}")
     for name, data in moment_datasets().items():
