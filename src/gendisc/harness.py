@@ -14,42 +14,44 @@ use but without their input checks: inputs are checked where they enter (the
 config, the public functions), never per cell. What does not depend on the
 noise is computed once and shared through one keyed memo, :func:`_shared`: a
 memo of the trial keeps the target sample covariance's factor and the
-discriminative vanishing-noise gain, and the ``memo`` of the trial's
-channel, made once per trial (per sweep when H is frozen), keeps the
-generative vanishing-noise gain and each untrained rule's score per noise
-variance; the channel also holds the population moments of the map and the
-population fit C_xy C_yy^{-1}, a solve that can neither fail nor warn. A
-shared result's failures and condition warnings are counted in every cell
-that uses it. The oracle is the population LMMSE under every map, so it is
-also the discriminative rule's large-sample limit. The generative asymptote
-is the generative rule built from the population fit and means, with the
-generative rule's side information, by the helper its public constructor
-uses.
+discriminative vanishing-noise gain, and the ``memo`` of the trial's channel
+keeps the generative vanishing-noise gain and each untrained rule's score
+per noise variance; the channel also holds the population moments of the map
+and the population fit C_xy C_yy^{-1}, a solve that can neither fail nor
+warn. A shared result's failures and condition warnings are counted in every
+cell that uses it. The oracle is the population LMMSE under every map, so it
+is also the discriminative rule's large-sample limit. The generative
+asymptote is the generative rule built from the population fit and means,
+with the generative rule's side information, by the helper its public
+constructor uses.
+A sweep names a cell by one flat index, ``j * len(snr_grid) + k`` for
+sample-count cell ``j`` and SNR cell ``k``, and takes every trial's channel
+from one source, :func:`_channels`, built once per sweep: a channel is made
+per trial, or once per sweep when H is frozen.
 :func:`sweep` cuts the trials into contiguous chunks, one per usable CPU: it
 scores the first chunk itself and each other chunk in a worker process,
-forked once per sweep; each trial is scored in every sample-count cell and
-at every SNR. The workers write their scores into memory the processes share
-and, once they have scored their chunk, send back in one message only each
-cell's tally: its condition-warning count and its failure count per rule and
-reason. The tallies are merged in trial order, so the report is the same
-bits for any number of workers. A trial's randomness comes from
-counter-based child seeds, of (sample-count cell 0, trial) for H and of
-(sample-count cell, trial) for a training draw, so results do not depend on
-the order trials run in, nor on which other SNRs share the grid;
-construction failures (singular sample covariances at small sample counts,
-non-finite moments) are recorded per cell rather than aborting the sweep.
-Memory is one float64 score per trial, estimator and cell of the sweep, kept
-at the trial's index with NaN for a failure, plus failure counts grouped by
-reason, each with the first trial it struck so that it can be replayed with
-:func:`run_trial`, the one-cell case of the same code. :func:`swept_grid`
-alone decides which grid a sweep runs along, and so what a cell index names:
-it labels the report's rows and places :func:`run_trial`'s cell.
+forked once per sweep; each trial is scored in every cell. The workers write
+their scores into memory the processes share and, once they have scored
+their chunk, send back in one message only each cell's tally: its
+condition-warning count and its failure count per rule and reason. The
+tallies are merged in trial order, so the report is the same bits for any
+number of workers. A trial's randomness comes from counter-based child
+seeds, of (sample-count cell 0, trial) for H and of (sample-count cell,
+trial) for a training draw, so results do not depend on the order trials run
+in, nor on which other SNRs share the grid; construction failures (singular
+sample covariances at small sample counts, non-finite moments) are recorded
+per cell rather than aborting the sweep. Memory is one float64 score per
+trial, estimator and cell of the sweep, kept at the trial's index with NaN
+for a failure, plus failure counts grouped by reason, each with the first
+trial it struck so that it can be replayed with :func:`run_trial`, the
+one-cell case of the same code. :func:`swept_grid` alone decides which grid
+a sweep runs along and labels the report's rows; since one of the grids has
+a single entry, the flat cell index is the index of the swept grid's entry.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import mmap
 import os
 import pickle
@@ -460,27 +462,30 @@ def _score_cells(
     return cells
 
 
-def sweep_constants(cfg: ExperimentConfig) -> tuple:
-    """Trial inputs fixed for a whole sweep: ``(prior, known_prior, fixed_channel)``.
+def _channels(cfg: ExperimentConfig) -> Callable[[int], _Channel]:
+    """A sweep's channel source: the map from a trial index to that trial's :class:`_Channel`.
 
-    ``prior`` generates the data, ``known_prior`` is the generative side
-    information, and ``fixed_channel`` is the frozen measurement map under
-    ``h_mode == "fixed_once"``, with what rests on it alone (``None`` otherwise).
+    Built once per sweep. Every channel shares the data prior and the
+    generative side information ``known``, the identity under
+    ``prior_mode == "identity_mismatch"``. Trial ``t``'s measurement matrix
+    is drawn from (master, 0, 0, t, 2), sample-count cell 0's stream, or,
+    when ``h_mode == "fixed_once"``, one channel, drawn here from (master,
+    1), serves every trial.
     """
     prior = exp_decay_prior(cfg.n_y)
     if cfg.prior_mode == "identity_mismatch":
-        known_prior = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
+        known = GaussianPrior(mu_y=np.zeros(cfg.n_y), C_yy=np.eye(cfg.n_y))
     else:
-        known_prior = prior
+        known = prior
+
+    def channel(seed: Seed) -> _Channel:
+        H = random_measurement_matrix(cfg.n_x, cfg.n_y, seed)
+        return _Channel(prior, known, H, np.zeros(cfg.n_x), cfg.nonlinearity)
+
     if cfg.h_mode == "fixed_once":
-        return prior, known_prior, _channel(cfg, prior, known_prior, cfg.seed.child(_NS_FIXED_H))
-    return prior, known_prior, None
-
-
-def _channel(cfg: ExperimentConfig, prior, known_prior, seed: Seed) -> _Channel:
-    """The channel of a measurement matrix drawn from ``seed``."""
-    H = random_measurement_matrix(cfg.n_x, cfg.n_y, seed)
-    return _Channel(prior, known_prior, H, np.zeros(cfg.n_x), cfg.nonlinearity)
+        fixed = channel(cfg.seed.child(_NS_FIXED_H))
+        return lambda trial: fixed
+    return lambda trial: channel(cfg.seed.child(_NS_TRIAL, 0, trial, 2))
 
 
 def swept_grid(cfg: ExperimentConfig) -> tuple[str, tuple]:
@@ -493,39 +498,29 @@ def swept_grid(cfg: ExperimentConfig) -> tuple[str, tuple]:
     return ("nt", cfg.nt_grid) if len(cfg.nt_grid) > 1 else ("snr", cfg.snr_grid)
 
 
-def _trial(cfg: ExperimentConfig, trial_index: int, constants) -> _Channel:
-    """The channel of trial ``trial_index`` in every sample-count cell, from cell 0's stream."""
-    prior, known_prior, ch = constants
-    return ch or _channel(cfg, prior, known_prior, cfg.seed.child(_NS_TRIAL, 0, trial_index, 2))
-
-
-def run_trial(
-    cfg: ExperimentConfig, cell: int, trial_index: int, constants: Optional[tuple] = None
-) -> TrialOutcome:
+def run_trial(cfg: ExperimentConfig, cell: int, trial_index: int) -> TrialOutcome:
     """Run one Monte Carlo trial at cell ``cell`` of the swept grid (:func:`swept_grid`).
 
     Deterministic in (cfg, cell, trial_index), and bitwise equal to the
-    outcome :func:`sweep` scored for that cell and trial. The cell is
-    sample-count cell ``j`` at SNR cell ``k`` of the sweep: ``(cell, 0)`` in
-    a sweep of ``nt_grid`` and ``(0, cell)`` in a sweep of ``snr_grid``. The
-    trial's training draw comes from the child stream (master, 0, j, trial
-    index), so every SNR cell shares the trial's draws. Its measurement
-    matrix comes from (master, 0, 0, trial index, 2), cell 0's stream, in
-    every sample-count cell, or, frozen when ``h_mode == "fixed_once"``,
-    once from (master, 1). ``constants`` is ``sweep_constants(cfg)``, built
-    here when omitted. Raises ``ValueError`` listing every violation when
-    the config is not runnable, or naming ``cell`` or ``trial`` when it is
-    not an index of the swept grid or of the config's ``mc_trials`` trials.
+    outcome :func:`sweep` scored for that cell and trial. The cell is the
+    flat index ``j * len(snr_grid) + k`` of sample-count cell ``j`` and SNR
+    cell ``k``; one of the grids has a single entry, so it is the index of
+    the swept grid's entry. The trial's training draw comes from the child
+    stream (master, 0, j, trial index), so every SNR cell shares the trial's
+    draws, and its channel from :func:`_channels`. Raises ``ValueError``
+    listing every violation when the config is not runnable, or naming
+    ``cell`` or ``trial`` when it is not an index of the swept grid or of the
+    config's ``mc_trials`` trials.
     """
     cfg.validate()
-    sweep_name, grid = swept_grid(cfg)
-    for name, index, count in (("cell", cell, len(grid)), ("trial", trial_index, cfg.mc_trials)):
+    cells = len(cfg.nt_grid) * len(cfg.snr_grid)
+    for name, index, count in (("cell", cell, cells), ("trial", trial_index, cfg.mc_trials)):
         if not (_is_int(index) and 0 <= index < count):
             raise ValueError(f"{name} must be an integer in [0, {count}), got {index!r}")
-    j, k = (cell, 0) if sweep_name == "nt" else (0, cell)
-    ch = _trial(cfg, trial_index, constants or sweep_constants(cfg))
+    j, k = divmod(cell, len(cfg.snr_grid))
     seed = cfg.seed.child(_NS_TRIAL, j, trial_index)
     names = cfg.estimator_set
+    ch = _channels(cfg)(trial_index)
     out = np.empty((1, len(names)))
     ((failures, warning_count),) = _score_cells(
         ch, names, cfg.ridge, cfg.nt_grid[j], seed, [1.0 / cfg.snr_grid[k]], out
@@ -559,35 +554,37 @@ def _count(reasons: dict, name: str, why: str, count: int, first_trial: int) -> 
 
 
 def _score_trials(
-    cfg: ExperimentConfig, constants, sigma2s, scores, start, stop, parent=None
-) -> list[list[dict]]:
-    """Score trials ``start`` to ``stop - 1`` of every sample-count cell into ``scores``.
+    cfg: ExperimentConfig, channels, sigma2s, scores, start, stop, parent=None
+) -> list[dict]:
+    """Score trials ``start`` to ``stop - 1`` of every cell into ``scores``.
 
-    Trial ``t`` builds one channel (:func:`_trial`), on which each cell
-    ``j`` scores it by :func:`_score_cells` into ``scores[j, :, :, t]``.
-    Returns, per sample-count cell, each SNR cell's tally as the manifest
-    prints it: its ``condition_warnings`` count and its ``failure_reasons``,
-    per rule and reason (see :class:`TrialOutcome`) the ``count`` of failing
+    Trial ``t`` takes its channel from ``channels`` (:func:`_channels`), on
+    which each sample-count cell ``j`` scores it by :func:`_score_cells`
+    into ``scores[j*K:(j+1)*K, :, t]``, ``K`` the number of SNR cells.
+    Returns each cell's tally, in flat cell order, as the manifest prints
+    it: its ``condition_warnings`` count and its ``failure_reasons``, per
+    rule and reason (see :class:`TrialOutcome`) the ``count`` of failing
     trials and the ``first_trial`` among them, so that its size does not
-    grow with the trials. An error raised in cell ``j`` gets ``j`` as its
-    ``cell`` attribute. With ``parent``, a worker's, raises
+    grow with the trials. An error raised in sample-count cell ``j`` gets
+    ``j`` as its ``cell`` attribute. With ``parent``, a worker's, raises
     ``RuntimeError`` before any trial once that process is no longer its
     parent.
     """
-    names, ridge = cfg.estimator_set, cfg.ridge
-    tallies = [[{"condition_warnings": 0, "failure_reasons": {}} for _ in sigma2s] for _ in scores]
+    names, ridge, K = cfg.estimator_set, cfg.ridge, len(sigma2s)
+    tallies = [{"condition_warnings": 0, "failure_reasons": {}} for _ in scores]
     for trial in range(start, stop):
         if parent is not None and os.getppid() != parent:
             raise RuntimeError("the sweep's parent process exited")
-        ch = _trial(cfg, trial, constants)
+        ch = channels(trial)
         for j, n_t in enumerate(cfg.nt_grid):
             seed = cfg.seed.child(_NS_TRIAL, j, trial)
+            cells = slice(j * K, (j + 1) * K)
             try:
-                cells = _score_cells(ch, names, ridge, n_t, seed, sigma2s, scores[j, ..., trial])
+                scored = _score_cells(ch, names, ridge, n_t, seed, sigma2s, scores[cells, :, trial])
             except BaseException as exc:
                 exc.cell = j
                 raise
-            for tally, (failures, warning_count) in zip(tallies[j], cells):
+            for tally, (failures, warning_count) in zip(tallies[cells], scored):
                 tally["condition_warnings"] += warning_count
                 for name, why in failures.items():
                     _count(tally["failure_reasons"], name, why, 1, trial)
@@ -597,10 +594,10 @@ def _score_trials(
 def _work(score: Callable, results: int) -> None:
     """Run a forked worker: score its chunk of trials, send one message, then exit.
 
-    Sends ``(True, score())``, each sample-count cell's SNR tallies, over
-    the pipe ``results`` or, when scoring raises, ``(False, (j,
-    traceback))`` with ``j`` the error's ``cell``, 0 if it has none (a
-    trial's channel is drawn from cell 0's stream). Leaves only through
+    Sends ``(True, score())``, each cell's tally, over the pipe ``results``
+    or, when scoring raises, ``(False, (j, traceback))`` with ``j`` the
+    error's sample-count ``cell``, 0 if it has none (a trial's channel is
+    drawn from sample-count cell 0's stream). Leaves only through
     ``os._exit``, so the worker never returns into its caller, flushes no
     buffer it inherited and runs no exit hook. SIGINT, blocked across the
     fork, is unblocked only inside the ``try``.
@@ -619,26 +616,32 @@ def _work(score: Callable, results: int) -> None:
         os._exit(code)
 
 
-def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int) -> list[list]:
-    """Score every sample-count cell's trials, split across ``workers`` processes.
+def _score_split(cfg: ExperimentConfig, channels, sigma2s, scores, workers: int) -> list[dict]:
+    """Score every cell's trials, split across ``workers`` processes.
 
     The trials are cut into ``workers`` contiguous chunks, each scored in
-    every sample-count cell by :func:`_score_trials`. This process scores
-    the first chunk; ``workers - 1`` workers, forked once, score the others
-    into ``scores``, which must be backed by shared memory, and each sends
-    its tallies once, when it has scored its chunk. They are added, by
-    :func:`_count`, to this process's own in chunk order, which is trial
-    order. Returns, per sample-count cell in grid order, its merged SNR
-    tallies. Every worker is reaped before this returns or raises; a worker
-    that fails or dies raises ``RuntimeError`` here, once this process has
+    every cell by :func:`_score_trials` on the channels of ``channels``
+    (:func:`_channels`). This process scores the first chunk; ``workers -
+    1`` workers, forked once, score the others into ``scores``, which must
+    be backed by shared memory, and each sends its tallies once, when it has
+    scored its chunk. They are added, by :func:`_count`, to this process's
+    own in chunk order, which is trial order. Returns each cell's merged
+    tally, in flat cell order. Every worker is reaped before this returns or
+    raises. A worker that cannot be started (no pipe or no process to be
+    had) raises ``RuntimeError`` naming its chunk at once; one that fails,
+    dies or sends a truncated message raises it once this process has
     scored its own chunk.
     """
     bounds = [cfg.mc_trials * c // workers for c in range(workers + 1)]
     parent = os.getpid()
 
-    def score(c: int, parent=None) -> list[list[dict]]:
-        """Chunk ``c`` of every sample-count cell, by :func:`_score_trials`."""
-        return _score_trials(cfg, constants, sigma2s, scores, *bounds[c : c + 2], parent=parent)
+    def score(c: int, parent=None) -> list[dict]:
+        """Chunk ``c`` of every cell, by :func:`_score_trials`."""
+        return _score_trials(cfg, channels, sigma2s, scores, *bounds[c : c + 2], parent=parent)
+
+    def worker(c: int) -> str:
+        """What an error calls the worker of chunk ``c``."""
+        return f"sweep worker for trials {bounds[c]} to {bounds[c + 1] - 1}"
 
     procs: list = []  # (pid, results pipe) of each worker, in chunk order
     try:
@@ -659,6 +662,8 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
                     _work(partial(score, c, parent=parent), ends[0])
                 procs.append((pid, results))
                 results = None
+            except OSError as exc:  # os.pipe or os.fork, e.g. at a process limit
+                raise RuntimeError(f"{worker(c)} could not start: {exc}") from exc
             finally:  # in this process only: a worker leaves _work through os._exit
                 for fd in ends:
                     os.close(fd)
@@ -669,16 +674,13 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
         for c, (_, results) in enumerate(procs, start=1):
             try:
                 ok, message = pickle.load(results)
-            except EOFError:
+            except (EOFError, pickle.UnpicklingError):  # it died, perhaps mid-message
                 ok, message = False, (None, "it exited without a result")
             if not ok:
                 j, why = message
                 where = "" if j is None else f" of sample-count cell {j}"  # None: it died
-                raise RuntimeError(
-                    f"sweep worker for trials {bounds[c]} to {bounds[c + 1] - 1}{where} "
-                    f"failed: {why}"
-                )
-            for theirs, ours in zip(itertools.chain(*message), itertools.chain(*tallies)):
+                raise RuntimeError(f"{worker(c)}{where} failed: {why}")
+            for theirs, ours in zip(message, tallies):
                 ours["condition_warnings"] += theirs["condition_warnings"]
                 for name, whys in theirs["failure_reasons"].items():
                     for why, seen in whys.items():
@@ -694,71 +696,71 @@ def _score_split(cfg: ExperimentConfig, constants, sigma2s, scores, workers: int
 def sweep(cfg: ExperimentConfig) -> MseReport:
     """MSE of every requested estimator across the config's swept grid.
 
-    Each cell's rows are labelled with its entry of :func:`swept_grid`'s
-    grid, ``nt_grid`` at the single SNR when it has several entries and
-    ``snr_grid`` at the single sample count otherwise. Each trial of a
-    sample-count cell is drawn once and scored at every SNR, so the SNR
-    cells of a trial share its H and training randomness, and its
-    sample-count cells share its H. The trials are split across processes,
-    one per usable CPU when the work pays for the forks
-    (:func:`_worker_count`) and no more than the memory budget holds with a
-    training draw in flight in each; once all are scored, each cell's
-    tallies are merged in trial order, so the result is the same bits for
-    any number of them. Ill-conditioned factors are counted in each cell's
+    Cell ``i`` is the flat index ``j * len(snr_grid) + k`` of sample-count
+    cell ``j`` and SNR cell ``k``, the index :func:`run_trial` takes. Its
+    rows are labelled with entry ``i`` of :func:`swept_grid`'s grid,
+    ``nt_grid`` at the single SNR when it has several entries and
+    ``snr_grid`` at the single sample count otherwise. Each trial takes its
+    channel from one :func:`_channels`; in each sample-count cell it is drawn
+    once and scored at every SNR, so the SNR cells of a trial share its H and
+    training randomness, and its sample-count cells share its H. The trials
+    are split across processes, one per usable CPU when the work pays for
+    the forks (:func:`_worker_count`) and no more than the memory budget
+    holds with a training draw in flight in each; once all are scored, each
+    cell's tallies are merged in trial order, so the result is the same bits
+    for any number of them. Ill-conditioned factors are counted in each cell's
     ``condition_warnings`` and emit no :class:`IllConditionedWarning`; the
     caller's warning filters are restored afterwards. Raises ``ValueError``
     listing every violation when the config is not runnable, and
-    ``RuntimeError`` when a worker process fails.
+    ``RuntimeError`` when a worker process cannot start or fails.
     """
     cfg.validate()
     sweep_name, grid = swept_grid(cfg)
-    constants = sweep_constants(cfg)
+    channels = _channels(cfg)
     sigma2s = [1.0 / snr for snr in cfg.snr_grid]
     names = cfg.estimator_set
     draws_in_budget = (_BYTE_BUDGET - _score_bytes(cfg)) // _draw_bytes(cfg)
     workers = max(1, min(_worker_count(cfg), cfg.mc_trials, draws_in_budget))
-    # Each trial's scores go to its own index of one row per sample-count
-    # cell, SNR cell and estimator, NaN where the rule failed, in memory the
-    # workers share.
-    shape = (len(cfg.nt_grid), len(sigma2s), len(names), cfg.mc_trials)
+    # Each trial's scores go to its own index of one row per cell, flat
+    # (sample-count cell, SNR cell), and estimator, NaN where the rule
+    # failed, in memory the workers share.
+    shape = (len(cfg.nt_grid) * len(sigma2s), len(names), cfg.mc_trials)
     scores = np.frombuffer(mmap.mmap(-1, _score_bytes(cfg)), dtype=float).reshape(shape)
     with warnings.catch_warnings():
         # Counted per cell in the report instead: a warning per factor would
         # flood stderr, and grow the caller's warning registry with the trials.
         # Set before the fork, so the workers inherit it.
         warnings.simplefilter("ignore", IllConditionedWarning)
-        tallies = _score_split(cfg, constants, sigma2s, scores, workers)
+        tallies = _score_split(cfg, channels, sigma2s, scores, workers)
     rows: list[MseRow] = []
     cells_meta: list[dict] = []
-    for j, cell_tallies in enumerate(tallies):
-        for k, tally in enumerate(cell_tallies):
-            value = grid[j + k]  # one of the grids has a single entry, so j or k is 0
-            failed = {}
-            for e, name in enumerate(names):
-                row = scores[j, k, e]
-                ok = row[~np.isnan(row)]
-                stat = compute_mse(ok)
-                mean, se = stat if stat is not None else (None, None)
-                if ok.size < cfg.mc_trials:
-                    failed[name] = cfg.mc_trials - ok.size
-                rows.append(
-                    MseRow(
-                        sweep_name=sweep_name,
-                        sweep_value=value,
-                        estimator=name,
-                        mean_mse=mean,
-                        std_err=se,
-                        trials_ok=ok.size,
-                        trials_failed=cfg.mc_trials - ok.size,
-                    )
+    # One of the grids has a single entry, so the flat cells are the swept grid's.
+    for value, tally, cell_scores in zip(grid, tallies, scores):
+        failed = {}
+        for name, row in zip(names, cell_scores):
+            ok = row[~np.isnan(row)]
+            stat = compute_mse(ok)
+            mean, se = stat if stat is not None else (None, None)
+            if ok.size < cfg.mc_trials:
+                failed[name] = cfg.mc_trials - ok.size
+            rows.append(
+                MseRow(
+                    sweep_name=sweep_name,
+                    sweep_value=value,
+                    estimator=name,
+                    mean_mse=mean,
+                    std_err=se,
+                    trials_ok=ok.size,
+                    trials_failed=cfg.mc_trials - ok.size,
                 )
-            cells_meta.append(
-                {
-                    "sweep_value": value,
-                    "condition_warnings": tally["condition_warnings"],
-                    "failures": failed,
-                    "failure_reasons": tally["failure_reasons"],
-                }
             )
+        cells_meta.append(
+            {
+                "sweep_value": value,
+                "condition_warnings": tally["condition_warnings"],
+                "failures": failed,
+                "failure_reasons": tally["failure_reasons"],
+            }
+        )
     metadata = {"sweep": sweep_name, "cells": cells_meta}
     return MseReport(rows=tuple(rows), metadata=metadata, workers=workers)

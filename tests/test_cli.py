@@ -1,6 +1,8 @@
+import errno
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -587,6 +589,42 @@ class TestRunCommand:
         assert "error: sweep worker for trials 7 to 14 of sample-count cell 0 failed" in err
         assert "MemoryError: no room for the training draw" in err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                "fork fails",
+                f"could not start: [Errno {errno.EAGAIN}] Resource temporarily unavailable",
+            ),
+            ("message truncated", "failed: it exited without a result"),
+        ],
+        ids=["fork fails", "message truncated"],
+    )
+    def test_a_worker_that_cannot_report_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, monkeypatch, fault, message
+    ):
+        # A fork refused at a process limit, or a worker's message cut short,
+        # fails the run with exit code 2 and a message naming the chunk.
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def truncated(obj, pipe):
+            pipe.write(pickle.dumps(obj)[:5])
+
+        if fault == "fork fails":
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            monkeypatch.setattr(pickle, "dump", truncated)
+        monkeypatch.setattr(harness, "_worker_count", lambda cfg: 2)
+        cfg_path = _write(tmp_path / "c.json", json.dumps(TINY_CONFIG))
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: sweep worker for trials 7 to 14 {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_invalid_config_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = _write(tmp_path / "c.json", json.dumps(dict(TINY_CONFIG, n_x=0)))

@@ -1,4 +1,5 @@
 import collections
+import errno
 import functools
 import gc
 import json
@@ -643,23 +644,23 @@ class TestSharedDraws:
             n_x=5, n_y=4, nt_grid=(n_t,), h_mode="fixed_once", nonlinearity=Tanh(),
             estimator_set=("generative_high_snr", "discriminative_high_snr", "oracle_lmmse"),
         )
-        constants = harness.sweep_constants(cfg)
-        cells = range(len(cfg.snr_grid))
+        channels = harness._channels(cfg)
+        sigma2s = [1.0 / snr for snr in cfg.snr_grid]
+        scores = np.empty((len(sigma2s), len(cfg.estimator_set), 21))
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
-            outs = [run_trial(cfg, cell, 0, constants) for cell in cells]
+            tallies = harness._score_trials(cfg, channels, sigma2s, scores, 0, 1)
             before = tracemalloc.get_traced_memory()[0]
             for trial in range(1, 21):
-                for cell in cells:
-                    run_trial(cfg, cell, trial, constants)
+                harness._score_trials(cfg, channels, sigma2s, scores, trial, trial + 1)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
             gc.enable()
         high_snr = {"generative_high_snr", "discriminative_high_snr"}
-        assert all(set(out.failures) == high_snr for out in outs)
+        assert all(set(tally["failure_reasons"]) == high_snr for tally in tallies)
         assert grown < n_t * (cfg.n_y + 2 * cfg.n_x) * 8  # less than one trial's draw
 
     def test_untrained_rules_are_built_once_per_cell_under_a_frozen_h(self, monkeypatch):
@@ -867,15 +868,15 @@ class TestBoundary:
         "nonlinearity, h_mode", [(Linear(), "per_trial"), (Tanh(scale=1.0), "fixed_once")]
     )
     def test_sweep_loop_validates_and_constructs_nothing(self, monkeypatch, nonlinearity, h_mode):
-        # Inputs are checked where they enter; once sweep_constants has run, a
+        # Inputs are checked where they enter; once _channels has returned, a
         # 13-SNR sweep builds none of the public, validating objects and makes
         # no array check, so validation cannot creep back into the per-cell loop.
         counts = collections.Counter()
         armed = []
-        real_constants = harness.sweep_constants
+        real_channels = harness._channels
 
-        def constants(cfg):
-            out = real_constants(cfg)
+        def channels(cfg):
+            out = real_channels(cfg)
             armed.append(True)
             return out
 
@@ -888,7 +889,7 @@ class TestBoundary:
             return wrapper
 
         _force_workers(monkeypatch, 1)  # a worker's calls are not counted here
-        monkeypatch.setattr(harness, "sweep_constants", constants)
+        monkeypatch.setattr(harness, "_channels", channels)
         for cls in (SampleMoments, FittedModel, AffineEstimator, TrueModel, KnownStatistics):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
         for module in (moments, estimators, synth, harness):
@@ -1012,9 +1013,9 @@ class TestWorkers:
         # What a worker sends does not grow with the trials that fail alike.
         cfg = ExperimentConfig(**WORKER_CONFIGS["nt_smallest_cell_fails"])
         sigma2s = [1.0 / s for s in cfg.snr_grid]
-        scores = np.empty((len(cfg.nt_grid), len(sigma2s), len(cfg.estimator_set), cfg.mc_trials))
-        constants = harness.sweep_constants(cfg)
-        (tally,) = harness._score_trials(cfg, constants, sigma2s, scores, 1, cfg.mc_trials)[0]
+        scores = np.empty((len(cfg.nt_grid) * len(sigma2s), len(cfg.estimator_set), cfg.mc_trials))
+        channels = harness._channels(cfg)
+        tally = harness._score_trials(cfg, channels, sigma2s, scores, 1, cfg.mc_trials)[0]
         reasons = tally["failure_reasons"]
         assert set(reasons) == harness._TRAINED
         for whys in reasons.values():
@@ -1027,12 +1028,12 @@ class TestWorkers:
         # From 500 to 1,500 trials no count passes 255, where pickle widens
         # an integer by a byte, so the tallies must pickle to the same size.
         cfg = ExperimentConfig(**dict(INTERLEAVED_5X3, snr_grid=(1e14,)))
-        constants = harness.sweep_constants(cfg)
+        channels = harness._channels(cfg)
         sizes = []
         for trials in (500, 1500):
             scores = np.empty((1, len(cfg.estimator_set), trials))
-            ((tally,),) = harness._score_trials(
-                cfg, constants, [1.0 / cfg.snr_grid[0]], scores[None], 0, trials
+            (tally,) = harness._score_trials(
+                cfg, channels, [1.0 / cfg.snr_grid[0]], scores, 0, trials
             )
             sizes.append(len(pickle.dumps(tally)))
         assert sizes[0] == sizes[1]
@@ -1049,11 +1050,27 @@ class TestWorkers:
         assert 0 < reasons["oracle_lmmse"]["population input covariance"]["count"] < 1500
 
     @pytest.mark.parametrize(
-        "where", ["worker raises", "worker dies", "parent raises", "parent interrupted"]
+        "where",
+        [
+            "worker raises", "worker dies", "parent raises", "parent interrupted",
+            "worker message truncated", "second fork fails",
+        ],
     )
     def test_a_failed_chunk_raises_and_leaves_no_child(self, monkeypatch, where):
         cfg = _small_config(snr_grid=(1.0,), nt_grid=(60, 80), mc_trials=6)
         real = harness._score_cells
+        real_fork = os.fork
+        forks = []
+
+        def truncated(message, pipe):  # as if the worker were killed mid-write
+            pipe.write(pickle.dumps(message)[:5])
+
+        def fork():
+            forks.append(True)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
         # In the last chunk of the second sample-count cell.
         last = cfg.seed.child(harness._NS_TRIAL, 1, cfg.mc_trials - 1)
 
@@ -1070,12 +1087,23 @@ class TestWorkers:
             return real(ch, names, ridge, n_t, seed, *args)
 
         monkeypatch.setattr(harness, "_score_cells", failing)
+        if where == "worker message truncated":
+            monkeypatch.setattr(pickle, "dump", truncated)
+        if where == "second fork fails":
+            monkeypatch.setattr(os, "fork", fork)
         _force_workers(monkeypatch, 3)
         expected = {
             "worker raises": (RuntimeError, "boom in the last trial"),
             "worker dies": (RuntimeError, "failed"),
             "parent raises": (ValueError, "boom in trial 0"),
             "parent interrupted": (KeyboardInterrupt, None),
+            "worker message truncated": (
+                RuntimeError, "trials 2 to 3 failed: it exited without a result"
+            ),
+            "second fork fails": (
+                RuntimeError,
+                r"sweep worker for trials 4 to 5 could not start: .*Resource temporarily",
+            ),
         }[where]
         with pytest.raises(expected[0], match=expected[1]):
             sweep(cfg)

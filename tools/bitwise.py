@@ -27,13 +27,12 @@ library's reduction of pairs shows next to the sweeps:
   whose sum of squared input deviations is out of the float range.
 
 A change meant to keep the output bytes prints the same lines before and
-after::
-
-    python tools/bitwise.py > after.txt
-    python tools/bitwise.py OTHER/src > before.txt
-    diff before.txt after.txt
-
-``SRC`` (default: ``src/`` of this checkout) is the source tree imported.
+after. ``python tools/bitwise.py [SRC]`` prints the lines of the source tree
+``SRC`` (default: ``src/`` of this checkout). ``python tools/bitwise.py
+--against OTHER/src [SRC]`` runs this tool on ``OTHER/src`` and on ``SRC``,
+each in a subprocess of its own, prints the lines that differ as a unified
+diff (``-`` for ``OTHER/src``, ``+`` for ``SRC``) and exits 1 on any
+difference, 0 when every line is the same.
 The set covers both orientations of a small geometry under every
 measurement map, ``h_mode`` and ``prior_mode`` with every rule, an SNR grid
 from 1e-308 to 1e300 under every map, sample counts down to 3, a ridge, a
@@ -47,10 +46,13 @@ integer SNRs and ridge and integral-float sample counts as JSON writes them.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -246,5 +248,23 @@ def main(src: Path = SRC) -> int:
     return 0
 
 
+def against(other: Path, src: Path) -> int:
+    """Print the lines that differ between this tool's output on ``other`` and on ``src``."""
+    before, after = (
+        subprocess.run(
+            [sys.executable, __file__, str(tree)], stdout=subprocess.PIPE, text=True, check=True
+        ).stdout.splitlines()
+        for tree in (other, src)
+    )
+    diff = list(difflib.unified_diff(before, after, str(other), str(src), lineterm="", n=0))
+    print("\n".join(diff) if diff else f"{len(after)} lines, no difference")
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    sys.exit(main(Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else SRC))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("src", nargs="?", type=Path, default=SRC, help="source tree to hash")
+    parser.add_argument("--against", type=Path, help="source tree to compare SRC with")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    sys.exit(against(args.against.resolve(), src) if args.against else main(src))
