@@ -39,7 +39,7 @@ number of workers. A trial's randomness comes from counter-based child
 seeds, of (sample-count cell 0, trial) for H and of (sample-count cell,
 trial) for a training draw, so results do not depend on the order trials run
 in, nor on which other SNRs share the grid; construction failures (singular
-sample covariances at small sample counts, non-finite moments) are recorded
+sample covariances at small sample counts, non-finite moments or risks) are recorded
 per cell rather than aborting the sweep. Memory is one float64 score per
 trial, estimator and cell of the sweep, kept at the trial's index with NaN
 for a failure, plus failure counts grouped by reason, each with the first
@@ -52,6 +52,7 @@ a single entry, the flat cell index is the index of the swept grid's entry.
 from __future__ import annotations
 
 import contextlib
+import math
 import mmap
 import os
 import pickle
@@ -347,6 +348,8 @@ def compute_mse(errors) -> Optional[tuple[float, float]]:
 # (every rule of the trial), or a cell's sample moments (every trained rule).
 NON_FINITE_MEASUREMENT = "non-finite measurement moments"
 NON_FINITE_SAMPLE = "non-finite sample moments"
+# Failure reason of a rule whose risk overflowed.
+NON_FINITE_RISK = "non-finite risk"
 # Rules fitted on the trial's training set.
 _TRAINED = {"generative", "discriminative", "generative_high_snr", "discriminative_high_snr"}
 
@@ -402,7 +405,8 @@ def _score_cells(
     """Score one trial at each noise variance in ``sigma2s``, on plain arrays.
 
     Writes the risk of rule ``names[e]`` at ``sigma2s[k]`` to ``out[k, e]``,
-    NaN when the rule failed, and returns each cell's failure reasons (see
+    NaN when the rule failed (a risk that overflowed fails it as
+    ``non-finite risk``), and returns each cell's failure reasons (see
     :class:`TrialOutcome`) and condition-warning count. The training
     randomness is drawn once, from ``seed.child(0)``, and each cell's sample
     moments are assembled from it at the cell's noise level. Their target
@@ -451,10 +455,14 @@ def _score_cells(
                     else:
                         build = partial(_oracle, ch)
                     if name in _TRAINED:
-                        out[k, e] = ch.risk(*rule, sigma2)
+                        risk = ch.risk(*rule, sigma2)
                     else:  # an untrained rule is scored once per channel and noise variance
                         key = (name, sigma2)
-                        out[k, e] = _shared(ch.memo, key, lambda: ch.risk(*build(sigma2), sigma2))
+                        risk = _shared(ch.memo, key, lambda: ch.risk(*build(sigma2), sigma2))
+                    if math.isfinite(risk):
+                        out[k, e] = risk
+                    else:
+                        failures[name] = NON_FINITE_RISK
                 except np.linalg.LinAlgError as exc:
                     failures[name] = exc.name if isinstance(exc, SingularMatrixError) else str(exc)
                     exc.with_traceback(None)  # a shared error outlives this frame; unpin it

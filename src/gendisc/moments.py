@@ -6,6 +6,11 @@ the factor, or certifies it from an eigenvalue floor that the caller proves,
 and fails loudly (no silent pseudo-inverses) when the matrix is not positive
 definite after optional ridge regularization. The public functions
 check their inputs, then call the same unchecked routine the sweep calls.
+
+Every training set, drawn or given as pairs, is reduced to its covariances
+alike: its centred columns scaled by ``1/sqrt(n)`` form a root ``F``, targets
+first, and the three blocks are split from the one symmetric product
+``F F^T`` (:func:`_covariances`).
 """
 
 from __future__ import annotations
@@ -285,38 +290,43 @@ class SampleMoments:
         return self.y_bar.shape[0]
 
 
-def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column means of the rows ``a``, the centred rows over sqrt(n), and their product.
+def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column means of the rows ``a`` and their root: the centred columns over sqrt(n).
 
-    Scaled before the product, the centred rows give the 1/n scatter without
-    the n-fold sum that overflows where the scatter itself is finite.
+    The root has one row per column of ``a``. Scaled before any product, the
+    roots of a training set give its 1/n scatter through :func:`_covariances`
+    without the n-fold sum that overflows where the scatter itself is finite.
     """
     mean = a.mean(axis=0)
-    c = (a - mean) / np.sqrt(a.shape[0])
-    return mean, c, c.T @ c
+    root = np.subtract(a.T, mean[:, None], order="C")
+    root /= np.sqrt(a.shape[0])
+    return mean, root
 
 
-def _pair_blocks(targets: tuple, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``x_bar, y_bar, C_yx, C_yy, C_xx`` of paired rows, given ``_centred(ys)`` and ``xs``.
+def _covariances(F: np.ndarray, n_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``C_yx, C_yy, C_xx``: the blocks of ``F F^T`` for the root ``F``, target rows first.
 
-    The one reduction of training pairs to their moments: the training draw
-    under a distorted map keeps ``targets`` and reduces its inputs at every
-    noise level with it.
+    The one reduction of a training set to its covariances. ``F F^T`` is one
+    symmetric product (BLAS ``syrk``), whose blocks read the same bits under
+    one and two OpenBLAS threads at ``n`` up to 5000 (a general product for
+    the cross block did not), and, for a root of a given shape, the target
+    block's bits do not depend on the input rows.
     """
-    y_bar, yc, C_yy = targets
-    x_bar, xc, C_xx = _centred(xs)
-    return x_bar, y_bar, yc.T @ xc, C_yy, C_xx
+    C = F @ F.T
+    return C[:n_y, n_y:], C[:n_y, :n_y], C[n_y:, n_y:]
 
 
 def compute_moments(data: Dataset) -> SampleMoments:
     """Compute sample means and covariances of a paired dataset.
 
     Covariances use the 1/n_t normalization (not the unbiased 1/(n_t-1)),
-    matching the estimator formulas built on top of them. Each centred block
-    is scaled by 1/sqrt(n_t) before the product, so a covariance overflows
-    only where its value is out of the float range, not where its n_t-fold
-    sum would be. The pairs are reduced by the same routine as the training
-    draws of :func:`~gendisc.synth.draw_training` under tanh and cubic maps.
+    matching the estimator formulas built on top of them. The centred
+    targets and inputs are scaled by 1/sqrt(n_t) (:func:`_centred`) and
+    stacked, targets first, into the root whose one symmetric product
+    :func:`_covariances` splits into the three blocks, the reduction of every
+    training draw of :func:`~gendisc.synth.draw_training`. So a covariance
+    overflows only where its value is out of the float range, not where its
+    n_t-fold sum would be.
 
     Parameters
     ----------
@@ -328,7 +338,10 @@ def compute_moments(data: Dataset) -> SampleMoments:
     -------
     SampleMoments
     """
-    return SampleMoments(*_pair_blocks(_centred(data.ys), data.xs), n_t=data.n_t)
+    y_bar, R_y = _centred(data.ys)
+    x_bar, R_x = _centred(data.xs)
+    blocks = _covariances(np.vstack((R_y, R_x)), data.n_y)
+    return SampleMoments(x_bar, y_bar, *blocks, n_t=data.n_t)
 
 
 def _symmetry_defect(M: np.ndarray) -> float:

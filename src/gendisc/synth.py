@@ -14,7 +14,11 @@ means and the scatter are independent, with laws ``N(mu, Sigma/n)`` and
 ``Wishart(n - 1, Sigma)``; they are drawn from those laws at a cost that does
 not grow with ``n`` (Bartlett's decomposition, Smith & Hocking, *Applied
 Statistics* AS 53, 1972). Under tanh and cubic maps ``x`` is not Gaussian, so
-the moments are computed from ``n`` drawn pairs.
+the moments are computed from ``n`` drawn pairs. Either way a draw keeps its
+means and its root rows scaled by ``1/sqrt(n)``, and each noise level's
+covariances are the blocks of one symmetric product of the root, so they do
+not overflow where their values are finite, and a general product, whose
+bits followed the BLAS thread count, is not used.
 
 Randomness is counter-based: a :class:`Seed` names a stream by its master
 value plus a tuple of child indices, so any parallel schedule that assigns
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import numpy.random  # imported with the package, not on the first draw inside a sweep
@@ -35,9 +39,9 @@ from .moments import (
     Dataset,
     SampleMoments,
     _centred,
+    _covariances,
     _freeze,
     _frozen,
-    _pair_blocks,
     _symmetry_defect,
 )
 
@@ -246,6 +250,18 @@ def _check_draw(prior: GaussianPrior, model: TrueModel, n: int) -> None:
         )
 
 
+def _pairs(prior: GaussianPrior, model: TrueModel, n: int, rng: np.random.Generator):
+    """``n`` targets ``ys``, their signals ``g(H y) + mu_w`` and standard-normal noise, as rows.
+
+    From ``rng`` come, in this order, the standard normals of the targets
+    and of the noise.
+    """
+    _check_draw(prior, model, n)
+    ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
+    noise = rng.standard_normal((n, model.H.shape[0]))
+    return ys, model.nonlinearity.apply(ys @ model.H.T) + model.mu_w, noise
+
+
 def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> Dataset:
     """Draw ``n`` i.i.d. (x, y) pairs: y from the prior, x = g(H y) + w.
 
@@ -253,8 +269,8 @@ def sample_pairs(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> 
     normal, so datasets drawn under the same seed but different sigma2 share
     the same underlying randomness (the noise is merely rescaled).
     """
-    draw = _PairDraw(prior, model, n, seed)
-    return Dataset(xs=draw.xs(model.sigma2), ys=draw.ys)
+    ys, signal, noise = _pairs(prior, model, n, seed.generator())
+    return Dataset(xs=signal + np.sqrt(model.sigma2) * noise, ys=ys)
 
 
 def _standard_scatter_root(rng: np.random.Generator, dof: int, d: int) -> np.ndarray:
@@ -282,7 +298,21 @@ def _strict_lower(d: int) -> np.ndarray:
 
 
 class _Draw:
-    """The training randomness of :func:`draw_training`, free of the noise level."""
+    """The training randomness of :func:`draw_training`, free of the noise level.
+
+    It holds the target mean ``y_bar``, the signal mean ``s_bar`` and the
+    noise mean ``w_bar``, and the root rows ``R_y``, ``R_s`` and ``R_w``, each
+    already scaled by ``1/sqrt(n)``: at noise level ``sigma``, ``x_bar =
+    s_bar + sigma w_bar`` and the 1/n scatter of ``(y, x)`` is ``F F^T`` for
+    ``F = [R_y; R_s + sigma R_w]``. ``R_y`` is kept as the first rows of the
+    buffer ``F``, whose other rows :meth:`blocks` overwrites.
+    """
+
+    def __init__(self, n, y_bar, R_y, s_bar, R_s, w_bar, R_w):
+        self.n, self.n_y = n, y_bar.shape[0]
+        self.y_bar, self.s_bar, self.w_bar, self.R_s, self.R_w = y_bar, s_bar, w_bar, R_s, R_w
+        self.F = np.empty((self.n_y + R_s.shape[0], R_s.shape[1]))
+        self.F[: self.n_y] = R_y
 
     def moments(self, sigma2: float) -> SampleMoments:
         """The sample moments at noise variance ``sigma2``: the fields of :meth:`blocks`."""
@@ -290,74 +320,13 @@ class _Draw:
             raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
         return SampleMoments(*self.blocks(sigma2), n_t=self.n)
 
-
-class _PairDraw(_Draw):
-    """``n`` pairs of :func:`sample_pairs` with the noise left unscaled.
-
-    From ``seed.generator()`` come, in this order, the standard normals of
-    the targets ``ys`` and of the noise. ``x = (g(H y) + mu_w) + sqrt(sigma2)
-    * noise`` for any ``sigma2``. The pairs are reduced by the routine of
-    :func:`~gendisc.moments.compute_moments`, with the target block (mean,
-    centred rows and scatter) computed once, on first use, and reused at
-    every ``sigma2``; so the moments at ``sigma2`` are
-    ``compute_moments(Dataset(xs=self.xs(sigma2), ys=self.ys))``, bit for bit.
-    """
-
-    def __init__(self, prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
-        _check_draw(prior, model, n)
-        rng = seed.generator()
-        self.n = n
-        self.ys = prior.mu_y + rng.standard_normal((n, prior.n_y)) @ prior.L_yy.T
-        self.noise = rng.standard_normal((n, model.H.shape[0]))
-        self.signal = model.nonlinearity.apply(self.ys @ model.H.T) + model.mu_w
-
-    @cached_property
-    def _targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The target mean, the centred targets over sqrt(n) and their 1/n scatter."""
-        return _centred(self.ys)
-
-    def xs(self, sigma2: float) -> np.ndarray:
-        return self.signal + np.sqrt(sigma2) * self.noise
-
     def blocks(self, sigma2: float) -> tuple[np.ndarray, ...]:
         """``x_bar, y_bar, C_yx, C_yy, C_xx``, with ``sigma2`` unchecked."""
-        return _pair_blocks(self._targets, self.xs(sigma2))
-
-
-class _MomentDraw(_Draw):
-    """The noise-free part of a linear-model training set's moments, drawn from their law.
-
-    From ``seed.generator()`` come, in this order, the standard-normal mean
-    ``z ~ N(0, I_d)`` with ``d = N_y + N_x`` (target coordinates first, then
-    noise) and the scatter root ``G`` of :func:`_standard_scatter_root` with
-    ``n - 1`` degrees of freedom. What does not involve the noise level is
-    computed here: ``F_y = L_yy G[:N_y]``, ``H F_y``,
-    ``y_bar = mu_y + L_yy z_y / sqrt(n)`` and ``H y_bar + mu_w``.
-    """
-
-    def __init__(self, prior: GaussianPrior, model: TrueModel, n: int, seed: Seed):
-        _check_draw(prior, model, n)
-        self.n, self.n_y = n, prior.n_y
-        rng = seed.generator()
-        self.z = rng.standard_normal(prior.n_y + model.H.shape[0])
-        self.G = _standard_scatter_root(rng, n - 1, prior.n_y + model.H.shape[0])
-        self.F_y = prior.L_yy @ self.G[: self.n_y]
-        self.HF_y = model.H @ self.F_y
-        self.y_bar = prior.mu_y + prior.L_yy @ self.z[: self.n_y] / np.sqrt(n)
-        self.signal_bar = model.H @ self.y_bar + model.mu_w
-
-    def blocks(self, sigma2: float) -> tuple[np.ndarray, ...]:
-        """``x_bar, y_bar, C_yx, C_yy, C_xx`` (``sigma2`` unchecked): ``F_x = H F_y + sigma
-        G[N_y:]``, ``C = F F^T / n`` for ``F = [F_y; F_x]`` split into its blocks, and
-        ``x_bar = (H y_bar + mu_w) + sigma z_w / sqrt(n)``."""
-        n, n_y = self.n, self.n_y
         sigma = np.sqrt(sigma2)
-        F = np.empty(self.G.shape)
-        F[:n_y] = self.F_y
-        F[n_y:] = self.HF_y + sigma * self.G[n_y:]
-        C = F @ F.T / n
-        x_bar = self.signal_bar + sigma * self.z[n_y:] / np.sqrt(n)
-        return x_bar, self.y_bar, C[:n_y, n_y:], C[:n_y, :n_y], C[n_y:, n_y:]
+        F_x = self.F[self.n_y :]
+        np.multiply(self.R_w, sigma, out=F_x)
+        F_x += self.R_s
+        return self.s_bar + sigma * self.w_bar, self.y_bar, *_covariances(self.F, self.n_y)
 
 
 def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) -> _Draw:
@@ -369,17 +338,36 @@ def draw_training(prior: GaussianPrior, model: TrueModel, n: int, seed: Seed) ->
     map ``nonlinearity`` are read from ``model``: a :class:`TrueModel`, whose
     own ``sigma2`` is not read, or any object with those three. The draws do
     not depend on ``sigma2``: sets at several noise levels share them and
-    differ only in how far the noise is scaled. Under a :class:`Linear` map
-    the moments are drawn from their joint law and no pair is materialized;
-    under tanh and cubic maps the ``n`` pairs of :func:`sample_pairs` are
-    drawn and reduced by the routine of
-    :func:`~gendisc.moments.compute_moments`, which scales the centred rows
-    by ``1/sqrt(n)`` before their products, so that a covariance overflows
-    only where its own value is out of the float range.
+    differ only in how far the noise is scaled.
+
+    Every set is reduced alike: its means, and the root rows of its targets,
+    signals and noise scaled by ``1/sqrt(n)`` once per draw, so that each
+    noise level costs one symmetric product and a covariance overflows only
+    where its own value is out of the float range. The roots are made in one
+    of two ways. Under a :class:`Linear` map the moments are drawn from their
+    joint law and no pair is materialized: from ``seed.generator()`` come the
+    standard-normal mean ``z ~ N(0, I_d)``, ``d = N_y + N_x`` (target
+    coordinates first, then noise), and the scatter root ``G`` of
+    :func:`_standard_scatter_root` with ``n - 1`` degrees of freedom; both
+    are scaled by ``1/sqrt(n)``, and ``R_y = L_yy G_y``, ``R_s = H R_y``,
+    ``R_w = G_w``. Under tanh and cubic maps the ``n`` pairs of
+    :func:`sample_pairs` are drawn, and their targets, signals ``g(H y) +
+    mu_w`` and noise are each centred and scaled by
+    :func:`~gendisc.moments._centred`. The targets' mean and covariance are
+    then those of :func:`~gendisc.moments.compute_moments` on the pairs, bit
+    for bit, and the other moments agree with it to rounding.
     """
-    if isinstance(model.nonlinearity, Linear):
-        return _MomentDraw(prior, model, n, seed)
-    return _PairDraw(prior, model, n, seed)
+    if not isinstance(model.nonlinearity, Linear):
+        ys, signal, noise = _pairs(prior, model, n, seed.generator())
+        return _Draw(n, *_centred(ys), *_centred(signal), *_centred(noise))
+    _check_draw(prior, model, n)
+    n_y, d = prior.n_y, prior.n_y + model.H.shape[0]
+    rng = seed.generator()
+    z = rng.standard_normal(d) / np.sqrt(n)
+    G = _standard_scatter_root(rng, n - 1, d) / np.sqrt(n)
+    y_bar = prior.mu_y + prior.L_yy @ z[:n_y]
+    R_y = prior.L_yy @ G[:n_y]
+    return _Draw(n, y_bar, R_y, model.H @ y_bar + model.mu_w, model.H @ R_y, z[n_y:], G[n_y:])
 
 
 def exp_decay_prior(n_y: int, length_scale: float = 5.0) -> GaussianPrior:

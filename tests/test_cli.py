@@ -506,6 +506,35 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(serial)]) == 0
         assert (serial / "results.csv").read_bytes() == (out_dir / "results.csv").read_bytes()
 
+    def test_results_are_the_same_bytes_for_one_or_two_blas_threads(self, tmp_path):
+        # At n_t = 2000 OpenBLAS splits a product across its threads, so a
+        # reduction whose summation order followed the split (such as a
+        # general product for the cross covariance) gave other bits at 2
+        # threads than at 1. Every covariance comes from one symmetric product.
+        config = {
+            "n_x": 28, "n_y": 30, "snr_grid": [10.0], "nt_grid": [2000], "mc_trials": 2,
+            "seed": 1729, "nonlinearity": {"kind": "tanh", "scale": 0.5},
+        }
+        cfg_path = _write(tmp_path / "c.json", json.dumps(config))
+        script = "import sys\nfrom gendisc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        csv = {}
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            out_dir = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "run", cfg_path, "--out", str(out_dir)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["environment"]["thread_env"]["OPENBLAS_NUM_THREADS"] == threads
+            csv[threads] = (out_dir / "results.csv").read_bytes()
+        assert csv["1"] == csv["2"]
+
     def test_a_run_imports_no_module_the_cli_did_not(self, tmp_path):
         # A module first imported during a run is charged to the sweep's
         # timing, so importing gendisc.cli must bring in all that a forked

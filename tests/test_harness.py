@@ -34,7 +34,7 @@ from gendisc.estimators import (
     generative_highsnr,
     oracle_lmmse,
 )
-from gendisc.fileio import config_from_dict
+from gendisc.fileio import config_from_dict, write_results_csv
 from gendisc.harness import (
     H_MODES,
     PRIOR_MODES,
@@ -770,16 +770,68 @@ class TestSharedDraws:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_sample_moments_fail_the_trained_rules(self):
-        # At SNR 1e-308 the noise scatter overflows: every trained rule of that
-        # cell fails for that reason, while the other cell is scored.
+        # A linear draw scales its noise root R_w by 1/sqrt(n) before the
+        # product, so at noise variance s2 the input covariance's largest
+        # entry is s2 times the largest diagonal entry of R_w R_w^T, about
+        # chi2(n - 1) / n: it overflows where that product passes DBL_MAX, not
+        # where the n-fold sum would. At s2 = 1e308 that takes a scatter above
+        # 1.797 (chi2(19) above 36, about 1% of rows at n = 20), at s2 =
+        # 1 / 7e-309 one above 1.258 (chi2(19) above 25, about 16% of rows).
+        # Each trial's outcome is read from its own scatter, none near the edge.
         names = ("generative", "discriminative", "generative_high_snr", "discriminative_high_snr")
         cfg = _small_config(
-            snr_grid=(1e-308, 1.0), nt_grid=(20,), mc_trials=3, estimator_set=names
+            snr_grid=(1e-308, 7e-309), nt_grid=(20,), mc_trials=6, estimator_set=names
         )
+        channels = harness._channels(cfg)
+        scatter = np.array([
+            np.einsum("ij,ij->i", draw.R_w, draw.R_w).max()
+            for draw in (
+                draw_training(channels(t).prior, channels(t), 20, cfg.seed.child(0, 0, t, 0))
+                for t in range(cfg.mc_trials)
+            )
+        ])
         cells = sweep(cfg).metadata["cells"]
-        reason = {harness.NON_FINITE_SAMPLE: {"count": 3, "first_trial": 0}}
-        assert cells[0]["failure_reasons"] == {name: reason for name in names}
-        assert cells[1]["failures"] == {}
+        for cell, snr in enumerate(cfg.snr_grid):
+            room = np.finfo(float).max * snr  # the largest scatter whose product is finite
+            assert np.all(np.abs(np.log(scatter / room)) > 1e-6)
+            outcomes = [run_trial(cfg, cell, t) for t in range(cfg.mc_trials)]
+            reasons: dict = {}
+            for t, (overflow, outcome) in enumerate(zip(scatter > room, outcomes)):
+                if overflow:
+                    assert outcome.failures == {name: harness.NON_FINITE_SAMPLE for name in names}
+                else:
+                    assert harness.NON_FINITE_SAMPLE not in outcome.failures.values()
+                for name, why in outcome.failures.items():
+                    harness._count(reasons, name, why, 1, t)
+            assert cells[cell]["failure_reasons"] == reasons
+            if snr == 1e-308:  # the scaled scatter is finite in every trial, and the cell scores
+                assert not np.any(scatter > room)
+                assert any(outcome.errors for outcome in outcomes)
+            else:  # it passes DBL_MAX in some trials, not all
+                assert 0 < np.sum(scatter > room) < cfg.mc_trials
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nonlinearity", [Linear(), Tanh(scale=1.0), Cubic(alpha=0.1)])
+    def test_an_overflowed_risk_is_a_failure(self, tmp_path, nonlinearity):
+        # At SNR 1e-308 the vanishing-noise rules do not shrink, so their risk,
+        # about 1e308 ||A||^2, overflows in some trials. Such a trial fails
+        # the rule with "non-finite risk", as its replay does, so no cell of
+        # results.csv reads inf or nan.
+        cfg = ExperimentConfig(
+            n_x=3, n_y=7, snr_grid=(1e-308, 1e-12, 1.0, 1e15, 1e300), nt_grid=(20,),
+            mc_trials=4, seed=Seed(1729), nonlinearity=nonlinearity, estimator_set=ALL_RULES,
+        )
+        report = sweep(cfg)
+        reasons = report.metadata["cells"][0]["failure_reasons"]
+        for name in ("generative_high_snr", "discriminative_high_snr"):
+            first = reasons[name][harness.NON_FINITE_RISK]["first_trial"]
+            assert run_trial(cfg, 0, first).failures[name] == harness.NON_FINITE_RISK
+        write_results_csv(tmp_path / "results.csv", report)
+        fields = {
+            field for line in (tmp_path / "results.csv").read_text().splitlines()[1:]
+            for field in line.split(",")[3:5]
+        }
+        assert not {"inf", "-inf", "nan"} & fields
 
 
 def _public_outcome(cfg, cell, trial):

@@ -241,10 +241,16 @@ class TestSampleMoments:
             H=random_measurement_matrix(4, 5, Seed(24)), mu_w=np.ones(4), sigma2=0.5,
             nonlinearity=nonlinearity,
         )
+        # The draw centres the signals and the noise apart, so the input
+        # moments agree with those of the pairs to rounding; the targets'
+        # are the same bits.
         got = draw_training(prior, model, 50, Seed(25)).moments(model.sigma2)
         want = compute_moments(sample_pairs(prior, model, 50, Seed(25)))
-        for field in ("x_bar", "y_bar", "C_yx", "C_yy", "C_xx"):
+        for field in ("y_bar", "C_yy"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for field in ("x_bar", "C_yx", "C_xx"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), field
         assert got.n_t == want.n_t
 
     def test_single_pair_has_zero_scatter(self):

@@ -40,8 +40,12 @@ sample-count sweep under a frozen H (``6x4-nt-fixed-h``), the paper's 28 x 30
 SNR geometry, and, large enough that :func:`gendisc.harness.sweep`
 splits their trials across processes, a sample-count sweep, a 5 x 3 SNR
 sweep whose rules fail in some trials and not in others, and two 28 x 30
-SNR sweeps (one linear, one tanh with a frozen H and a mismatched prior), and
-integer SNRs and ridge and integral-float sample counts as JSON writes them.
+SNR sweeps (one linear, one tanh with a frozen H and a mismatched prior),
+integer SNRs and ridge and integral-float sample counts as JSON writes them,
+and a 28 x 30 tanh sweep at n_t = 2000 (``28x30-tanh-2000-pairs``), whose
+products OpenBLAS splits across threads: its lines are the same under
+``OPENBLAS_NUM_THREADS=1`` and ``=2`` only where the reduction's bits do not
+follow the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -169,6 +173,18 @@ def configs() -> dict[str, dict]:
     out["4x5-nt-integral-floats"] = dict(
         out["4x5-int-snr-int-ridge"], snr_grid=[10], nt_grid=[12.0, 20]
     )
+    # Training sets large enough that OpenBLAS splits their products across
+    # its threads, so that a reduction whose bits follow the BLAS thread
+    # count shows when the tool is run under OPENBLAS_NUM_THREADS=1 and =2.
+    out["28x30-tanh-2000-pairs"] = {
+        "n_x": 28,
+        "n_y": 30,
+        "snr_grid": [10.0],
+        "nt_grid": [2000],
+        "mc_trials": 2,
+        "seed": 1729,
+        "nonlinearity": {"kind": "tanh", "scale": 0.5},
+    }
     return out
 
 
